@@ -275,12 +275,12 @@ def _configure_sharing(config: AnalyzerConfig) -> None:
 
     The vectorized kernel backend (``config.vectorize``) is configured
     here too: it selects between the batched numpy kernels and the
-    scalar oracle for the environment lattice ops and the octagon
-    closure — bit-identical either way, so the parallel engine's worker
-    processes (which re-run this function, see repro.parallel.executor)
-    only need it for counter fidelity, never for correctness.
+    scalar oracle for the environment lattice ops — bit-identical either
+    way, so the parallel engine's worker processes (which re-run this
+    function, see repro.parallel.executor) only need it for counter
+    fidelity, never for correctness.
     """
-    from .domains.octagon import configure_closure_memo, configure_vectorize
+    from .domains.octagon import configure_closure_memo
     from .memory import environment
     from .memory import interning
     from .numeric import interval_kernels
@@ -293,7 +293,6 @@ def _configure_sharing(config: AnalyzerConfig) -> None:
         configure_closure_memo(0)
     environment.configure_vectorize(config.vectorize,
                                     config.vectorize_min_cells)
-    configure_vectorize(config.vectorize)
     interval_kernels.reset_stats()
 
 

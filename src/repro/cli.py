@@ -599,12 +599,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     pa.add_argument("--vectorize", dest="vectorize",
                     action="store_true", default=None,
                     help="batched numpy lattice kernels for environment "
-                         "merges and octagon closure (the default; "
-                         "bit-identical results)")
+                         "merges (the default; bit-identical results)")
     pa.add_argument("--no-vectorize", dest="vectorize",
                     action="store_false",
-                    help="fall back to the scalar-oracle kernels "
-                         "(the differential-testing reference)")
+                    help="fall back to the scalar environment-merge "
+                         "kernels (the differential-testing reference)")
     pa.add_argument("--vectorize-min-cells", dest="vectorize_min_cells",
                     type=int, default=None, metavar="N",
                     help="crossover heuristic: minimum differing float "

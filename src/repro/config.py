@@ -21,7 +21,13 @@ from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from .domains.thresholds import ThresholdSet, default_thresholds
 
-__all__ = ["AnalyzerConfig", "baseline_config"]
+__all__ = ["AnalyzerConfig", "SEMANTICS_VERSION", "baseline_config"]
+
+#: Version of the analysis semantics, salting the serve result/journal
+#: keys and the checkpoint fingerprint so entries written by a build with
+#: other semantics miss.  Bump it with every change that can alter a bit
+#: of a result, even one ulp of a bound (2: incremental octagon closure).
+SEMANTICS_VERSION = 2
 
 
 @dataclass
@@ -101,7 +107,7 @@ class AnalyzerConfig:
 
     # -- vectorized lattice kernels (repro.numeric.interval_kernels) -------------
     # Batched numpy kernels for the cell-wise FloatInterval lattice ops
-    # and the octagon closure.  Bit-identical to the scalar
+    # of environment merges.  Bit-identical to the scalar
     # implementations, which remain the differential-testing oracle
     # behind --no-vectorize; a pure performance knob, excluded from the
     # checkpoint and serve compat fingerprints like ``incremental``.

@@ -23,6 +23,7 @@ pack id to octagon inside the shared functional-map state.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -31,21 +32,21 @@ import numpy as np
 from ..numeric import FloatInterval, LinearForm
 from ..numeric.float_utils import add_up, div_up, mul_up
 
-__all__ = ["Octagon", "closure_memo_stats", "configure_closure_memo",
-           "configure_vectorize", "vectorize_enabled"]
+__all__ = ["Octagon", "closure_memo_stats", "configure_closure_memo"]
 
 _INF = math.inf
 
 # Value-keyed closure memo (part of the incremental engine's sharing
-# machinery, see repro.iterator.incremental): maps a raw matrix to its
-# strongly-closed octagon.  Closure is a deterministic function of the
-# matrix, so two ==-equal raw octagons have bit-identical closures and
+# machinery, see repro.iterator.incremental): maps a raw matrix and its
+# pivot set (None for the full kernel) to its strongly-closed octagon.
+# Closure is a deterministic function of that pair, so two ==-equal raw
+# octagons closed with the same pivots have bit-identical closures and
 # may share one result object.  Bounded with FIFO eviction: at capacity
 # only the oldest insertions are dropped (a batch at a time), so a full
 # memo sheds cold entries instead of cold-starting the whole hot set
 # (it is a cache — dropping entries costs time, never correctness).
 # Off by default; analyze_program enables it for incremental runs.
-_CLOSURE_MEMO: Dict[bytes, "Octagon"] = {}
+_CLOSURE_MEMO: Dict[Tuple[bytes, Optional[Tuple[int, ...]]], "Octagon"] = {}
 _CLOSURE_MEMO_MAX = 0
 _CLOSURE_HITS = 0
 _CLOSURE_EVICTIONS = 0
@@ -57,8 +58,8 @@ def configure_closure_memo(max_size: int) -> None:
     Reconfiguring to the *same* capacity keeps the memo contents (and
     the hit/eviction counters): a long-lived process analyzing many
     programs — the ``serve`` daemon — stays warm across requests, and
-    closure is a pure function of the matrix alone, so entries are
-    valid across programs.  Changing the capacity evicts down (or
+    closure is a pure function of the matrix and pivots alone, so entries
+    are valid across programs.  Changing the capacity evicts down (or
     clears, when disabling) and resets the counters."""
     global _CLOSURE_MEMO_MAX, _CLOSURE_HITS, _CLOSURE_EVICTIONS
     if max_size == _CLOSURE_MEMO_MAX and max_size > 0:
@@ -88,125 +89,86 @@ def closure_memo_stats() -> Tuple[int, int, int]:
     return _CLOSURE_HITS, len(_CLOSURE_MEMO), _CLOSURE_EVICTIONS
 
 
-# Closure kernel backend (see repro.numeric.interval_kernels for the
-# contract): the numpy kernel is the default; ``--no-vectorize`` swaps
-# in the pure-Python scalar oracle, which replicates the numpy kernel's
-# operations — additions, one-ulp nudges, minimum picks — element by
-# element in the same order, so the two backends are bit-identical and
-# the knob stays out of every fingerprint.
-_VECTORIZE = True
+_DBL_MAX = float(np.finfo(np.float64).max)
 
 
-def configure_vectorize(enabled: bool) -> None:
-    """Select the closure kernel backend for this process: numpy
-    (default) or the scalar differential oracle."""
-    global _VECTORIZE
-    _VECTORIZE = bool(enabled)
-
-
-def vectorize_enabled() -> bool:
-    return _VECTORIZE
-
-
-def _nudge_up(a: np.ndarray) -> np.ndarray:
-    """One-ulp upward nudge of every finite entry (soundness of + on reals)."""
-    out = np.nextafter(a, _INF)
-    out[np.isinf(a)] = a[np.isinf(a)]
-    return out
+def _nudge_up(a: np.ndarray, restore: bool = True) -> np.ndarray:
+    """One-ulp upward nudge of every finite entry, in place (soundness
+    of + on reals).  ``nextafter(x, +inf) == -DBL_MAX`` iff ``x == -inf``,
+    so restoring -inf is exact; a caller that proved no entry can be
+    -inf skips it."""
+    np.nextafter(a, _INF, out=a)
+    if restore:
+        a[a == -_DBL_MAX] = -_INF
+    return a
 
 
 def _closed_matrix(m0: np.ndarray, n: int) -> np.ndarray:
-    """The numpy closure kernel: Floyd-Warshall over the doubled graph
+    """The full closure kernel: Floyd-Warshall over the doubled graph
     with upward rounding, then octagonal strengthening.  Returns the
     tightened matrix; the caller decides bottom vs closed."""
     m = m0.copy()
-    size = 2 * n
     for k in range(n):
         for kk in (2 * k, 2 * k + 1):
             # Floyd-Warshall step through node kk, rounding up.
-            col = m[:, kk:kk + 1]
-            row = m[kk:kk + 1, :]
-            via = _nudge_up(col + row)
-            np.minimum(m, via, out=m)
+            np.minimum(m, _nudge_up(m[:, kk:kk + 1] + m[kk:kk + 1, :]), out=m)
         # Combined path through both 2k and 2k+1.
-        a = m[:, 2 * k:2 * k + 1] + m[2 * k, 2 * k + 1]
-        b = m[2 * k + 1:2 * k + 2, :]
-        via2 = _nudge_up(_nudge_up(a) + b)
-        np.minimum(m, via2, out=m)
-        a = m[:, 2 * k + 1:2 * k + 2] + m[2 * k + 1, 2 * k]
-        b = m[2 * k:2 * k + 1, :]
-        via3 = _nudge_up(_nudge_up(a) + b)
-        np.minimum(m, via3, out=m)
-    # Strengthening: m[i][j] <= (m[i][bar i] + m[bar j][j]) / 2.
-    bar = _bar_indices(size)
-    diag_i = m[np.arange(size), bar][:, None]  # m[i][bar i]
-    diag_j = m[bar, np.arange(size)][None, :]  # m[bar j][j]
-    half = _nudge_up(_nudge_up(diag_i + diag_j) / 2.0)
-    np.minimum(m, half, out=m)
+        a = _nudge_up(m[:, 2 * k:2 * k + 1] + m[2 * k, 2 * k + 1])
+        np.minimum(m, _nudge_up(a + m[2 * k + 1:2 * k + 2, :]), out=m)
+        a = _nudge_up(m[:, 2 * k + 1:2 * k + 2] + m[2 * k + 1, 2 * k])
+        np.minimum(m, _nudge_up(a + m[2 * k:2 * k + 1, :]), out=m)
+    return _strengthen(m, True)
+
+
+def _closed_matrix_pivots(m0: np.ndarray,
+                          pivots: Tuple[int, ...]) -> np.ndarray:
+    """The incremental closure kernel [Miné, HOSC 2006, Sect. 4.3.4]:
+    strong closure of ``m0`` in O(n^2) array work, provided every entry
+    outside the rows and columns of the ``pivots`` variables is already
+    strongly closed (``m0`` is a closed matrix edited in those rows and
+    columns only).
+
+    With T the touched nodes (2v and 2v+1 of each pivot v) and U the
+    rest, the U x U block already holds the shortest U-paths.  Relaxing
+    the T columns through every node makes each U -> T entry a shortest
+    U-path; relaxing the T rows through the updated columns does the
+    same for T -> U and T -> T.  Floyd-Warshall through the T nodes
+    alone then adds the paths that visit T, and one strengthening makes
+    the result strongly closed [Bagnara et al., 2009].  Every entry is
+    a nudged-up sum of input entries, so the result is sound whatever
+    the input; the precondition only buys precision."""
+    m = m0.copy()
+    # Each of the 4|pivots| + 1 sum steps (two relaxations and two
+    # Floyd-Warshall steps per pivot, the strengthening sum) at most
+    # doubles the most negative entry, so above this bound no sum can
+    # overflow to -inf and the restore is skipped.  NaN fails the
+    # comparison and keeps it.
+    restore = not (m.min() * 2.0 ** (1 + 4 * len(pivots)) > -_DBL_MAX)
+    spans = [slice(2 * v, 2 * v + 2) for v in pivots]
+    # The relaxations take the minimum over k before nudging: nextafter
+    # is monotone, so nudge(min) == min(nudge) bit for bit.
+    for s in spans:
+        cols = m[:, s].T                               # cols[c, i] = m[i][c]
+        via = m[None, :, :] + np.ascontiguousarray(cols)[:, None, :]
+        np.minimum(cols, _nudge_up(via.min(axis=2), restore), out=cols)
+    mt = m.T.copy()
+    for s in spans:
+        rows = m[s]                                    # rows[r, j] = m[r][j]
+        via = rows[:, None, :] + mt[None, :, :]
+        np.minimum(rows, _nudge_up(via.min(axis=2), restore), out=rows)
+    for v in pivots:
+        for k in (2 * v, 2 * v + 1):
+            np.minimum(m, _nudge_up(m[:, k:k + 1] + m[k:k + 1, :], restore),
+                       out=m)
+    return _strengthen(m, restore)
+
+
+def _strengthen(m: np.ndarray, restore: bool) -> np.ndarray:
+    """m[i][j] <= (m[i][bar i] + m[bar j][j]) / 2, in place."""
+    unary_i, unary_j = _unary_index(m.shape[0])
+    half = m.take(unary_i)[:, None] + m.take(unary_j)[None, :]
+    np.minimum(m, _nudge_up(_nudge_up(half, restore) / 2.0, restore), out=m)
     return m
-
-
-def _closed_matrix_scalar(m0: np.ndarray, n: int) -> np.ndarray:
-    """Pure-Python mirror of :func:`_closed_matrix` — the scalar oracle
-    behind ``--no-vectorize``.
-
-    Bit-identity is by construction: every numpy operation of the
-    vectorized kernel is replayed element-wise with the same operand
-    reads (each ``via`` plane is materialized from the pre-update
-    matrix, exactly like the numpy temporaries), the same IEEE-754
-    scalar operations (``math.nextafter`` ≡ ``np.nextafter``), and
-    ``np.minimum``'s exact pick semantics (NaN from either operand
-    propagates; ties — signed zeros included — keep the first operand).
-    """
-    inf = _INF
-
-    def nudge(x: float) -> float:
-        # _nudge_up: nextafter toward +inf, ±inf restored, NaN kept.
-        if x == inf or x == -inf:
-            return x
-        return math.nextafter(x, inf)
-
-    def min2(cur: float, new: float) -> float:
-        # np.minimum(cur, new): NaN propagates, ties keep ``cur``.
-        if new != new:
-            return new
-        return new if new < cur else cur
-
-    size = 2 * n
-    m = m0.tolist()
-    for k in range(n):
-        for kk in (2 * k, 2 * k + 1):
-            col = [m[i][kk] for i in range(size)]
-            row = list(m[kk])
-            for i in range(size):
-                ci = col[i]
-                mi = m[i]
-                for j in range(size):
-                    mi[j] = min2(mi[j], nudge(ci + row[j]))
-        c01 = m[2 * k][2 * k + 1]
-        a = [nudge(m[i][2 * k] + c01) for i in range(size)]
-        b = list(m[2 * k + 1])
-        for i in range(size):
-            ai = a[i]
-            mi = m[i]
-            for j in range(size):
-                mi[j] = min2(mi[j], nudge(ai + b[j]))
-        c10 = m[2 * k + 1][2 * k]
-        a = [nudge(m[i][2 * k + 1] + c10) for i in range(size)]
-        b = list(m[2 * k])
-        for i in range(size):
-            ai = a[i]
-            mi = m[i]
-            for j in range(size):
-                mi[j] = min2(mi[j], nudge(ai + b[j]))
-    diag_i = [m[i][i ^ 1] for i in range(size)]
-    diag_j = [m[j ^ 1][j] for j in range(size)]
-    for i in range(size):
-        di = diag_i[i]
-        mi = m[i]
-        for j in range(size):
-            mi[j] = min2(mi[j], nudge(nudge(di + diag_j[j]) / 2.0))
-    return np.array(m, dtype=np.float64)
 
 
 def _set2(m: np.ndarray, i: int, j: int, c: float) -> None:
@@ -229,7 +191,7 @@ class Octagon:
 
     __slots__ = ("n", "m", "_closed", "_bottom", "_closed_cache")
 
-    #: Number of cubic Floyd-Warshall closures actually run (all
+    #: Number of closures actually run, full or incremental (all
     #: instances).  Monitored by tests asserting the cache is consumed.
     closure_computations = 0
 
@@ -282,9 +244,13 @@ class Octagon:
 
     # -- closure ------------------------------------------------------------------
 
-    def closed(self) -> "Octagon":
+    def closed(self, pivots: Optional[Tuple[int, ...]] = None) -> "Octagon":
         """Strong closure (all implied constraints made explicit), sound
-        w.r.t. real arithmetic via upward rounding."""
+        w.r.t. real arithmetic via upward rounding.
+
+        ``pivots`` (sorted positions) declares the matrix a strongly
+        closed one edited only in those variables' rows and columns,
+        which the O(n^2) incremental kernel closes."""
         if self._closed or self._bottom:
             return self
         if self._closed_cache is not None:
@@ -296,7 +262,7 @@ class Octagon:
             return out
         key = None
         if _CLOSURE_MEMO_MAX > 0:
-            key = self.m.tobytes()
+            key = (self.m.tobytes(), pivots)
             cached = _CLOSURE_MEMO.get(key)
             if cached is not None:
                 global _CLOSURE_HITS
@@ -304,11 +270,11 @@ class Octagon:
                 self._closed_cache = cached
                 return cached
         Octagon.closure_computations += 1
-        if _VECTORIZE:
+        if pivots is None:
             m = _closed_matrix(self.m, self.n)
         else:
-            m = _closed_matrix_scalar(self.m, self.n)
-        if np.any(np.diagonal(m) < 0.0):
+            m = _closed_matrix_pivots(self.m, pivots)
+        if (m.diagonal() < 0.0).any():
             out = Octagon.make_bottom(self.n)
         else:
             np.fill_diagonal(m, 0.0)
@@ -319,6 +285,16 @@ class Octagon:
                 _evict_closure_memo()
             _CLOSURE_MEMO[key] = out
         return out
+
+    def _reclosed(self, m: np.ndarray, *touched: int) -> "Octagon":
+        """Close ``m``, this octagon's matrix edited only in the rows and
+        columns of the ``touched`` variables: incrementally when this
+        octagon is strongly closed (not a raw ``widen`` result)."""
+        if not self._closed:
+            return Octagon(self.n, m).closed()
+        if (m == self.m).all():
+            return self  # the edit tightened nothing
+        return Octagon(self.n, m).closed(tuple(sorted(set(touched))))
 
     # -- lattice --------------------------------------------------------------------
 
@@ -459,7 +435,7 @@ class Octagon:
             _set2(m, 2 * i + 1, 2 * i, mul_up(2.0, iv.hi))
         if iv.lo > -_INF:
             _set2(m, 2 * i, 2 * i + 1, mul_up(2.0, -iv.lo))
-        return Octagon(self.n, m).closed()
+        return self._reclosed(m, i)
 
     def forget(self, i: int) -> "Octagon":
         """Project out all constraints on variable i (keep implied ones)."""
@@ -501,7 +477,7 @@ class Octagon:
         if delta.lo > -_INF:
             _set2(m, 2 * i, 2 * j, -delta.lo)
         _seed_bounds(m, j, j_bounds)
-        return Octagon(self.n, m).closed()
+        return out._reclosed(m, i, j)
 
     def assign_neg_var_plus_interval(self, i: int, j: int, delta: FloatInterval,
                                      j_bounds: Optional[FloatInterval] = None) -> "Octagon":
@@ -523,7 +499,7 @@ class Octagon:
         if delta.lo > -_INF:
             _set2(m, 2 * j, 2 * i + 1, -delta.lo)
         _seed_bounds(m, j, j_bounds)
-        return Octagon(self.n, m).closed()
+        return out._reclosed(m, i, j)
 
     def shift_var(self, i: int, delta: FloatInterval) -> "Octagon":
         """v_i := v_i + delta."""
@@ -550,7 +526,7 @@ class Octagon:
             m[neg, pos] = add_up(m[neg, pos], mul_up(2.0, hi)) if hi < _INF else _INF
         if m[pos, neg] < _INF:
             m[pos, neg] = add_up(m[pos, neg], mul_up(2.0, -lo)) if lo > -_INF else _INF
-        return Octagon(self.n, m).closed()
+        return c._reclosed(m, i)
 
     def guard_upper(self, coeffs: Dict[int, int], bound: float,
                     seed_bounds: Optional[Dict[int, FloatInterval]] = None) -> "Octagon":
@@ -583,7 +559,7 @@ class Octagon:
                 _set2(m, 2 * i, 2 * j, bound)
             else:                      # -v_i - v_j <= bound
                 _set2(m, 2 * j, 2 * i + 1, bound)
-        return Octagon(self.n, m).closed()
+        return self._reclosed(m, *(i for i, _ in items), *(seed_bounds or ()))
 
     def assign_linear_form(self, i: int, form: LinearForm,
                            var_index: Dict[object, int],
@@ -672,8 +648,11 @@ def _seed_bounds(m: np.ndarray, pos: int, iv: Optional[FloatInterval]) -> None:
         _set2(m, 2 * pos, 2 * pos + 1, mul_up(2.0, -iv.lo))
 
 
-def _bar_indices(size: int) -> np.ndarray:
-    """bar(2i) = 2i+1, bar(2i+1) = 2i."""
+@functools.lru_cache(maxsize=None)
+def _unary_index(size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat indices of m[i][bar i] and of m[bar j][j], where bar(2i) =
+    2i+1 and bar(2i+1) = 2i."""
     idx = np.arange(size)
-    return idx ^ 1
+    bar = idx ^ 1
+    return idx * size + bar, bar * size + idx
 

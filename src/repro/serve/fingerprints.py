@@ -45,6 +45,8 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..config import SEMANTICS_VERSION
+
 __all__ = ["compat_fingerprint", "config_fingerprint", "function_hashes",
            "request_key", "result_digest", "result_payload",
            "source_digest", "stable_ordinals", "stmt_content_hash",
@@ -88,7 +90,9 @@ def config_fingerprint(cfg) -> str:
     """Hash of every analysis-relevant configuration field (threshold
     *values* included — unlike the coarser checkpoint fingerprint, this
     key crosses runs and programs, so it cannot rely on a fixed
-    in-process thresholds object)."""
+    in-process thresholds object).  Salted with ``SEMANTICS_VERSION``,
+    so both keys built on it — :func:`request_key` and
+    :func:`compat_fingerprint` — change with the analysis semantics."""
     import dataclasses
 
     items: List[Tuple[str, str]] = []
@@ -103,7 +107,7 @@ def config_fingerprint(cfg) -> str:
         elif isinstance(v, (set, frozenset)):
             v = tuple(sorted(v))
         items.append((f.name, repr(v)))
-    return _sha(repr(sorted(items)))
+    return _sha(str(SEMANTICS_VERSION), repr(sorted(items)))
 
 
 def stable_ordinals(prog) -> Dict[int, int]:

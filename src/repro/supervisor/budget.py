@@ -7,8 +7,8 @@ ladder (see :mod:`.degradation`).  The run therefore always terminates
 with a sound — possibly coarser — verdict.
 
 The RSS ceiling is checked against the *peak* resident set size of the
-analyzer plus its worker children (``ru_maxrss``, refined by
-``/proc/self/status`` where available).  Peak RSS is monotone, so once
+analyzer (``VmHWM`` from ``/proc/self/status`` where available, else
+``ru_maxrss``) plus its worker children.  Peak RSS is monotone, so once
 the ceiling trips it stays tripped: the ladder runs to the end and the
 analysis finishes under the cheapest sound configuration.
 """
@@ -34,25 +34,32 @@ def peak_rss_kib() -> int:
     dispatch backend aggregates the fleet maximum (see
     ``AnalysisResult.fleet_peak_rss_kib``).
     """
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX
-        return 0
-    rss = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-           + resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
-    if sys.platform == "darwin":  # pragma: no cover - ru_maxrss in bytes
-        rss //= 1024
-    return int(rss)
+    return peak_rss_self_kib() + _ru_maxrss_kib("RUSAGE_CHILDREN")
 
 
 def peak_rss_self_kib() -> int:
     """Peak RSS of this process only, in KiB (what a dispatch worker
-    reports about itself in job results)."""
+    reports about itself in job results).
+
+    ``VmHWM`` from ``/proc/self/status`` where it exists: on Linux the
+    ``ru_maxrss`` of an exec'd process also covers the spawning
+    process's high-water mark, carried across vfork and exec."""
+    try:
+        with open("/proc/self/status", "rb") as f:
+            for line in f:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return _ru_maxrss_kib("RUSAGE_SELF")
+
+
+def _ru_maxrss_kib(who: str) -> int:
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX
         return 0
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    rss = resource.getrusage(getattr(resource, who)).ru_maxrss
     if sys.platform == "darwin":  # pragma: no cover - ru_maxrss in bytes
         rss //= 1024
     return int(rss)

@@ -42,6 +42,7 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
+from ..config import SEMANTICS_VERSION
 from ..errors import CheckpointError
 from .incidents import Incident
 
@@ -56,7 +57,8 @@ def context_fingerprint(ctx) -> str:
     statement ids, cell ids, pack layout, and the analysis-relevant
     starting configuration.  A resume against a different program or a
     differently-parameterized run is rejected up front instead of
-    producing silently wrong (key-shifted) states.
+    producing silently wrong (key-shifted) states, and so is one written
+    by a build with another ``SEMANTICS_VERSION``.
 
     Deliberately excluded: the sharing/memoization knobs (incremental,
     lattice_memo_size, value_intern_size, closure_memo_size), the
@@ -72,6 +74,7 @@ def context_fingerprint(ctx) -> str:
     from ..frontend import ir as I
 
     h = hashlib.sha256()
+    h.update(repr(SEMANTICS_VERSION).encode())
     sids: List[int] = []
     for name in sorted(ctx.prog.functions):
         fn = ctx.prog.functions[name]

@@ -3,11 +3,12 @@ oracle, threshold-scan boundary behavior, the batching crossover, and
 the end-to-end differential matrix across vectorize/incremental/jobs.
 
 The contract under test (see numeric/interval_kernels.py): every
-batched numpy kernel — and the vectorized octagon closure — produces
-*bit-identical* results to the scalar implementation it replaces, for
-every input including NaN bounds, signed zeros, infinities and empty
-intervals.  That property is what lets the ``vectorize`` knob stay out
-of the checkpoint/serve fingerprints.
+batched numpy kernel produces *bit-identical* results to the scalar
+implementation it replaces, for every input including NaN bounds,
+signed zeros, infinities and empty intervals.  That property is what
+lets the ``vectorize`` knob stay out of the checkpoint/serve
+fingerprints.  The numpy octagon closure kernel is pinned the same way
+against a pure-Python mirror kept here as its oracle.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import analyze_program
-from repro.domains.octagon import _closed_matrix, _closed_matrix_scalar
+from repro.domains.octagon import _closed_matrix
 from repro.domains.thresholds import default_thresholds
 from repro.domains.values import CellValue
 from repro.frontend import compile_source
@@ -220,6 +221,58 @@ class TestKernelBitIdentity:
                 ref = x.join(y)
                 assert bits(lo[0]) == bits(ref.lo), (x, y)
                 assert bits(hi[0]) == bits(ref.hi), (x, y)
+
+
+def _closed_matrix_scalar(m0: np.ndarray, n: int) -> np.ndarray:
+    """Pure-Python mirror of :func:`_closed_matrix`, the closure oracle.
+
+    Bit-identity is by construction: every numpy operation of the
+    vectorized kernel is replayed element-wise with the same operand
+    reads (each ``via`` plane is materialized from the pre-update
+    matrix, exactly like the numpy temporaries), the same IEEE-754
+    scalar operations (``math.nextafter`` ≡ ``np.nextafter``), and
+    ``np.minimum``'s exact pick semantics (NaN from either operand
+    propagates; ties — signed zeros included — keep the first operand).
+    """
+    def nudge(x: float) -> float:
+        # _nudge_up: nextafter toward +inf, ±inf restored, NaN kept.
+        if x == INF or x == -INF:
+            return x
+        return math.nextafter(x, INF)
+
+    def min2(cur: float, new: float) -> float:
+        # np.minimum(cur, new): NaN propagates, ties keep ``cur``.
+        if new != new:
+            return new
+        return new if new < cur else cur
+
+    def relax(m, a, b):
+        # m[i][j] = min(m[i][j], nudge(a[i] + b[j])) over the whole plane.
+        for i in range(size):
+            ai = a[i]
+            mi = m[i]
+            for j in range(size):
+                mi[j] = min2(mi[j], nudge(ai + b[j]))
+
+    size = 2 * n
+    m = m0.tolist()
+    for k in range(n):
+        for kk in (2 * k, 2 * k + 1):
+            relax(m, [m[i][kk] for i in range(size)], list(m[kk]))
+        c01 = m[2 * k][2 * k + 1]
+        relax(m, [nudge(m[i][2 * k] + c01) for i in range(size)],
+              list(m[2 * k + 1]))
+        c10 = m[2 * k + 1][2 * k]
+        relax(m, [nudge(m[i][2 * k + 1] + c10) for i in range(size)],
+              list(m[2 * k]))
+    diag_i = [m[i][i ^ 1] for i in range(size)]
+    diag_j = [m[j ^ 1][j] for j in range(size)]
+    for i in range(size):
+        di = diag_i[i]
+        mi = m[i]
+        for j in range(size):
+            mi[j] = min2(mi[j], nudge(nudge(di + diag_j[j]) / 2.0))
+    return np.array(m, dtype=np.float64)
 
 
 class TestClosureOracle:

@@ -1,12 +1,16 @@
 """Tests for the octagon abstract domain."""
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.domains.octagon import Octagon
+from repro.domains import octagon as octagon_mod
+from repro.domains.octagon import (Octagon, _closed_matrix,
+                                   _closed_matrix_pivots)
 from repro.numeric import FloatInterval, LinearForm
 
 
@@ -260,3 +264,233 @@ class TestSoundnessSampling:
         add, sub = o.finite_constraint_count()
         # Bounded boxes imply bounded sums and differences after closure.
         assert add == 1 and sub == 1
+
+
+# -- incremental closure ------------------------------------------------------
+
+INF = math.inf
+DBL_MAX = float(np.finfo(np.float64).max)
+
+
+def exact_strong_closure(m):
+    """Strong closure of a float DBM over the rationals (shortest paths,
+    then one strengthening); ``None`` entries are +inf.  Returns
+    ``None`` when the matrix is bottom."""
+    size = len(m)
+    d = [[None if x == INF else Fraction(x) for x in row]
+         for row in m.tolist()]
+    for k in range(size):
+        dk = d[k]
+        for i in range(size):
+            dik = d[i][k]
+            if dik is None:
+                continue
+            di = d[i]
+            for j in range(size):
+                if dk[j] is not None and (di[j] is None or dik + dk[j] < di[j]):
+                    di[j] = dik + dk[j]
+    if any(d[i][i] < 0 for i in range(size)):
+        return None
+    unary = [d[i][i ^ 1] for i in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if unary[i] is not None and unary[j ^ 1] is not None:
+                half = (unary[i] + unary[j ^ 1]) / 2
+                if d[i][j] is None or half < d[i][j]:
+                    d[i][j] = half
+    return d
+
+
+def random_closed_octagon(rng, n):
+    """A strongly closed, non-bottom octagon (full kernel) around a
+    random point: every constraint holds there with random slack."""
+    x = [rng.uniform(-50.0, 50.0) for _ in range(n)]
+    m = np.full((2 * n, 2 * n), INF)
+    np.fill_diagonal(m, 0.0)
+    for _ in range(rng.randint(1, 3 * n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        si, sj = rng.choice((1, -1)), rng.choice((1, -1))
+        if i == j:   # si * v_i <= bound, stored doubled
+            bound = 2.0 * si * x[i] + rng.uniform(0.0, 10.0)
+            row, col = (2 * i + 1, 2 * i) if si > 0 else (2 * i, 2 * i + 1)
+        else:        # si * v_i + sj * v_j <= bound
+            bound = si * x[i] + sj * x[j] + rng.uniform(0.0, 10.0)
+            row = 2 * j + 1 if sj > 0 else 2 * j
+            col = 2 * i if si > 0 else 2 * i + 1
+        octagon_mod._set2(m, row, col, bound)
+    o = Octagon(n, m).closed()
+    assert o._closed and not o.is_bottom
+    return o
+
+
+def random_interval(rng):
+    lo = rng.uniform(-60.0, 40.0)
+    return FloatInterval.of(lo, lo + rng.uniform(0.0, 60.0))
+
+
+def edit_through_every_transfer(rng, o):
+    """Every transfer that closes through the incremental kernel."""
+    n = o.n
+    i, j = rng.randrange(n), rng.randrange(n)
+    iv, jv = random_interval(rng), random_interval(rng)
+    delta = FloatInterval.of(rng.uniform(-3.0, 0.0), rng.uniform(0.0, 3.0))
+    o.set_var_bounds(i, iv)
+    o.guard_upper({i: rng.choice((1, -1))}, rng.uniform(-40.0, 40.0))
+    if i != j:
+        o.guard_upper({i: rng.choice((1, -1)), j: rng.choice((1, -1))},
+                      rng.uniform(-20.0, 60.0), seed_bounds={i: iv, j: jv})
+        o.assign_var_plus_interval(i, j, delta, j_bounds=jv)
+        o.assign_neg_var_plus_interval(i, j, delta)
+    o.shift_var(i, delta)
+    o.assign_interval(i, iv)
+
+
+@pytest.fixture
+def recorded_closures(monkeypatch):
+    """Every incremental-kernel call (input, pivots, output, restore
+    flags of its nudges), with the closure memo off."""
+    calls = []
+    kernel, nudge = octagon_mod._closed_matrix_pivots, octagon_mod._nudge_up
+    flags = []
+
+    def recording_nudge(a, restore=True):
+        flags.append(restore)
+        return nudge(a, restore)
+
+    def recording_kernel(m0, pivots):
+        flags.clear()
+        out = kernel(m0, pivots)
+        calls.append((m0.copy(), pivots, out.copy(), set(flags)))
+        return out
+
+    monkeypatch.setattr(octagon_mod, "_CLOSURE_MEMO_MAX", 0)
+    monkeypatch.setattr(octagon_mod, "_nudge_up", recording_nudge)
+    monkeypatch.setattr(octagon_mod, "_closed_matrix_pivots",
+                        recording_kernel)
+    return calls
+
+
+def is_bottom(m):
+    return bool(np.any(np.diagonal(m) < 0.0))
+
+
+class TestIncrementalClosure:
+    def test_sound_and_agrees_with_full_kernel(self, recorded_closures):
+        rng = random.Random(0x1C0C1)
+        for trial in range(160):
+            o = random_closed_octagon(rng, 1 + trial % 8)
+            edit_through_every_transfer(rng, o)
+        assert len(recorded_closures) > 500
+        off_diagonal = None
+        for m0, pivots, out, restores in recorded_closures:
+            size = m0.shape[0]
+            full = _closed_matrix(m0, size // 2)
+            assert is_bottom(out) == is_bottom(full), pivots
+            assert restores == {False}, "finite inputs skip the restore"
+            exact = exact_strong_closure(m0)
+            if exact is None:
+                continue
+            assert not is_bottom(out)
+            off_diagonal = ~np.eye(size, dtype=bool)
+            assert np.array_equal(np.isfinite(out) & off_diagonal,
+                                  np.isfinite(full) & off_diagonal)
+            for i in range(size):
+                for j in range(size):
+                    if i == j:
+                        continue
+                    if exact[i][j] is None:
+                        assert out[i, j] == INF, (pivots, i, j)
+                    else:
+                        assert Fraction(out[i, j]) >= exact[i][j], \
+                            (pivots, i, j)
+        assert off_diagonal is not None, "no satisfiable edit sampled"
+
+    def test_rewritten_rows_and_columns_match_full_kernel(self):
+        """The precondition only fixes the entries outside the pivots'
+        rows and columns: rewrite those rows and columns wholesale (the
+        transfers above mostly edit the pivot block alone)."""
+        rng = random.Random(0x2C0C)
+        for trial in range(200):
+            n = 2 + trial % 7
+            m = random_closed_octagon(rng, n).m.copy()
+            pivots = tuple(sorted(rng.sample(range(n), rng.choice((1, 2)))))
+            for v in pivots:
+                for node in (2 * v, 2 * v + 1):
+                    m[node, :] = m[:, node] = INF
+                    m[node, node] = 0.0
+                for _ in range(2 * n):
+                    other = rng.randrange(2 * n)
+                    if other // 2 != v:
+                        octagon_mod._set2(m, rng.choice((2 * v, 2 * v + 1)),
+                                          other, rng.uniform(-30.0, 60.0))
+            inc = _closed_matrix_pivots(m, pivots)
+            full = _closed_matrix(m, n)
+            assert is_bottom(inc) == is_bottom(full), trial
+            if is_bottom(full):
+                continue
+            np.fill_diagonal(inc, 0.0)
+            np.fill_diagonal(full, 0.0)
+            assert np.array_equal(np.isfinite(inc), np.isfinite(full)), trial
+            finite = np.isfinite(full)
+            assert np.allclose(inc[finite], full[finite], rtol=1e-12,
+                               atol=1e-9), trial
+
+    def test_skipped_restore_is_exact(self, recorded_closures, monkeypatch):
+        """Skipping the -inf restore never changes a bit: the bound on
+        ``m.min()`` is only taken when no sum can reach -inf."""
+        rng = random.Random(0x5C1B)
+        for trial in range(40):
+            edit_through_every_transfer(
+                rng, random_closed_octagon(rng, 1 + trial % 8))
+        nudge = octagon_mod._nudge_up
+        monkeypatch.setattr(octagon_mod, "_nudge_up",
+                            lambda a, restore=True: nudge(a, True))
+        for m0, pivots, out, _ in recorded_closures:
+            assert _closed_matrix_pivots(m0, pivots).tobytes() == \
+                out.tobytes()
+
+    SPECIALS = [INF, -INF, math.nan, 1e308, -1e308, 5e-324, -5e-324,
+                2.2e-308, 0.0, -0.0]
+
+    def test_special_values_take_the_restore_path(self, recorded_closures):
+        rng = random.Random(0x5BEC)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for trial in range(120):
+                n = 1 + trial % 8
+                m = random_closed_octagon(rng, n).m.copy()
+                for _ in range(rng.randint(1, 4)):
+                    m[rng.randrange(2 * n), rng.randrange(2 * n)] = \
+                        rng.choice(self.SPECIALS)
+                if not (np.isnan(m).any() or m.min() <= -1e308):
+                    m[0, 2 * n - 1] = rng.choice((-INF, -1e308, math.nan))
+                # Tagged closed, so the edits reach the incremental kernel.
+                edit_through_every_transfer(rng, Octagon(n, m, closed=True))
+        special = [c for c in recorded_closures
+                   if np.isnan(c[0]).any() or c[0].min() <= -1e308]
+        assert len(special) > 100
+        for m0, pivots, out, restores in special:
+            assert restores == {True}, pivots
+            # The restore is exact: -inf never degrades to -DBL_MAX (a
+            # sound add_up bound an edit may have put in the input).
+            if not np.any(m0 == -DBL_MAX):
+                assert not np.any(out == -DBL_MAX), pivots
+
+    def test_raw_octagons_close_in_full(self, recorded_closures):
+        """A widened (raw) octagon is not strongly closed, so edits of it
+        take the full kernel."""
+        a = boxed(2, [(0.0, 1.0), (0.0, 1.0)])
+        w = a.widen(boxed(2, [(0.0, 2.0), (0.0, 1.0)]))
+        assert not w._closed
+        recorded_closures.clear()
+        w.set_var_bounds(1, FloatInterval.of(0.0, 0.5))
+        assert recorded_closures == []
+        w.closed().set_var_bounds(1, FloatInterval.of(0.0, 0.5))
+        assert [c[1] for c in recorded_closures] == [(1,)]
+
+    def test_edit_that_tightens_nothing_closes_nothing(self,
+                                                       recorded_closures):
+        o = boxed(2, [(0.0, 1.0), (0.0, 1.0)])
+        recorded_closures.clear()
+        assert o.set_var_bounds(0, FloatInterval.of(-5.0, 5.0)) is o
+        assert o.guard_upper({0: 1, 1: 1}, 10.0) is o
+        assert recorded_closures == []

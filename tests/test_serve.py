@@ -145,6 +145,25 @@ class TestStores:
         assert got["digest"] == "d"
         assert store2.stats()["disk_hits"] == 1
 
+    def test_entry_under_other_semantics_is_a_miss(self, tmp_path,
+                                                   monkeypatch):
+        """Keys are salted with SEMANTICS_VERSION: a result written by a
+        build with other semantics is never served."""
+        from repro.serve import fingerprints
+
+        cfg = AnalyzerConfig()
+        d = source_digest([("a.c", "int main(void){return 0;}")])
+        new_key = request_key(d, "main", cfg)
+        monkeypatch.setattr(fingerprints, "SEMANTICS_VERSION",
+                            fingerprints.SEMANTICS_VERSION - 1)
+        old_key = request_key(d, "main", cfg)
+        ResultStore(str(tmp_path)).put(old_key, {"digest": "stale"})
+        monkeypatch.undo()
+        store = ResultStore(str(tmp_path))
+        assert store.get(new_key) is None
+        assert store.stats()["misses"] == 1
+        assert store.get(old_key) == {"digest": "stale"}
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = ResultStore(str(tmp_path))
         key = "cd" * 32

@@ -205,6 +205,20 @@ class TestBudgets:
         assert result.degradation_steps == []
         assert not result.resumed
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="VmHWM is Linux-only")
+    def test_peak_rss_excludes_spawning_process(self, tmp_path):
+        """On Linux ``ru_maxrss`` carries the spawner's high-water mark
+        across vfork and exec; the reported peak must not."""
+        f = tmp_path / "tiny.c"
+        f.write_text("int main(void){return 0;}\n")
+        ballast_kib = 200 << 10
+        ballast = b"\x01" * (ballast_kib << 10)  # resident: every page written
+        proc = _run_cli(["analyze", str(f), "--json", "--stats"], tmp_path)
+        del ballast
+        assert proc.returncode == int(ExitCode.PROVED), proc.stderr
+        assert 0 < json.loads(proc.stdout)["peak_rss_kib"] < ballast_kib
+
 
 class TestDegradationLadder:
     def test_rungs_apply_in_order(self):
@@ -351,7 +365,7 @@ class TestCheckpointResume:
             analyze_program(loop_prog, cfg_rs)
 
     def test_fingerprint_covers_program_and_config(self, loop_prog,
-                                                   loop_cfg):
+                                                   loop_cfg, monkeypatch):
         from repro.iterator.state import AnalysisContext
         from repro.memory.cells import CellTable
         from repro.packing.boolean_packs import compute_bool_packs
@@ -372,6 +386,12 @@ class TestCheckpointResume:
         fp3 = context_fingerprint(
             ctx_for(dataclasses.replace(loop_cfg, narrowing_steps=7)))
         assert fp3 != fp1
+        # A checkpoint from a build with other semantics never resumes.
+        from repro.supervisor import checkpoint
+
+        monkeypatch.setattr(checkpoint, "SEMANTICS_VERSION",
+                            checkpoint.SEMANTICS_VERSION - 1)
+        assert context_fingerprint(ctx_for(loop_cfg)) != fp1
 
 
 # ---------------------------------------------------------------------------
