@@ -32,13 +32,13 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from repro.serve.client import ServeClient  # noqa: E402
+from repro.errors import ServeConnectionError  # noqa: E402
+from repro.serve.client import ServeClient, wait_until_ready  # noqa: E402
 from repro.serve.workload import base_program, make_variant  # noqa: E402
 
 WORKLOAD_SEED = 20080808
@@ -53,15 +53,13 @@ def boot_daemon(socket_path, cache_dir):
          "--socket", socket_path, "--cache-dir", cache_dir],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True)
-    deadline = time.time() + 30
-    while not os.path.exists(socket_path):
-        if proc.poll() is not None:
-            raise RuntimeError("daemon exited during boot:\n"
-                               + (proc.stdout.read() or ""))
-        if time.time() > deadline:
-            proc.kill()
-            raise RuntimeError("daemon socket never appeared")
-        time.sleep(0.05)
+    try:
+        wait_until_ready(socket_path, timeout_s=30.0,
+                         alive=lambda: proc.poll() is None)
+    except ServeConnectionError as exc:
+        proc.kill()
+        raise RuntimeError(f"daemon never answered ping ({exc}):\n"
+                           + (proc.communicate()[0] or ""))
     return proc
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from ..config import AnalyzerConfig
 from ..errors import CertificateError, ReproError
@@ -34,8 +34,8 @@ from ..packing.ellipsoid_sites import find_filter_sites
 from ..packing.octagon_packs import compute_octagon_packs
 from ..serve.fingerprints import (config_fingerprint, source_digest,
                                   stable_ordinals)
-from .artifact import (CERT_FORMAT, CERT_VERSION, StateTable, decode_blob,
-                       decode_config, encode_config, encode_state,
+from .artifact import (CERT_FORMAT, CERT_VERSION, StateTable, decode_config,
+                       decode_states, encode_config, encode_state,
                        load_certificate, payload_digest, validate_envelope)
 from .walker import CertWalker
 
@@ -166,20 +166,15 @@ def _emit_walk(result, sources: Sources):
     engine_ordinals = stable_ordinals(result.ctx.prog)
     claimed_keys = _alarm_keys(result.alarms, engine_ordinals)
     # Serialize under the engine context, decode under the fresh one:
-    # exactly the round trip the independent checker performs.
-    blobs = [(ordv, encode_state(pf), encode_state(used))
-             for ordv, pf, used in result.cert_invariants]
+    # exactly the round trip the independent checker performs.  One
+    # table keeps the records' sharing, so ``used is pf`` survives.
+    table = encode_state(
+        st for _, pf, used in result.cert_invariants for st in (pf, used))
     plain = _plain_config(engine_cfg)
     ctx = _fresh_context(sources, result.ctx.prog.entry, plain)
-    import pickle
-    import zlib
-
-    engine_loops = []
-    for ordv, pf_blob, used_blob in blobs:
-        pf = pickle.loads(zlib.decompress(pf_blob))
-        used = (pf if used_blob == pf_blob
-                else pickle.loads(zlib.decompress(used_blob)))
-        engine_loops.append((ordv, pf, used))
+    states = decode_states(table)
+    engine_loops = [(ordv, pf, used) for (ordv, _, _), pf, used in zip(
+        result.cert_invariants, states[0::2], states[1::2])]
     walker = CertWalker(ctx, "emit", engine_loops=engine_loops)
     final = walker.walk()
     _check_alarm_superset(claimed_keys, walker, "emission")
@@ -233,7 +228,7 @@ def build_certificate(result, sources, filename: str = "<input>") -> dict:
         "source_digest": source_digest(sources),
         "config": encode_config(plain),
         "config_fingerprint": config_fingerprint(plain),
-        "states": table.blobs,
+        "states": encode_state(table.states),
         "stmt_records": stmt_records,
         "loop_records": loop_records,
         "alarms": alarms,
@@ -273,45 +268,52 @@ def check_certificate(cert: Union[str, dict]) -> CertificateCheck:
     prev = get_active_context()
     try:
         ctx = _fresh_context(sources, entry, cfg)
-        states: Dict[str, object] = {
-            sid: decode_blob(blob, f"state {sid}")
-            for sid, blob in payload["states"].items()}
-
-        def state(sid):
-            st = states.get(sid)
-            if st is None:
-                raise CertificateError(
-                    f"certificate references unknown state id {sid!r}")
-            return st
-
-        try:
-            stmt_records = [(int(ordv), state(pre), state(post))
-                            for ordv, pre, post in payload["stmt_records"]]
-            loop_records = [(int(ordv), state(inv))
-                            for ordv, inv in payload["loop_records"]]
-        except (TypeError, ValueError) as exc:
-            raise CertificateError(f"malformed certificate record: {exc}")
-        walker = CertWalker(ctx, "check", stmt_records=stmt_records,
-                            loop_records=loop_records)
-        final = walker.walk()
-        claimed_final = state(payload["final"])
-        if not claimed_final.includes(final):
-            raise CertificateError(
-                "certified final state does not contain the replay's "
-                "final state")
-        try:
-            claimed_keys = {(int(a[0]), a[1]) for a in payload["alarms"]}
-        except (TypeError, ValueError, IndexError) as exc:
-            raise CertificateError(f"malformed certificate alarm: {exc}")
-        _check_alarm_superset(claimed_keys, walker, "check")
+        walker = _check_walk(ctx, payload, decode_states(payload["states"]))
     finally:
         _restore_engine_globals(prev)
     return CertificateCheck(
         entry=entry,
         source_digest=payload["source_digest"],
         config_fingerprint=payload["config_fingerprint"],
-        stmts_checked=len(stmt_records),
-        loops_checked=len(loop_records),
+        stmts_checked=len(walker.stmt_records),
+        loops_checked=len(walker.loop_records),
         claimed_alarms=len(payload["alarms"]),
         replay_alarms=len(walker.alarms._alarms),
         wall_s=time.perf_counter() - t0)
+
+
+def _check_walk(ctx: AnalysisContext, payload: dict,
+                states: list) -> CertWalker:
+    """Resolve the payload's records against the decoded state table
+    and run the check walk in ``ctx``, then verify the final state and
+    the claimed alarm superset.  Raises CertificateError on any
+    failure; returns the walker."""
+
+    def state(sid):
+        # ``type`` rather than isinstance, so ``True`` is no id; the
+        # range check keeps ``-1`` from resolving to the last state.
+        if type(sid) is not int or not 0 <= sid < len(states):
+            raise CertificateError(
+                f"certificate references unknown state id {sid!r}")
+        return states[sid]
+
+    try:
+        stmt_records = [(int(ordv), state(pre), state(post))
+                        for ordv, pre, post in payload["stmt_records"]]
+        loop_records = [(int(ordv), state(inv))
+                        for ordv, inv in payload["loop_records"]]
+    except (TypeError, ValueError) as exc:
+        raise CertificateError(f"malformed certificate record: {exc}")
+    walker = CertWalker(ctx, "check", stmt_records=stmt_records,
+                        loop_records=loop_records)
+    final = walker.walk()
+    if not state(payload["final"]).includes(final):
+        raise CertificateError(
+            "certified final state does not contain the replay's "
+            "final state")
+    try:
+        claimed_keys = {(int(a[0]), a[1]) for a in payload["alarms"]}
+    except (TypeError, ValueError, IndexError) as exc:
+        raise CertificateError(f"malformed certificate alarm: {exc}")
+    _check_alarm_superset(claimed_keys, walker, "check")
+    return walker

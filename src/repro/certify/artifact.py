@@ -2,18 +2,29 @@
 
 A certificate is a single JSON document::
 
-    {"format": "astree-repro-certificate", "version": 1,
+    {"format": "astree-repro-certificate", "version": 2,
      "digest": sha256(canonical(payload)), "payload": {...}}
 
 The payload carries everything the independent checker needs to
 re-validate the result from scratch — the source units, the entry
-point, the (performance-normalized) analysis configuration, a
-deduplicated table of pickled abstract states, the per-statement
-(pre, post) records and per-loop-occurrence invariants of the
-checking-mode traversal in traversal order, the claimed alarm set,
-and the final state — making the artifact content-addressed: the
-digest is recomputed over the canonical serialization on load, so a
-flipped byte anywhere is detected before any state is unpickled.
+point, the (performance-normalized) analysis configuration, the state
+table, the per-statement (pre, post) records and per-loop-occurrence
+invariants of the checking-mode traversal in traversal order, the
+claimed alarm set, and the final state — making the artifact
+content-addressed: the digest is recomputed over the canonical
+serialization on load, so a flipped byte anywhere is detected before
+any state is unpickled.
+
+The state table (format version 2) is one base64(zlib(pickle)) string
+holding the list of distinct states, deduplicated by identity;
+records and ``final`` refer to states by their index in that list.
+One pickle stream keeps the emitter's sharing: ``PMap`` pickles as its
+node DAG, so a subtree shared by many recorded states is written once
+and decodes to one object shared by the same states.  Artifact size
+and both codec directions therefore grow with the distinct nodes, not
+with records × cells, and the checker's ``includes`` keeps its
+physical-identity shortcut.  Version 1 artifacts (one blob per state,
+string ids) are rejected by the version check and must be re-emitted.
 
 Statements are identified by their *stable ordinal* (depth-first
 position over functions in sorted name order, see
@@ -22,9 +33,10 @@ ids: ids are process-global counters and do not survive
 re-compilation of the same source in the checking process.
 
 Every malformation — missing file, truncation, non-JSON bytes, an
-unknown format or version, a digest mismatch, an unpicklable state —
-maps to :class:`repro.errors.CertificateError`, which the CLI reports
-as a located ``phase=certify`` incident (exit 3), mirroring the
+unknown format or version, a digest mismatch, a table that does not
+decode to a list of states — maps to
+:class:`repro.errors.CertificateError`, which the CLI reports as a
+located ``phase=certify`` incident (exit 3), mirroring the
 checkpoint/store hardening.
 """
 
@@ -36,16 +48,17 @@ import json
 import os
 import pickle
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from ..errors import CertificateError
 
 __all__ = ["CERT_FORMAT", "CERT_VERSION", "StateTable", "decode_blob",
-           "decode_config", "encode_config", "encode_state",
-           "load_certificate", "payload_digest", "save_certificate"]
+           "decode_config", "decode_states", "encode_config",
+           "encode_state", "load_certificate", "payload_digest",
+           "save_certificate"]
 
 CERT_FORMAT = "astree-repro-certificate"
-CERT_VERSION = 1
+CERT_VERSION = 2
 
 # Pinned pickle protocol: the artifact crosses interpreter versions
 # (written on one machine, checked on another), so the writer never
@@ -64,14 +77,21 @@ def payload_digest(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload)).hexdigest()
 
 
-def encode_state(state) -> bytes:
-    """Pickle an AbstractState to a compressed, context-free blob
-    (states re-attach to the active context on decode)."""
-    return zlib.compress(pickle.dumps(state, _PICKLE_PROTOCOL))
+def _encode(obj) -> str:
+    return base64.b64encode(
+        zlib.compress(pickle.dumps(obj, _PICKLE_PROTOCOL))).decode("ascii")
+
+
+def encode_state(states) -> str:
+    """Encode the state table: one base64(zlib(pickle)) string for the
+    whole list, so states share subtrees after decoding exactly as they
+    did when encoded.  States are context-free in the pickle and
+    re-attach to the active context on decode."""
+    return _encode(list(states))
 
 
 def decode_blob(blob_b64: str, what: str):
-    """Decode one base64(zlib(pickle)) blob; requires the target
+    """Decode one base64(zlib(pickle)) string; requires the target
     ``AnalysisContext`` to be installed via ``set_active_context``."""
     try:
         return pickle.loads(zlib.decompress(base64.b64decode(blob_b64)))
@@ -79,9 +99,21 @@ def decode_blob(blob_b64: str, what: str):
         raise CertificateError(f"certificate {what} does not decode: {exc}")
 
 
+def decode_states(blob_b64: str) -> list:
+    """Decode the state table, refusing anything but a list of states."""
+    from ..iterator.state import AbstractState
+
+    states = decode_blob(blob_b64, "state table")
+    if type(states) is not list or not all(
+            type(st) is AbstractState for st in states):
+        raise CertificateError(
+            "certificate state table does not decode to a list of "
+            "AbstractState")
+    return states
+
+
 def encode_config(cfg) -> str:
-    return base64.b64encode(
-        zlib.compress(pickle.dumps(cfg, _PICKLE_PROTOCOL))).decode("ascii")
+    return _encode(cfg)
 
 
 def decode_config(blob_b64: str):
@@ -96,32 +128,19 @@ def decode_config(blob_b64: str):
 
 
 class StateTable:
-    """Deduplicating id table for the payload's abstract states.
-
-    Emission-side only: states are keyed first by physical identity
-    (record chains share post/pre objects heavily) and then by blob
-    digest, so the table stores each distinct lattice element once."""
+    """Emission-side index of the distinct states, by identity (record
+    chains share pre/post objects heavily).  ``states`` holds every
+    indexed state, which keeps each ``id()`` key from being reused."""
 
     def __init__(self) -> None:
-        self._by_id: Dict[int, str] = {}
-        self._by_digest: Dict[str, str] = {}
-        self._keepalive: List[object] = []
-        self.blobs: Dict[str, str] = {}  # table id -> base64 blob
+        self._index: Dict[int, int] = {}
+        self.states: List[object] = []
 
-    def add(self, state) -> str:
-        sid = self._by_id.get(id(state))
-        if sid is not None:
-            return sid
-        blob = encode_state(state)
-        digest = hashlib.sha256(blob).hexdigest()
-        sid = self._by_digest.get(digest)
+    def add(self, state) -> int:
+        sid = self._index.get(id(state))
         if sid is None:
-            sid = f"s{len(self.blobs)}"
-            self._by_digest[digest] = sid
-            self.blobs[sid] = base64.b64encode(blob).decode("ascii")
-        # Keep the state alive so the id() key can never be reused.
-        self._by_id[id(state)] = sid
-        self._keepalive.append(state)
+            sid = self._index[id(state)] = len(self.states)
+            self.states.append(state)
         return sid
 
 
@@ -162,9 +181,9 @@ def validate_envelope(cert: object, origin: str = "certificate") -> dict:
              f"claimed {digest[:12]}…): the artifact was modified or "
              f"corrupted after emission")
     for key, typ in (("sources", list), ("entry", str), ("config", str),
-                     ("states", dict), ("stmt_records", list),
+                     ("states", str), ("stmt_records", list),
                      ("loop_records", list), ("alarms", list),
-                     ("final", str)):
+                     ("final", int)):
         _require(isinstance(payload.get(key), typ),
                  f"{origin}: payload field {key!r} is missing or malformed")
     return payload

@@ -13,6 +13,9 @@ physically identical subtrees (``a is b``), which makes joining two
 environments that differ in a few cells cost time proportional to the
 number of *differing* cells, not the total number of cells — the property
 that removes the quadratic-time behaviour described in the paper.
+
+A map pickles as its node DAG, so maps written in one pickle stream come
+back sharing exactly the subtrees they shared when written.
 """
 
 from __future__ import annotations
@@ -35,6 +38,12 @@ class _Node:
         self.left = left
         self.right = right
         self.size = 1 + _size(left) + _size(right)
+
+    def __reduce__(self):
+        # Pickled as the node DAG: the pickler's memo writes a node that
+        # several maps share once per stream, and loading rebuilds this
+        # exact balanced shape with one constructor call per node.
+        return (_Node, (self.key, self.value, self.left, self.right))
 
 
 def _size(node: Optional[_Node]) -> int:
@@ -247,34 +256,6 @@ def _map_values_opt(node: Optional[_Node],
     return _join(node.key, new_value, new_left, new_right)
 
 
-def _intern_node(node: Optional[_Node], pool: dict,
-                 intern_value) -> Optional[_Node]:
-    """Bottom-up hash-consing of tree nodes.
-
-    ``pool`` maps ``(key, id(value), id(left), id(right))`` to a
-    canonical node.  The pool holds strong references to every pooled
-    node (and therefore its children), so the ids stay valid for the
-    pool's lifetime.  Value objects may additionally be canonicalized
-    through ``intern_value`` first, so two trees built independently
-    from equal items collapse to one shared structure.
-    """
-    if node is None:
-        return None
-    left = _intern_node(node.left, pool, intern_value)
-    right = _intern_node(node.right, pool, intern_value)
-    value = intern_value(node.value) if intern_value is not None else node.value
-    key = (node.key, id(value), id(left), id(right))
-    got = pool.get(key)
-    if got is not None:
-        return got
-    if left is node.left and right is node.right and value is node.value:
-        canon = node
-    else:
-        canon = _Node(node.key, value, left, right)
-    pool[key] = canon
-    return canon
-
-
 def _iter_items(node: Optional[_Node]) -> Iterator[Tuple[Any, Any]]:
     stack = []
     while node is not None or stack:
@@ -421,26 +402,16 @@ class PMap:
         """Keys whose values are not physically shared between the maps."""
         return _diff_keys(self._root, other._root)
 
-    def intern(self, pool: dict, intern_value=None) -> "PMap":
-        """Hash-cons this map's nodes against ``pool`` (see
-        :func:`_intern_node`).  Returns a value-equal map whose subtrees
-        are shared with every other map interned against the same pool —
-        used to restore cross-structure sharing after deserialization.
-        """
-        new_root = _intern_node(self._root, pool, intern_value)
-        if new_root is self._root:
-            return self
-        return PMap(new_root) if new_root is not None else _EMPTY
-
     def ptr_equal(self, other: "PMap") -> bool:
         """Physical identity of the underlying trees (constant time)."""
         return self._root is other._root
 
     def __reduce__(self):
-        # Serialize as the item list: tree nodes are an implementation
-        # detail, and rebuilding through ``from_items`` keeps pickles
-        # small and version-independent.
-        return (PMap.from_items, (list(self.items()),))
+        # The root carries the whole node DAG (see ``_Node.__reduce__``),
+        # so maps pickled in one stream keep the subtrees they share.
+        # Pickles of the older ``(PMap.from_items, (items,))`` form
+        # still load through ``from_items``.
+        return (PMap, (self._root,))
 
     def equal(self, other: "PMap", value_eq: Callable[[Any, Any], bool]) -> bool:
         """Equality with physical-identity shortcut on shared subtrees."""

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-__all__ = ["configure", "intern_value", "intern_stats", "clear",
-           "reintern_env"]
+__all__ = ["configure", "intern_value", "intern_stats", "clear"]
 
 # value -> canonical representative.  Keys and values are the same
 # objects; CellValue is a frozen (hashable) dataclass.
@@ -74,30 +73,3 @@ def intern_value(value):
         return value
     _MISSES += 1
     return value
-
-
-# Node-level hash-consing pool for PMap.intern (bounded like the value
-# pool; cleared wholesale at capacity).
-_NODE_POOL: Dict[object, object] = {}
-
-
-def node_pool() -> Dict[object, object]:
-    if len(_NODE_POOL) > 4 * max(_MAX, 1):
-        _NODE_POOL.clear()
-    return _NODE_POOL
-
-
-def reintern_env(env):
-    """Re-canonicalize an environment's values and map nodes.
-
-    Used after deserialization (checkpoint resume): unpickled values and
-    tree nodes are fresh objects, and routing them through the pools
-    restores identity-sharing with values the live process computes
-    later.  Value-preserving, so invariants are unchanged.
-    """
-    if not _ENABLED or env.is_bottom:
-        return env
-    new_cells = env.cells.intern(node_pool(), intern_value)
-    if new_cells is env.cells:
-        return env
-    return type(env)(new_cells, env.clock, env.bottom)

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import socket
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ServeConnectionError
 from .protocol import ProtocolError, recv_message, send_message
 
-__all__ = ["ServeClient"]
+__all__ = ["ServeClient", "wait_until_ready"]
 
 
 class ServeClient:
@@ -205,3 +205,26 @@ class ServeClient:
             "cold_wall_s": cold,
             "warm_avg_wall_s": sum(warm) / len(warm) if warm else 0.0,
         }
+
+
+def wait_until_ready(socket_path: str, timeout_s: float = 30.0,
+                     alive: Optional[Callable[[], bool]] = None) -> None:
+    """Retry ``ping`` until the daemon at ``socket_path`` answers.  An
+    answered ping is the readiness signal: the socket file alone can be
+    a stale one, or exist between ``bind`` and ``listen``.  ``alive`` is
+    polled between attempts, so a daemon that died during boot fails
+    fast; both failures raise :class:`ServeConnectionError`."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        try:
+            remaining = max(deadline - time.monotonic(), 0.1)
+            with ServeClient(socket_path, timeout=remaining) as client:
+                client.ping()
+            return
+        except ServeConnectionError:
+            if alive is not None and not alive():
+                raise ServeConnectionError(
+                    f"daemon for {socket_path} exited during boot")
+            if time.monotonic() >= deadline:
+                raise
+            time.sleep(0.05)

@@ -69,8 +69,10 @@ def context_fingerprint(ctx) -> str:
     only — results
     are bit-identical across their settings — so a checkpoint written
     under one setting must resume under any other.  (The intern pools are
-    process-local; resume re-canonicalizes via reintern_env, keyed on
-    values, never on intern ids.)"""
+    process-local and a checkpoint never refers to them: a checkpoint is
+    one pickle stream, so its states come back sharing the subtrees
+    they shared when written, and values computed after the resume are
+    interned afresh.)"""
     from ..frontend import ir as I
 
     h = hashlib.sha256()

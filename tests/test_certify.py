@@ -10,15 +10,20 @@ traceback (the CLI maps every failure to a located ``phase=certify``
 incident, exit 3).
 """
 
+import base64
+import contextlib
 import copy
 import json
+import pickle
+import zlib
 
 import pytest
 
 from repro.analysis import analyze
-from repro.certify import (build_certificate, certify_result,
+from repro.certify import (api, build_certificate, certify_result,
                            check_certificate, payload_digest,
                            save_certificate)
+from repro.certify.artifact import decode_config, decode_states, encode_state
 from repro.cli import main
 from repro.config import AnalyzerConfig
 from repro.errors import CertificateError
@@ -83,6 +88,19 @@ def _mutated(cert, mutate):
     mutate(out["payload"])
     out["digest"] = payload_digest(out["payload"])
     return out
+
+
+@contextlib.contextmanager
+def _decoding(payload):
+    """Install a fresh context for the payload's program, so its state
+    table decodes (and re-encodes) outside the checker."""
+    prev = api.get_active_context()
+    try:
+        yield api._fresh_context(
+            [tuple(u) for u in payload["sources"]], payload["entry"],
+            decode_config(payload["config"]))
+    finally:
+        api._restore_engine_globals(prev)
 
 
 class TestRoundTrip:
@@ -169,12 +187,15 @@ class TestMutationRejection:
             config=_cfg(input_ranges={"in1": (-1000.0, 1000.0)}))
         wide_cert = build_certificate(wide_result, WITNESS_SRC,
                                       "witness.c")
-        wide_inv_id = wide_cert["payload"]["loop_records"][0][1]
-        wide_blob = wide_cert["payload"]["states"][wide_inv_id]
+        wide = wide_cert["payload"]
 
         def widen(payload):
-            payload["states"]["swide"] = wide_blob
-            payload["loop_records"][0][1] = "swide"
+            with _decoding(payload):
+                states = decode_states(payload["states"])
+                wide_inv = decode_states(wide["states"])[
+                    wide["loop_records"][0][1]]
+                payload["states"] = encode_state(states + [wide_inv])
+            payload["loop_records"][0][1] = len(states)
 
         with pytest.raises(CertificateError):
             check_certificate(_mutated(witness_cert, widen))
@@ -202,8 +223,7 @@ class TestMutationRejection:
 
     def test_corrupted_state_blob(self, witness_cert):
         def corrupt(payload):
-            first = next(iter(payload["states"]))
-            payload["states"][first] = "AAAA" + payload["states"][first]
+            payload["states"] = "AAAA" + payload["states"]
 
         with pytest.raises(CertificateError, match="decode"):
             check_certificate(_mutated(witness_cert, corrupt))
@@ -214,6 +234,35 @@ class TestMutationRejection:
 
         with pytest.raises(CertificateError, match="unknown state"):
             check_certificate(_mutated(witness_cert, dangle))
+
+    # -1 would silently resolve to the last state under plain indexing;
+    # True passes isinstance(x, int).
+    @pytest.mark.parametrize("sid", [-1, True, "s0", 10**6])
+    @pytest.mark.parametrize("field", ["stmt", "loop", "final"])
+    def test_invalid_state_id(self, witness_cert, sid, field):
+        def dangle(payload):
+            if field == "stmt":
+                payload["stmt_records"][0][1] = sid
+            elif field == "loop":
+                payload["loop_records"][0][1] = sid
+            else:
+                payload["final"] = sid
+
+        # The envelope already refuses a non-integer ``final``.
+        expected = ("'final' is missing or malformed"
+                    if field == "final" and type(sid) is str
+                    else "unknown state id")
+        with pytest.raises(CertificateError, match=expected):
+            check_certificate(_mutated(witness_cert, dangle))
+
+    @pytest.mark.parametrize("table", [{"s0": 0}, [1, 2], None])
+    def test_table_must_be_a_list_of_states(self, witness_cert, table):
+        def replace(payload):
+            payload["states"] = base64.b64encode(
+                zlib.compress(pickle.dumps(table))).decode("ascii")
+
+        with pytest.raises(CertificateError, match="list of AbstractState"):
+            check_certificate(_mutated(witness_cert, replace))
 
     def test_digest_mismatch_detected_before_unpickling(self,
                                                         witness_cert):
@@ -295,8 +344,10 @@ class TestCheckCertificateCLI:
     def test_flipped_byte_exit_3(self, tmp_path, capsys):
         _, cert = self._emit(tmp_path)
         data = bytearray(open(cert, "rb").read())
-        # Flip one byte inside a state blob (keeps the JSON valid).
-        idx = data.index(b'"states"') + 40
+        # Flip one byte in the middle of the state table (keeps the
+        # JSON valid).
+        start = data.index(b'"states":"') + len(b'"states":"')
+        idx = (start + data.index(b'"', start)) // 2
         data[idx] = (data[idx] + 1) % 128 or 65
         open(cert, "wb").write(bytes(data))
         capsys.readouterr()
@@ -304,6 +355,27 @@ class TestCheckCertificateCLI:
         err = capsys.readouterr().err
         assert rc == 3
         assert "phase=certify" in err
+
+    def test_v1_certificate_exit_3(self, tmp_path, capsys):
+        # The v1 layout: one blob per state under string ids.
+        _, cert = self._emit(tmp_path)
+        doc = json.load(open(cert))
+        p = doc["payload"]
+        p["states"] = {"s0": p["states"]}
+        p["stmt_records"] = [[o, f"s{a}", f"s{b}"]
+                             for o, a, b in p["stmt_records"]]
+        p["loop_records"] = [[o, f"s{a}"] for o, a in p["loop_records"]]
+        p["final"] = f"s{p['final']}"
+        doc["version"] = 1
+        doc["digest"] = payload_digest(p)
+        json.dump(doc, open(cert, "w"))
+        capsys.readouterr()
+        rc = main(["check-certificate", cert])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "phase=certify" in err
+        assert "version 1 is not supported" in err
+        assert "Traceback" not in err
 
     def test_wrong_version_exit_3(self, tmp_path, capsys):
         _, cert = self._emit(tmp_path)
@@ -388,3 +460,88 @@ class TestDivergenceWitness:
                 == certs[False]["payload"]["config_fingerprint"])
         for cert in certs.values():
             assert check_certificate(cert).exit_code == 0
+
+
+def _nodes(states):
+    """Distinct PMap nodes reachable from the states' component maps."""
+    seen = set()
+    stack = [m._root for st in states
+             for m in (st.env.cells, st.octagons, st.dtrees, st.ellipsoids)]
+    while stack:
+        node = stack.pop()
+        if node is not None and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend((node.left, node.right))
+    return seen
+
+
+def _splice_stale_post(payload):
+    rec = payload["stmt_records"][1]
+    rec[2] = rec[1]
+
+
+def _drop_alarm(payload):
+    del payload["alarms"][0]
+
+
+class TestSharingDifferential:
+    """The v2 table decodes to states that share subtrees exactly as the
+    emitter's did, which only adds ``a is b`` shortcuts to the checker's
+    ``includes``.  Checking the same records over per-state-isolated
+    copies (one pickle stream per state, so no sharing across states)
+    must reach the same verdict and the same replay alarms."""
+
+    @staticmethod
+    def _check(payload, isolate):
+        with _decoding(payload) as ctx:
+            states = decode_states(payload["states"])
+            if isolate:
+                states = [pickle.loads(pickle.dumps(st)) for st in states]
+            try:
+                walker = api._check_walk(ctx, payload, states)
+            except CertificateError as exc:
+                return "rejected", str(exc), None
+            return "accepted", None, walker.alarm_keys()
+
+    @pytest.mark.parametrize("cert,mutate", [
+        ("witness_cert", None), ("alarm_cert", None),
+        ("witness_cert", _splice_stale_post), ("alarm_cert", _drop_alarm)])
+    def test_isolated_copies_reach_the_same_verdict(self, request, cert,
+                                                    mutate):
+        cert = request.getfixturevalue(cert)
+        if mutate is not None:
+            cert = _mutated(cert, mutate)
+        payload = cert["payload"]
+        shared = self._check(payload, isolate=False)
+        assert shared == self._check(payload, isolate=True)
+        assert shared[0] == ("accepted" if mutate is None else "rejected")
+
+    def test_isolation_really_drops_sharing(self, witness_cert):
+        with _decoding(witness_cert["payload"]):
+            states = decode_states(witness_cert["payload"]["states"])
+            isolated = [pickle.loads(pickle.dumps(st)) for st in states]
+            assert len(_nodes(isolated)) > len(_nodes(states))
+
+    @pytest.mark.parametrize("src,name", [(WITNESS_SRC, "witness.c"),
+                                          (ALARM_SRC, "alarm.c")])
+    def test_table_keeps_the_emitters_sharing_exactly(self, monkeypatch,
+                                                      src, name):
+        # The last table ``build_certificate`` encodes is the payload's;
+        # keep its states alive so their node ids stay valid.
+        tables = []
+
+        def spy(states):
+            tables.append(list(states))
+            return encode_state(tables[-1])
+
+        monkeypatch.setattr(api, "encode_state", spy)
+        result = analyze(src, name, config=_cfg())
+        payload = build_certificate(result, src, name)["payload"]
+        emitted = tables[-1]
+        with _decoding(payload):
+            decoded = decode_states(payload["states"])
+            assert len(decoded) == len(emitted)
+            assert len(_nodes(decoded)) == len(_nodes(emitted))
+            # ... and the recorded states do share subtrees.
+            assert len(_nodes(decoded)) < sum(
+                len(_nodes([st])) for st in decoded)

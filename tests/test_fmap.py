@@ -1,5 +1,7 @@
 """Tests for the persistent functional map with sharing."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -198,3 +200,70 @@ class TestMapValues:
     def test_map_values_identity_shares(self):
         m = PMap.from_items([(1, 1), (2, 2)])
         assert m.map_values(lambda k, v: v) is m
+
+
+def _shape(node):
+    if node is None:
+        return None
+    return (node.key, node.size, _shape(node.left), _shape(node.right))
+
+
+def _nodes(*maps):
+    """Distinct tree nodes reachable from the maps (by identity)."""
+    seen = {}
+    stack = [m._root for m in maps]
+    while stack:
+        node = stack.pop()
+        if node is not None and id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend((node.left, node.right))
+    return seen
+
+
+class TestPickle:
+    @given(kv_lists)
+    def test_items_round_trip(self, items):
+        m = PMap.from_items(items)
+        out = pickle.loads(pickle.dumps(m))
+        assert list(out.items()) == list(m.items())
+        assert len(out) == len(m)
+
+    def test_one_stream_keeps_shared_nodes(self):
+        a = PMap.from_items((i, ("v", i)) for i in range(256))
+        b = a.set(200, "changed")
+        c = a.remove(17)
+        la, lb, lc = pickle.loads(pickle.dumps([a, b, c]))
+        assert len(_nodes(la, lb, lc)) == len(_nodes(a, b, c))
+        # ``set`` rebuilt only the path to key 200; the rest is shared.
+        assert la._root.left is lb._root.left
+        assert list(la.diff_keys(lb)) == [200]
+        assert dict(lc.items()) == dict(c.items())
+
+    def test_separate_streams_share_nothing(self):
+        a = PMap.from_items((i, i) for i in range(64))
+        b = a.set(3, -3)
+        la, lb = pickle.loads(pickle.dumps(a)), pickle.loads(pickle.dumps(b))
+        assert not set(_nodes(la)) & set(_nodes(lb))
+
+    def test_tree_shape_preserved(self):
+        # Removals and out-of-order inserts leave a shape that rebuilding
+        # from the sorted items would not reproduce.
+        m = PMap.empty()
+        for k in (50, 10, 90, 5, 7, 99, 60, 61, 62, 63, 1, 2):
+            m = m.set(k, str(k))
+        m = m.remove(50).remove(7)
+        out = pickle.loads(pickle.dumps(m))
+        assert _shape(out._root) == _shape(m._root)
+        assert _shape(out._root) != _shape(
+            PMap.from_items(m.items())._root)
+
+    def test_item_list_pickle_still_loads(self):
+        # Written by the earlier ``(PMap.from_items, (items,))`` reducer.
+        old = (b"\x80\x04\x95I\x00\x00\x00\x00\x00\x00\x00\x8c\x11repro."
+               b"memory.fmap\x94\x8c\x0fPMap.from_items\x94\x93\x94]\x94("
+               b"K\x01\x8c\x01a\x94\x86\x94K\x02\x8c\x01b\x94\x86\x94K\x03"
+               b"\x8c\x01c\x94\x86\x94e\x85\x94R\x94.")
+        m = pickle.loads(old)
+        assert isinstance(m, PMap)
+        assert dict(m.items()) == {1: "a", 2: "b", 3: "c"}
+        assert m.set(4, "d")[4] == "d"

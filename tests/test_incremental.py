@@ -242,27 +242,6 @@ class TestInterning:
         assert e1.get(0) is e2.get(1)
 
 
-class TestPMapIntern:
-    def test_intern_restores_sharing(self):
-        import pickle
-
-        from repro.memory.fmap import PMap
-
-        m = PMap.empty()
-        for i in range(64):
-            m = m.set(i, ("payload", i))
-        m2 = pickle.loads(pickle.dumps(m))
-        assert m2._root is not m._root
-        # The node pool keys on value identity, so cross-structure
-        # collapse needs a value canonicalizer (as reintern_env uses).
-        pool, values = {}, {}
-        canon = lambda v: values.setdefault(v, v)
-        a = m.intern(pool, canon)
-        b = m2.intern(pool, canon)
-        assert a._root is b._root
-        assert dict(b.items()) == dict(m.items())
-
-
 class TestLatticeMemo:
     def test_hit_and_miss_counting(self):
         memo = LatticeMemo(maxsize=4)

@@ -20,6 +20,7 @@ import pytest
 from repro.analysis import analyze
 from repro.config import AnalyzerConfig
 from repro.serve.cache import CrossRunCache, FrontendCache
+from repro.serve.client import wait_until_ready
 from repro.serve.fingerprints import (compat_fingerprint, config_fingerprint,
                                       request_key, result_digest,
                                       result_payload, source_digest)
@@ -355,10 +356,7 @@ def daemon(tmp_path):
                                         job_deadline_s=None))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    deadline = time.time() + 10
-    while not os.path.exists(sock):
-        assert time.time() < deadline, "daemon socket never appeared"
-        time.sleep(0.02)
+    wait_until_ready(sock, timeout_s=10.0, alive=thread.is_alive)
 
     made = []
 
@@ -417,7 +415,7 @@ class TestDaemon:
                                              job_deadline_s=None))
         t2 = threading.Thread(target=server2.serve_forever, daemon=True)
         t2.start()
-        time.sleep(0.2)
+        wait_until_ready(daemon["socket"], timeout_s=10.0, alive=t2.is_alive)
         try:
             c2 = daemon["connect"]()
             # Exact result survives the restart on disk.

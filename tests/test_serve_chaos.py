@@ -30,7 +30,7 @@ import repro
 from repro.analysis import analyze
 from repro.config import AnalyzerConfig
 from repro.errors import ServeError
-from repro.serve.client import ServeClient
+from repro.serve.client import ServeClient, wait_until_ready
 from repro.serve.fingerprints import result_digest, result_payload
 from repro.serve.jobs import effective_config
 from repro.serve.protocol import (ProtocolError, recv_frame, send_frame,
@@ -61,26 +61,6 @@ def cold_digest(family):
     return result_digest(result_payload(result))
 
 
-def _wait_ready(sock, timeout_s=60.0):
-    """Block until a daemon answers a ping on ``sock`` (a bare
-    socket-file existence check races bind/listen and is fooled by
-    stale files)."""
-    from repro.errors import ServeConnectionError
-
-    deadline = time.time() + timeout_s
-    while True:
-        try:
-            c = ServeClient(sock, timeout=10.0)
-            try:
-                assert c.ping()["ok"]
-            finally:
-                c.close()
-            return
-        except ServeConnectionError:
-            assert time.time() < deadline, "daemon never came ready"
-            time.sleep(0.02)
-
-
 @contextlib.contextmanager
 def daemon(tmp_path, **cfg_overrides):
     """An in-thread daemon with an isolated worker subprocess, a disk
@@ -93,7 +73,7 @@ def daemon(tmp_path, **cfg_overrides):
     server = AnalysisServer(ServeConfig(**cfg))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    _wait_ready(sock)
+    wait_until_ready(sock, timeout_s=60.0, alive=thread.is_alive)
     clients = []
 
     def connect():
@@ -312,12 +292,8 @@ class TestGracefulDrain:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
             text=True)
         try:
-            deadline = time.time() + 90
-            while not sock.exists():
-                assert proc.poll() is None, proc.communicate()[1]
-                assert time.time() < deadline, "daemon never came up"
-                time.sleep(0.05)
-            _wait_ready(str(sock))
+            wait_until_ready(str(sock), timeout_s=90.0,
+                             alive=lambda: proc.poll() is None)
 
             results = {}
 

@@ -10,27 +10,12 @@ traceback-only crash and never a silent 0.
 
 import socket
 import threading
-import time
 
 import pytest
 
 from repro.cli import main
-from repro.errors import ServeConnectionError
-from repro.serve.client import ServeClient
+from repro.serve.client import wait_until_ready
 from repro.serve.server import AnalysisServer, ServeConfig
-
-
-def _wait_ready(path: str, deadline_s: float = 10.0) -> None:
-    end = time.monotonic() + deadline_s
-    while True:
-        try:
-            with ServeClient(path, timeout=1.0) as client:
-                client.ping()
-            return
-        except ServeConnectionError:
-            if time.monotonic() > end:
-                raise
-            time.sleep(0.02)
 
 
 class TestServeExitCodes:
@@ -41,7 +26,7 @@ class TestServeExitCodes:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            _wait_ready(path)
+            wait_until_ready(path, timeout_s=10.0)
             rc = main(["serve", "--socket", path])
             assert rc == 3
             err = capsys.readouterr().err
