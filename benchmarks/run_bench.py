@@ -13,11 +13,7 @@ Two comparisons are supported (``--compare``):
 * ``vectorize``: the batched numpy lattice kernels (the default) vs
   ``--no-vectorize`` (the scalar-oracle backend) — writes
   ``BENCH_8.json``, including the ``--stats`` phase breakdown and the
-  vectorized-kernel counters per mode;
-* ``dispatch``: ``--dispatch socket`` (auto-spawned local worker fleet)
-  vs ``--dispatch pool`` at equal ``--jobs`` — writes ``BENCH_9.json``
-  with the dispatch counters (jobs dispatched/stolen/retried, bytes
-  shipped, fleet peak RSS) per mode.
+  vectorized-kernel counters per mode.
 
 Usage::
 
@@ -54,20 +50,6 @@ COMPARISONS = {
         "out": "BENCH_8.json",
         "baseline": ("scalar", ["--no-vectorize"]),
         "optimized": ("vectorized", ["--vectorize"]),
-    },
-    # Socket dispatch (auto-spawned local fleet) vs the in-process pool
-    # at equal jobs: measures the serialization + framing overhead of
-    # going through real sockets.  "speedup" is pool/socket — the socket
-    # backend is expected to stay within ~1.3x of pool (>= 0.77).
-    "dispatch": {
-        "bench": "socket-vs-pool dispatch at jobs=2 (Fig. 2 scaling suite)",
-        "out": "BENCH_9.json",
-        "baseline": ("pool", ["--jobs", "2", "--dispatch", "pool"]),
-        "optimized": ("socket", ["--jobs", "2", "--dispatch", "socket"]),
-        "extra_fields": ("dispatch", "dispatch_jobs_dispatched",
-                         "dispatch_jobs_stolen", "dispatch_jobs_retried",
-                         "dispatch_bytes_shipped", "dispatch_workers_joined",
-                         "dispatch_workers_lost", "fleet_peak_rss_kib"),
     },
 }
 
@@ -116,8 +98,6 @@ def bench_size(kloc: float, workdir: str, comparison: dict) -> dict:
             "vector_cells": payload["vector_cells"],
             "vector_scalar_fallbacks": payload["vector_scalar_fallbacks"],
         }
-        for fld in comparison.get("extra_fields", ()):
-            row[mode][fld] = payload.get(fld)
     base_name = comparison["baseline"][0]
     opt_name = comparison["optimized"][0]
     base_p, opt_p = payloads[base_name], payloads[opt_name]
@@ -163,9 +143,6 @@ def main(argv=None) -> int:
     result = {
         "bench": comparison["bench"],
         "seed": FAMILY_SEED,
-        # Dispatch overhead is fixed cold-start (worker interpreter
-        # boot), so the host core count matters: with a spare core the
-        # socket backend overlaps the boot with the analysis prefix.
         "host_cpus": os.cpu_count(),
         "sizes_kloc": args.sizes,
         "rows": rows,

@@ -28,6 +28,7 @@ from .packing.boolean_packs import compute_bool_packs
 from .packing.ellipsoid_sites import find_filter_sites
 from .packing.octagon_packs import compute_octagon_packs
 from .supervisor import IncidentLog, Supervisor
+from .supervisor.budget import peak_rss_self_kib
 from .supervisor.incidents import Incident
 
 __all__ = ["analyze", "analyze_program", "AnalysisResult", "InvariantStats"]
@@ -81,30 +82,9 @@ class AnalysisResult:
     # Per-phase wall time: parse, packing, iteration, checking (Fig. 2's
     # measurement axes).
     phase_times: Dict[str, float] = field(default_factory=dict)
-    # Peak resident set size in KiB (self + worker children), 0 if the
+    # Peak resident set size of the analyzer process in KiB, 0 if the
     # resource module is unavailable.
     peak_rss_kib: int = 0
-    # Parallel engine feedback (0 when jobs=1).
-    jobs: int = 1
-    parallel_regions: int = 0
-    parallel_tasks: int = 0
-    branch_dispatches: int = 0
-    # Dispatch backend feedback (repro.parallel.backends): which backend
-    # executed the work units ("none" when no engine was attached) and
-    # its transport counters.  worker_rss_kib maps worker labels (pid-N
-    # for pool workers, the address for socket workers) to their peak
-    # RSS; fleet_peak_rss_kib is the maximum over the analyzer and every
-    # worker — socket workers are not children of the analyzer, so
-    # peak_rss_kib alone cannot see them.
-    dispatch: str = "none"
-    dispatch_jobs_dispatched: int = 0
-    dispatch_jobs_stolen: int = 0
-    dispatch_jobs_retried: int = 0
-    dispatch_bytes_shipped: int = 0
-    dispatch_workers_joined: int = 0
-    dispatch_workers_lost: int = 0
-    worker_rss_kib: Dict[str, int] = field(default_factory=dict)
-    fleet_peak_rss_kib: int = 0
     # Incremental engine feedback (repro.iterator.incremental):
     # statement executions performed vs spliced from memoized records
     # (skips are weighted by footprint span), and the hit/miss counts of
@@ -241,7 +221,6 @@ class AnalysisResult:
 def analyze(source, filename: str = "<input>",
             config: Optional[AnalyzerConfig] = None,
             entry: str = "main",
-            jobs: Optional[int] = None,
             cross_run=None) -> AnalysisResult:
     """Analyze C source text (a string) or a list of (name, text) units."""
     if config is None:
@@ -252,16 +231,8 @@ def analyze(source, filename: str = "<input>",
     else:
         prog = link_sources(list(source), entry=entry)
     parse_seconds = time.perf_counter() - parse_start
-    return analyze_program(prog, config, jobs=jobs,
-                           parse_seconds=parse_seconds,
+    return analyze_program(prog, config, parse_seconds=parse_seconds,
                            cross_run=cross_run)
-
-
-def _peak_rss_kib() -> int:
-    """Peak RSS of this process plus its (worker) children, in KiB."""
-    from .supervisor.budget import peak_rss_kib
-
-    return peak_rss_kib()
 
 
 def _configure_sharing(config: AnalyzerConfig) -> None:
@@ -276,9 +247,7 @@ def _configure_sharing(config: AnalyzerConfig) -> None:
     The vectorized kernel backend (``config.vectorize``) is configured
     here too: it selects between the batched numpy kernels and the
     scalar oracle for the environment lattice ops — bit-identical either
-    way, so the parallel engine's worker processes (which re-run this
-    function, see repro.parallel.executor) only need it for counter
-    fidelity, never for correctness.
+    way, so it matters for wall time and counters, never for results.
     """
     from .domains.octagon import configure_closure_memo
     from .memory import environment
@@ -308,13 +277,9 @@ def _needs_supervisor(config: AnalyzerConfig) -> bool:
 
 
 def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
-                    jobs: Optional[int] = None,
                     parse_seconds: float = 0.0,
                     cross_run=None) -> AnalysisResult:
     """Analyze an already-lowered IR program.
-
-    ``jobs`` overrides ``config.jobs``; any value > 1 attaches the
-    parallel engine (bit-identical results, see repro.parallel).
 
     ``cross_run`` optionally attaches a
     :class:`repro.serve.cache.CrossRunCache`: donor (pre, post) journals
@@ -329,12 +294,6 @@ def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
     """
     if config is None:
         config = AnalyzerConfig()
-    jobs = config.jobs if jobs is None else jobs
-    if (getattr(config, "dispatch", "pool") == "socket"
-            and getattr(config, "workers", ()) and jobs <= 1):
-        # An explicit worker fleet implies parallel intent even without
-        # --jobs: size the batch width to the fleet.
-        jobs = max(2, len(config.workers))
     incidents = IncidentLog()
     sup: Optional[Supervisor] = None
     if _needs_supervisor(config):
@@ -363,14 +322,6 @@ def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
     if cross_run is not None and config.incremental and not config.trace:
         cross_run.attach(ctx)
         it.cross_run = cross_run
-    engine = None
-    if jobs > 1:
-        from .parallel import ParallelEngine
-
-        engine = ParallelEngine(ctx, jobs, incidents=incidents)
-        it.parallel = engine
-        if sup is not None:
-            sup.engine = engine
     try:
         if sup is not None:
             sup.start()
@@ -378,8 +329,6 @@ def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
     finally:
         if sup is not None:
             sup.stop()
-        if engine is not None:
-            engine.close()
     elapsed = time.perf_counter() - start
     checking_seconds = max(0.0, elapsed - packing_seconds
                            - it.fixpoint_seconds)
@@ -399,11 +348,6 @@ def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
             0.0, it.fixpoint_seconds - it.fixpoint_lattice_seconds),
         "checking": checking_seconds,
     }
-    dstats = None if engine is None else engine.stats
-    if dstats is not None:
-        phases["dispatch-serialize"] = dstats.serialize_s
-        phases["dispatch-deserialize"] = dstats.deserialize_s
-    rss = _peak_rss_kib()
     return AnalysisResult(
         alarms=alarms.alarms,
         analysis_time=elapsed,
@@ -420,23 +364,7 @@ def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
         cert_invariants=it.cert_invariants,
         visit_counts=it.visit_counts,
         phase_times=phases,
-        peak_rss_kib=rss,
-        jobs=jobs,
-        parallel_regions=0 if engine is None else engine.parallel_regions,
-        parallel_tasks=0 if engine is None else engine.parallel_tasks,
-        branch_dispatches=0 if engine is None else engine.branch_dispatches,
-        dispatch="none" if engine is None else engine.dispatch,
-        dispatch_jobs_dispatched=(
-            0 if dstats is None else dstats.jobs_dispatched),
-        dispatch_jobs_stolen=0 if dstats is None else dstats.jobs_stolen,
-        dispatch_jobs_retried=0 if dstats is None else dstats.jobs_retried,
-        dispatch_bytes_shipped=0 if dstats is None else dstats.bytes_shipped,
-        dispatch_workers_joined=(
-            0 if dstats is None else dstats.workers_joined),
-        dispatch_workers_lost=0 if dstats is None else dstats.workers_lost,
-        worker_rss_kib={} if dstats is None else dict(dstats.worker_rss_kib),
-        fleet_peak_rss_kib=(
-            rss if dstats is None else dstats.fleet_peak_rss_kib(rss)),
+        peak_rss_kib=peak_rss_self_kib(),
         incremental=config.incremental,
         stmts_executed=it.stmts_executed,
         stmts_skipped=it.stmts_skipped,

@@ -1,10 +1,10 @@
 """Invariant certificates: engine-independent result validation.
 
-The analyzer has four execution paths to the same answer (full,
-incremental, vectorized, dispatched) plus a journal-replay serving
-cache.  Following Blazy et al. (*Formal Verification of a C Value
-Analysis Based on Abstract Interpretation*), none of them needs to be
-trusted: a result is *certified* by packaging its invariants into a
+The analyzer has three execution paths to the same answer (full,
+incremental, vectorized) plus a journal-replay serving cache.
+Following Blazy et al. (*Formal Verification of a C Value Analysis
+Based on Abstract Interpretation*), none of them needs to be trusted:
+a result is *certified* by packaging its invariants into a
 content-addressed artifact and re-applying every transfer function
 exactly once over the certified states, checking only lattice
 containment —
@@ -17,7 +17,7 @@ containment —
 
 The checker (:func:`check_certificate`) uses the abstract domains'
 ``transfer``/``includes`` only — no widening, no narrowing, no memo/
-interning/vectorize/dispatch machinery — so it cannot share a bug with
+interning/vectorize machinery — so it cannot share a bug with
 any engine path.  See docs/soundness.md, "Result certification".
 """
 

@@ -2,13 +2,12 @@
 
 Both ends rebuild a *fresh, plain* analysis context from the source
 units: performance machinery is normalized away (no incremental
-engine, no vectorized kernels, jobs=1, inline dispatch, no lattice
-memo, no interning, no supervisor budgets), while every semantic knob
-(domains, thresholds, widening/unrolling strategy, partitioning,
-input ranges, max_clock, packing) is kept verbatim — the walker must
-traverse the same program under the same abstract semantics the
-engine claims to have analyzed, but through none of the engine's
-optimization layers.
+engine, no vectorized kernels, no lattice memo, no interning, no
+supervisor budgets), while every semantic knob (domains, thresholds,
+widening/unrolling strategy, partitioning, input ranges, max_clock,
+packing) is kept verbatim — the walker must traverse the same program
+under the same abstract semantics the engine claims to have analyzed,
+but through none of the engine's optimization layers.
 
 Emission validates before it serializes: a certificate that this
 module returns has already passed the exact checks the independent
@@ -92,8 +91,7 @@ def _normalize_sources(sources, filename: str) -> List[Tuple[str, str]]:
 def _plain_config(cfg: AnalyzerConfig) -> AnalyzerConfig:
     """Strip every performance/robustness layer; keep the semantics."""
     return cfg.with_overrides(
-        incremental=False, vectorize=False, jobs=1, trace=False,
-        dispatch="inline", workers=(),
+        incremental=False, vectorize=False, trace=False,
         lattice_memo_size=0, value_intern_size=0, closure_memo_size=0,
         collect_invariants=False, certify=False,
         wall_deadline_s=None, rss_limit_kib=None, stmt_timeout_s=None,
@@ -239,8 +237,6 @@ def build_certificate(result, sources, filename: str = "<input>") -> dict:
             "engine": {
                 "incremental": bool(result.incremental),
                 "vectorize": bool(result.vectorize),
-                "jobs": int(result.jobs),
-                "dispatch": result.dispatch,
                 "cross_run_hits": int(result.cross_run_hits),
                 "widening_iterations": int(result.widening_iterations),
             },

@@ -9,9 +9,9 @@ its ``exec_stmt`` override records — or, in check mode, verifies —
 (guards, branch joins, call inlining, trace partitioning) is the
 inherited structural traversal, driven by the transfer functions
 directly: the walker runs on a performance-normalized configuration
-(no incremental engine, no vectorized kernels, no parallel dispatch,
-no lattice memo), so the only trusted code is the domains'
-``transfer``/``includes`` and this file's ~200 lines.
+(no incremental engine, no vectorized kernels, no lattice memo), so
+the only trusted code is the domains' ``transfer``/``includes`` and
+this file's ~200 lines.
 
 Two modes over one traversal:
 

@@ -19,6 +19,8 @@ or crash outcomes found, 3 internal error.
 On internal errors the CLI prints a structured one-line diagnostic to
 stderr (``astree-repro: internal-error: phase=<...> class=<...>:
 <message>``) before exiting 3, so wrappers never see a silent failure.
+Usage errors (unknown flags, bad values) take the same path with
+``phase=cli``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .analysis import analyze
 from .config import AnalyzerConfig, baseline_config
 from .errors import (
     AnalysisError, CertificateError, CheckpointError, ExitCode, LinkError,
-    ReproError, ServeError, SourceError, SupervisorHalt,
+    ReproError, ServeError, SourceError, SupervisorHalt, UsageError,
 )
 from .frontend import read_source_file
 
@@ -65,17 +67,6 @@ def _build_config(args) -> AnalyzerConfig:
         overrides["enable_decision_trees"] = False
     if args.invariants:
         overrides["collect_invariants"] = True
-    if getattr(args, "jobs", None) is not None:
-        overrides["jobs"] = args.jobs
-    if getattr(args, "dispatch", None) is not None:
-        overrides["dispatch"] = args.dispatch
-    if getattr(args, "workers", None):
-        overrides["workers"] = tuple(
-            w.strip() for w in args.workers.split(",") if w.strip())
-        # An explicit fleet only makes sense over the socket backend.
-        overrides.setdefault("dispatch", "socket")
-    if getattr(args, "parallel_min_stmts", None) is not None:
-        overrides["parallel_min_stmts"] = args.parallel_min_stmts
     if getattr(args, "incremental", None) is not None:
         overrides["incremental"] = args.incremental
     if getattr(args, "vectorize", None) is not None:
@@ -132,29 +123,6 @@ def _print_stats(result) -> None:
         print(f"  cross-run cache: seeded={result.cross_run_seeded} "
               f"hits={result.cross_run_hits} "
               f"spliced={result.cross_run_spliced}")
-    if result.jobs > 1:
-        print(f"  jobs: {result.jobs} "
-              f"(regions={result.parallel_regions}, "
-              f"tasks={result.parallel_tasks}, "
-              f"branch dispatches={result.branch_dispatches})")
-    if result.dispatch != "none":
-        print(f"  dispatch ({result.dispatch}): "
-              f"dispatched={result.dispatch_jobs_dispatched} "
-              f"stolen={result.dispatch_jobs_stolen} "
-              f"retried={result.dispatch_jobs_retried}")
-        print(f"    bytes shipped={result.dispatch_bytes_shipped} "
-              f"serialize={pt.get('dispatch-serialize', 0.0):.3f}s "
-              f"deserialize={pt.get('dispatch-deserialize', 0.0):.3f}s")
-        if result.dispatch == "socket":
-            print(f"    fleet: joined={result.dispatch_workers_joined} "
-                  f"lost={result.dispatch_workers_lost}")
-        if result.worker_rss_kib:
-            fleet = ", ".join(
-                f"{label}={kib / 1024.0:.1f} MiB"
-                for label, kib in sorted(result.worker_rss_kib.items()))
-            print(f"    worker RSS: {fleet}")
-            print(f"    fleet peak RSS: "
-                  f"{result.fleet_peak_rss_kib / 1024.0:.1f} MiB")
     if result.incidents:
         print(f"  incidents ({len(result.incidents)}):")
         for inc in result.incidents:
@@ -226,21 +194,6 @@ def cmd_analyze(args) -> int:
         if args.stats or args.profile_phases:
             payload["phase_times_s"] = result.phase_times
             payload["peak_rss_kib"] = result.peak_rss_kib
-            payload["jobs"] = result.jobs
-            payload["parallel_regions"] = result.parallel_regions
-            payload["parallel_tasks"] = result.parallel_tasks
-            payload["dispatch"] = result.dispatch
-            payload["dispatch_jobs_dispatched"] = \
-                result.dispatch_jobs_dispatched
-            payload["dispatch_jobs_stolen"] = result.dispatch_jobs_stolen
-            payload["dispatch_jobs_retried"] = result.dispatch_jobs_retried
-            payload["dispatch_bytes_shipped"] = result.dispatch_bytes_shipped
-            payload["dispatch_workers_joined"] = \
-                result.dispatch_workers_joined
-            payload["dispatch_workers_lost"] = result.dispatch_workers_lost
-            payload["worker_rss_kib"] = dict(
-                sorted(result.worker_rss_kib.items()))
-            payload["fleet_peak_rss_kib"] = result.fleet_peak_rss_kib
             payload["widening_iterations"] = result.widening_iterations
             payload["incremental"] = result.incremental
             payload["stmts_executed"] = result.stmts_executed
@@ -437,15 +390,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_worker(args) -> int:
-    from .parallel import remote
-
-    argv = ["--listen", args.listen]
-    if args.once:
-        argv.append("--once")
-    return remote.main(argv)
-
-
 def cmd_client(args) -> int:
     from .report import render_serve_stats
     from .serve.client import ServeClient
@@ -545,8 +489,18 @@ def cmd_client(args) -> int:
         return int(result["exit_code"])
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors join the exit contract: argparse's own exit 2 would
+    read as a degraded verdict, so raise into the structured funnel
+    instead (exit 3, ``phase=cli``).  Subparsers inherit the class;
+    ``--help`` still exits 0 through ``exit``."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="astree-repro",
         description="Abstract-interpretation analyzer for periodic "
                     "synchronous C programs (PLDI 2003 reproduction)")
@@ -568,26 +522,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     pa.add_argument("--no-trees", action="store_true")
     pa.add_argument("--invariants", action="store_true",
                     help="dump the main loop invariant")
-    pa.add_argument("--jobs", type=int, default=None, metavar="N",
-                    help="analysis worker processes (default 1 = "
-                         "sequential; results are identical either way)")
-    pa.add_argument("--dispatch", choices=("inline", "pool", "socket"),
-                    default=None,
-                    help="where parallel work units execute: a local "
-                         "process pool (the default), in-process "
-                         "(zero-copy overhead floor), or a socket worker "
-                         "fleet with work-stealing (bit-identical "
-                         "results in every case)")
-    pa.add_argument("--workers", default=None, metavar="ADDR,...",
-                    help="socket-dispatch fleet: comma-separated "
-                         "HOST:PORT or unix:PATH worker addresses "
-                         "(implies --dispatch socket; omit to auto-spawn "
-                         "local workers)")
-    pa.add_argument("--parallel-min-stmts", dest="parallel_min_stmts",
-                    type=int, default=None, metavar="N",
-                    help="minimum footprint weight of a block region "
-                         "before its units are dispatched to workers "
-                         "(default 48)")
     pa.add_argument("--incremental", dest="incremental",
                     action="store_true", default=None,
                     help="dependency-sliced body re-execution inside "
@@ -634,7 +568,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="wall-clock budget; on overrun the analysis "
                          "degrades to a sound coarser verdict (exit 2)")
     pa.add_argument("--max-rss", type=float, default=None, metavar="MIB",
-                    help="peak-RSS budget (analyzer + workers) in MiB")
+                    help="peak-RSS budget of the analyzer process in MiB")
     pa.add_argument("--stmt-timeout", type=float, default=None,
                     metavar="SECONDS",
                     help="soft per-statement budget sampled at statement "
@@ -798,19 +732,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(func=cmd_client)
 
-    pw = sub.add_parser(
-        "worker",
-        help="run a socket dispatch worker for --dispatch socket")
-    pw.add_argument("--listen", "--worker-listen", dest="listen",
-                    required=True, metavar="HOST:PORT|unix:PATH",
-                    help="address to serve on (port 0 picks a free port "
-                         "and prints the chosen address)")
-    pw.add_argument("--once", action="store_true",
-                    help="serve a single analyzer connection, then exit")
-    pw.set_defaults(func=cmd_worker)
-
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 — single structured funnel
         return _internal_error(exc)
@@ -818,6 +741,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _error_phase(exc: BaseException) -> str:
     """Coarse phase classification for the structured diagnostic."""
+    if isinstance(exc, UsageError):
+        return "cli"
     if isinstance(exc, (SourceError, LinkError)):
         return "frontend"
     if isinstance(exc, CertificateError):

@@ -117,47 +117,14 @@ class AnalyzerConfig:
     # (below it, per-cell scalar ops beat the numpy call overhead).
     vectorize_min_cells: int = 16
 
-    # -- parallel engine ---------------------------------------------------------
-    # Number of analysis worker processes.  1 (the default) runs the
-    # exact sequential path; N > 1 partitions independent work units
-    # across a process pool (results stay bit-identical to jobs=1).
-    jobs: int = 1
-    # Minimal total footprint weight (roughly: statement count, loop
-    # bodies scaled up) a block region must have before its units are
-    # dispatched to workers rather than run inline.
-    parallel_min_stmts: int = 48
-    # Worker crash recovery (repro.parallel): how many times one dispatch
-    # is retried against a re-forked pool after a worker death, the base
-    # of the exponential backoff between attempts, and how many pool
-    # rebuilds the whole run tolerates before parallelism is disabled
-    # for good (sequential execution of the remaining work — results
-    # stay identical either way).
-    dispatch_retries: int = 2
-    retry_backoff_s: float = 0.05
-    max_pool_rebuilds: int = 3
-    # Dispatch backend (repro.parallel.backends): where work units
-    # execute.  "pool" forks a local process pool; "inline" runs them
-    # in-process (zero-copy dispatch-overhead floor); "socket" ships
-    # them to a repro.parallel.remote worker fleet with work-stealing
-    # and elastic membership.  Pure scheduling knobs — every backend is
-    # bit-identical to sequential — so they are excluded from the
-    # checkpoint and serve compat fingerprints like ``vectorize``.
-    dispatch: str = "pool"
-    # Socket-backend fleet: worker addresses ("HOST:PORT" or
-    # "unix:PATH").  Empty with --dispatch socket auto-spawns ``jobs``
-    # local workers on loopback.
-    workers: Tuple[str, ...] = ()
-    # Dial timeout per worker address; an unreachable worker is skipped
-    # and re-dialled with exponential backoff (elastic join).
-    worker_connect_timeout_s: float = 5.0
-
     # -- resource budgets (repro.supervisor) ------------------------------------
     # When any budget trips, the supervisor walks the soundness-
     # preserving degradation ladder instead of aborting: the run always
     # terminates with a sound (possibly coarser) verdict and
     # AnalysisResult.degraded set.  None disables a budget.
     wall_deadline_s: Optional[float] = None
-    # Peak-RSS ceiling (analyzer + workers), sampled by a watchdog thread.
+    # Peak-RSS ceiling of the analyzer process, sampled by a watchdog
+    # thread.
     rss_limit_kib: Optional[int] = None
     # Soft per-statement timeout, sampled at statement boundaries.
     stmt_timeout_s: Optional[float] = None

@@ -18,6 +18,7 @@ __all__ = [
     "SupervisorHalt",
     "ServeError",
     "ServeConnectionError",
+    "UsageError",
     "ExitCode",
 ]
 
@@ -34,8 +35,9 @@ class ExitCode(enum.IntEnum):
       but coarser than the configured precision (alarms may include
       degradation-induced false positives).  Takes precedence over
       ``ALARMS``.
-    * ``INTERNAL_ERROR`` (3) — no verdict was produced: frontend or
-      analyzer error, unusable checkpoint, or a simulated kill.
+    * ``INTERNAL_ERROR`` (3) — no verdict was produced: command-line
+      usage error, frontend or analyzer error, unusable checkpoint, or
+      a simulated kill.
     """
 
     PROVED = 0
@@ -109,6 +111,13 @@ class ServeConnectionError(ServeError):
     out, or died mid-response (EOF/ECONNRESET).  Always *retryable*: the
     analyzer is deterministic and results are cached by content, so
     resubmitting the same request is safe."""
+
+
+class UsageError(ReproError):
+    """The command line does not parse (unknown flag, bad value, missing
+    argument).  The CLI maps this to phase ``cli``, exit 3, instead of
+    argparse's own exit 2, which the contract reserves for degraded
+    verdicts."""
 
 
 class SupervisorHalt(ReproError):

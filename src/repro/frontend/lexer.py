@@ -202,6 +202,9 @@ def _lex_number(source: str, i: int, filename: str, line: int, col: int):
         if is_float:
             value = float(digits)
         elif digits.startswith("0") and len(digits) > 1:
+            if digits.strip("01234567"):
+                raise LexerError(f"invalid octal literal '{digits}'",
+                                 filename, line, col)
             value = int(digits, 8)
         else:
             value = int(digits)

@@ -35,8 +35,8 @@ __all__ = ["execute_spec", "run_built_case", "main"]
 #: AnalyzerConfig fields a case spec may override (everything else in
 #: ``spec.analyzer`` is rejected so corpus files can't silently no-op).
 _ANALYZER_OVERRIDES = frozenset({
-    "wall_deadline_s", "rss_limit_kib", "stmt_timeout_s", "jobs",
-    "incremental", "widening_delay", "expand_threshold", "vectorize",
+    "wall_deadline_s", "rss_limit_kib", "stmt_timeout_s", "incremental",
+    "widening_delay", "expand_threshold", "vectorize",
 })
 
 

@@ -5,19 +5,14 @@ of UTF-8 JSON (one object per frame).  Length prefixes make truncation
 *detectable*: a peer killed mid-write leaves a frame whose declared
 length exceeds the bytes that follow, which the readers here report as a
 :class:`ProtocolError` instead of blocking forever or mis-parsing the
-next frame.  The format is shared by
+next frame.  The format carries the serve daemon's worker pipes
+(:mod:`repro.serve.supervise` / :mod:`repro.serve.worker`), where it
+rides on claimed stdin/stdout.
 
-* the serve daemon's worker pipes (:mod:`repro.serve.supervise` /
-  :mod:`repro.serve.worker`), where it rides on claimed stdin/stdout;
-* the parallel engine's socket dispatch backend
-  (:mod:`repro.parallel.remote`), where it rides on Unix/TCP sockets.
-
-Three reader shapes cover the three channel shapes:
+Two readers cover the two ends:
 
 * :func:`recv_frame` — blocking read from a buffered binary stream
-  (``sock.makefile('rb')`` or a pipe file object);
-* :class:`FrameBuffer` — incremental parser for non-blocking event
-  loops: feed byte chunks, pop complete frames;
+  (the worker's stdin);
 * :class:`FdFrameReader` — deadline-bounded ``select``-based reader over
   a raw file descriptor (the serve supervisor's hard job timeout).
 """
@@ -29,14 +24,13 @@ import os
 import select
 import struct
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-__all__ = ["FdFrameReader", "FrameBuffer", "FrameTimeout", "MAX_FRAME",
-           "ProtocolError", "encode_frame", "read_exact", "recv_frame",
-           "send_frame"]
+__all__ = ["FdFrameReader", "FrameTimeout", "MAX_FRAME", "ProtocolError",
+           "encode_frame", "read_exact", "recv_frame", "send_frame"]
 
-# One frame may carry whole translation units or pickled projected
-# states; bound it generously (64 MiB) so a runaway peer cannot exhaust
+# One frame may carry whole translation units or a full result payload;
+# bound it generously (64 MiB) so a runaway peer cannot exhaust
 # the parent's memory.
 MAX_FRAME = 64 * 1024 * 1024
 
@@ -108,46 +102,6 @@ def recv_frame(stream) -> Optional[Dict]:
         raise ProtocolError(
             f"truncated frame body ({len(body)} of {length} bytes)")
     return _decode_body(body)
-
-
-class FrameBuffer:
-    """Incremental frame parser for non-blocking channels.
-
-    ``feed()`` accumulates received bytes; ``next_frame()`` pops one
-    complete frame or returns None when more bytes are needed.  A frame
-    declaring a body longer than :data:`MAX_FRAME` raises immediately —
-    no point buffering toward a bound that will be rejected anyway.
-    """
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> None:
-        self._buf += data
-
-    def pending(self) -> int:
-        return len(self._buf)
-
-    def next_frame(self) -> Optional[Dict]:
-        if len(self._buf) < _FRAME_HEADER.size:
-            return None
-        (length,) = _FRAME_HEADER.unpack_from(self._buf)
-        if length > MAX_FRAME:
-            raise ProtocolError("frame exceeds size limit")
-        end = _FRAME_HEADER.size + length
-        if len(self._buf) < end:
-            return None
-        body = bytes(self._buf[_FRAME_HEADER.size:end])
-        del self._buf[:end]
-        return _decode_body(body)
-
-    def frames(self) -> List[Dict]:
-        out = []
-        while True:
-            msg = self.next_frame()
-            if msg is None:
-                return out
-            out.append(msg)
 
 
 class FdFrameReader:

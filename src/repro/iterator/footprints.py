@@ -1,13 +1,15 @@
 """Static read/write footprints of IR statements.
 
-The partitioner needs to know, for every top-level statement of a block,
-which parts of the abstract state its abstract execution may read and
-which it may write.  The footprint is deliberately coarse but must be
-*sound as an over-approximation*: a missed dependence would let two
-conflicting statements run in different workers and break the bit-exact
-equivalence with the sequential analysis.
+The incremental engine (:mod:`.incremental`) needs to know, for every
+statement of a sequence, which parts of the abstract state its abstract
+execution may read and which it may write: a statement is skipped only
+when its incoming state agrees with its last recorded pre-state on that
+slice, and the recorded post is spliced by patching the write set.  The
+footprint is deliberately coarse but must be *sound as an
+over-approximation*: a missed dependence would let a stale record be
+spliced and break the bit-exact equivalence with full re-execution.
 
-The abstract state has four conflict granularities:
+The abstract state has four granularities:
 
 * **environment cells** — note that *reading* a cell that belongs to an
   octagon pack or is a tracked numeric of a boolean pack is a
@@ -33,7 +35,7 @@ cells, so the callee body's reads of them do not escape to the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..frontend import ir as I
 from ..frontend.c_types import PointerType
@@ -48,9 +50,8 @@ __all__ = ["Footprint", "FootprintAnalyzer"]
 class _Unresolved(Exception):
     """An l-value or callee that cannot be resolved statically.
 
-    The statement becomes a partition barrier: resolving it in a worker
-    could mutate the cell table (``add_var``) and diverge cell numbering
-    between processes.
+    The statement becomes a barrier: resolving it could mutate the cell
+    table (``add_var``), which no static slice can account for.
     """
 
 
@@ -70,9 +71,8 @@ class Footprint:
     may_return: bool = False
     has_wait: bool = False
     unresolved: bool = False
-    # Rough statement count (loop bodies scaled up): the work-unit size
-    # gate compares the region's total weight against
-    # ``config.parallel_min_stmts`` so tiny regions stay sequential.
+    # Rough statement count (loop bodies scaled up): the work a skip of
+    # this statement saves, credited to ``stmts_skipped``.
     weight: int = 0
 
     def merge(self, other: "Footprint") -> None:
@@ -92,28 +92,15 @@ class Footprint:
 
     @property
     def is_barrier(self) -> bool:
-        """True when the statement cannot be a (non-final part of a)
-        parallel work unit of a sequence.
+        """True when the statement's effect cannot be replayed from a
+        recorded (pre, post) pair.
 
-        Escaping statements are barriers because a unit's break/continue/
-        return state would capture pre-state values of cells written by
-        earlier units.  A clock tick writes every clocked cell at once.
+        Escaping statements are barriers because break/continue/return
+        produce non-normal flows a splice cannot reproduce.  A clock tick
+        writes every clocked cell at once.
         """
         return (self.unresolved or self.has_wait or self.may_break
                 or self.may_continue or self.may_return)
-
-    def conflicts_with(self, later: "Footprint") -> bool:
-        """Would executing ``later`` from this unit's *pre*-state change
-        its result?  Write/write on cells is fine (the later delta wins,
-        as in sequential execution); weak and clocked writes read their
-        old value and therefore appear in ``reads``.  Pack/tree/site
-        updates are RMW transforms, so a write on either side of those
-        granularities conflicts with any touch of the same pack."""
-        return bool(
-            self.writes & later.reads
-            or self.write_packs & (later.read_packs | later.write_packs)
-            or self.write_bpacks & (later.read_bpacks | later.write_bpacks)
-            or self.sites & later.sites)
 
 
 class FootprintAnalyzer:

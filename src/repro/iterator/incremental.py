@@ -19,10 +19,10 @@ Soundness argument (see docs/architecture.md, "Incremental iteration and
 sharing"):
 
 * Every statement gets a static read/write footprint from
-  :class:`~repro.parallel.footprints.FootprintAnalyzer` — the same sound
-  over-approximation the parallel engine uses for conflict detection.
-  The footprint includes refinement writes of guards, reduction writes
-  of packed reads, and weak-update reads.
+  :class:`~repro.iterator.footprints.FootprintAnalyzer`, a sound
+  over-approximation of its effect.  The footprint includes refinement
+  writes of guards, reduction writes of packed reads, and weak-update
+  reads.
 * A statement is *skipped* only when its incoming state agrees with the
   recorded pre-state of its last full execution on every cell, octagon
   pack, decision-tree pack and filter site of ``reads ∪ writes``, and on
@@ -47,9 +47,9 @@ sharing"):
   ``alarms.checking`` is False, so skipping can never lose an alarm;
   the final checking pass over the invariant always executes in full.
 
-Executors are cached per ``(sequence identity, byref bindings)`` — the
-same binding key the parallel engine uses — and hold a strong reference
-to their statement list so the id stays valid.  The caches are
+Executors are cached per ``(sequence identity, byref bindings)`` and
+hold a strong reference to their statement list so the id stays
+valid.  The caches are
 invalidated wholesale when the supervisor's degradation ladder mutates
 the configuration (``AnalysisContext.config_generation``).
 
@@ -150,12 +150,7 @@ class _StmtMeta:
         self.stmt = stmt
         # Never memoize statements whose effects escape the normal
         # continuation or that the footprint analysis could not resolve.
-        # A clock tick (wait) writes every clocked cell at once, and
-        # break/continue/return produce non-normal flows the splice
-        # cannot reproduce.
-        self.skippable = not (fp.unresolved or fp.may_break
-                              or fp.may_continue or fp.may_return
-                              or fp.has_wait)
+        self.skippable = not fp.is_barrier
         self.cells = tuple(sorted(fp.reads | fp.writes))
         self.write_cells = tuple(sorted(fp.writes))
         # Clock dependence: only integer cells carry clocked components

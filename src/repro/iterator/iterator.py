@@ -99,8 +99,6 @@ class Iterator:
         self.widening_iterations: int = 0
         # sid -> abstract visit count (when cfg.trace, Sect. 5.3 tracing).
         self.visit_counts: Dict[int, int] = {}
-        # Optional parallel engine (set by analyze_program when jobs > 1).
-        self.parallel = None
         # Optional supervisor (set by analyze_program when budgets or
         # checkpointing are configured); polled at statement and
         # fixpoint-iteration boundaries.
@@ -176,11 +174,6 @@ class Iterator:
     # -- statement sequences -----------------------------------------------------------
 
     def exec_block(self, state: AbstractState, stmts: Sequence[I.Stmt]) -> Flow:
-        if (self.parallel is not None and len(stmts) > 1
-                and not state.is_bottom and not self._partitioning_active()):
-            flow = self.parallel.try_exec_sequence(self, state, stmts)
-            if flow is not None:
-                return flow
         # Incremental re-execution (repro.iterator.incremental): inside
         # a fixpoint body run, every sequence — branch bodies and called
         # function bodies included — goes through a memoizing executor
@@ -238,19 +231,8 @@ class Iterator:
                                                 s.sid, s.loc)
                     f_state = self.guards.guard(flow.normal, s.cond, False,
                                                 s.sid, s.loc)
-                    pair = None
-                    if self.parallel is not None:
-                        # Trace-partition splits become parallel work
-                        # units, each carrying its pre-state.
-                        pair = self.parallel.try_exec_branches(
-                            self,
-                            (t_state, list(s.then) + rest),
-                            (f_state, list(s.other) + rest))
-                    if pair is not None:
-                        fl_t, fl_f = pair
-                    else:
-                        fl_t = self.exec_block(t_state, list(s.then) + rest)
-                        fl_f = self.exec_block(f_state, list(s.other) + rest)
+                    fl_t = self.exec_block(t_state, list(s.then) + rest)
+                    fl_f = self.exec_block(f_state, list(s.other) + rest)
                 finally:
                     self._partition_budget += 1
                 branch_flow = fl_t.join(fl_f)
@@ -283,7 +265,7 @@ class Iterator:
         every incremental body executor of this iterator."""
         gen = self.ctx.config_generation
         if self._footprints is None or self._footprints_generation != gen:
-            from ..parallel.footprints import FootprintAnalyzer
+            from .footprints import FootprintAnalyzer
 
             self._footprints = FootprintAnalyzer(self.ctx)
             self._footprints_generation = gen

@@ -43,11 +43,11 @@ from ..packing.octagon_packs import OctagonPacking
 __all__ = ["AnalysisContext", "AbstractState", "LatticeMemo",
            "set_active_context", "get_active_context"]
 
-# Process-wide context registry (parallel engine and checkpoint/resume
+# Process-wide context registry (checkpoint/resume and certificate
 # support).  Pickled AbstractStates carry domain content only; the heavy
 # AnalysisContext is installed once per process and re-attached during
-# unpickling — workers install it in their initializer, and
-# supervisor.checkpoint.load_checkpoint requires it before restoring.
+# unpickling — supervisor.checkpoint.load_checkpoint and the certificate
+# decoder require it before restoring.
 _ACTIVE_CONTEXT: Optional["AnalysisContext"] = None
 
 

@@ -18,8 +18,7 @@ replaced by an ``==``-equal value, and the whole analyzer already treats
 when ``a == b``, dropping ``b``'s identity).  The only observable effect
 is that the physical-identity fast paths fire far more often.
 
-The pool is process-global (each parallel worker has its own) and
-bounded: when it reaches the configured capacity it is simply cleared —
+The pool is process-global and bounded: when it reaches the configured capacity it is simply cleared —
 interning is a cache, and dropping it costs sharing, never correctness.
 """
 

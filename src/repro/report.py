@@ -35,18 +35,6 @@ def render_markdown(result: AnalysisResult, title: str = "Analysis report") -> s
                      f"({result.vector_scalar_fallbacks} scalar fallbacks)")
     else:
         lines.append("* vectorized kernels: off (scalar oracle)")
-    if result.dispatch != "none":
-        lines.append(
-            f"* dispatch ({result.dispatch}, {result.jobs} jobs): "
-            f"{result.dispatch_jobs_dispatched} dispatched, "
-            f"{result.dispatch_jobs_stolen} stolen, "
-            f"{result.dispatch_jobs_retried} retried, "
-            f"{result.dispatch_bytes_shipped} bytes shipped")
-        if result.worker_rss_kib:
-            lines.append(
-                f"* fleet peak RSS: "
-                f"{result.fleet_peak_rss_kib / 1024.0:.1f} MiB over "
-                f"{len(result.worker_rss_kib)} worker(s)")
     lines.append(f"* octagon packs: {result.octagon_pack_count} "
                  f"({len(result.useful_octagon_packs)} useful, "
                  f"avg size {result.octagon_pack_avg_size:.1f})")
@@ -133,18 +121,6 @@ def render_json(result: AnalysisResult) -> str:
             "batches": result.vector_batches,
             "cells": result.vector_cells,
             "scalar_fallbacks": result.vector_scalar_fallbacks,
-        },
-        "dispatch": {
-            "backend": result.dispatch,
-            "jobs": result.jobs,
-            "jobs_dispatched": result.dispatch_jobs_dispatched,
-            "jobs_stolen": result.dispatch_jobs_stolen,
-            "jobs_retried": result.dispatch_jobs_retried,
-            "bytes_shipped": result.dispatch_bytes_shipped,
-            "workers_joined": result.dispatch_workers_joined,
-            "workers_lost": result.dispatch_workers_lost,
-            "worker_rss_kib": dict(sorted(result.worker_rss_kib.items())),
-            "fleet_peak_rss_kib": result.fleet_peak_rss_kib,
         },
         "packing": {
             "octagon_packs": result.octagon_pack_count,

@@ -30,7 +30,7 @@ Three layers of keys, from coarse to fine:
 The configuration fingerprint covers every knob that can change the
 verdict (domains, thresholds, unrolling, ranges, partitioning) and
 deliberately excludes the sharing/performance knobs (incremental,
-memo sizes, jobs) and the resource budgets: results are bit-identical
+memo sizes, vectorize) and the resource budgets: results are bit-identical
 across the former, and budgets only decide whether a run *finishes* at
 full precision — degraded runs are never cached (see repro.serve.cache),
 so budget settings must not fragment the key space.  The supervisor's
@@ -77,12 +77,9 @@ def source_digest(sources: Sequence[Tuple[str, str]]) -> str:
 _NON_SEMANTIC_FIELDS = frozenset({
     "incremental", "lattice_memo_size", "value_intern_size",
     "closure_memo_size", "vectorize", "vectorize_min_cells",
-    "jobs", "parallel_min_stmts", "dispatch_retries",
-    "retry_backoff_s", "max_pool_rebuilds", "dispatch", "workers",
-    "worker_connect_timeout_s", "wall_deadline_s",
-    "rss_limit_kib", "stmt_timeout_s", "watchdog_interval_s",
-    "checkpoint_path", "checkpoint_every", "resume_path",
-    "checkpoint_halt_after", "certify",
+    "wall_deadline_s", "rss_limit_kib", "stmt_timeout_s",
+    "watchdog_interval_s", "checkpoint_path", "checkpoint_every",
+    "resume_path", "checkpoint_halt_after", "certify",
 })
 
 

@@ -35,7 +35,7 @@ __all__ = ["CLIENT_FIELDS", "Job", "JobQueue", "QueueFull",
 CLIENT_FIELDS = frozenset({
     "input_ranges", "max_clock", "default_unroll", "partition_functions",
     "enable_octagons", "enable_ellipsoids", "enable_decision_trees",
-    "enable_clock", "collect_invariants", "trace", "incremental", "jobs",
+    "enable_clock", "collect_invariants", "trace", "incremental",
     "wall_deadline_s", "rss_limit_kib", "stmt_timeout_s",
 })
 

@@ -97,5 +97,4 @@ def error_response(message: str, **extra) -> Dict:
 # -- length-prefixed frames (daemon <-> worker subprocess pipes) --------------
 #
 # ``send_frame``/``recv_frame`` are re-exported from the shared framing
-# module (repro.ipc.frames), which the socket dispatch backend of the
-# parallel engine uses on the same wire format.
+# module (repro.ipc.frames).

@@ -240,8 +240,7 @@ class InProcessExecutor:
 
 def _claim_marker(env_name: str) -> bool:
     """One-shot trigger: true iff the env var names a file this call
-    unlinked (the same claim-by-unlink discipline as
-    REPRO_FAULT_WORKER_CRASH, so concurrent workers fire it once)."""
+    unlinked (claim-by-unlink, so concurrent workers fire it once)."""
     marker = os.environ.get(env_name)
     if not marker:
         return False

@@ -1,9 +1,7 @@
 """Fault-tolerant analysis supervision.
 
 The paper's promise is that the analyzer *always terminates with a sound
-verdict* on hour-scale runs; Monniaux's parallelization paper adds that a
-distributed analysis must tolerate worker failure without losing
-soundness.  This package supplies the machinery:
+verdict* on hour-scale runs.  This package supplies the machinery:
 
 * :mod:`.budget` — per-run resource budgets (wall-clock deadline,
   peak-RSS ceiling sampled by a watchdog thread, per-statement soft
@@ -17,11 +15,11 @@ soundness.  This package supplies the machinery:
 * :mod:`.restart` — seeded exponential-backoff-plus-jitter pacing for
   restarting crashed workers (used by the serving layer's out-of-process
   worker supervision);
-* :mod:`.supervisor` — the :class:`Supervisor` façade the iterator and
-  the parallel engine report into.
+* :mod:`.supervisor` — the :class:`Supervisor` façade the iterator
+  reports into.
 """
 
-from .budget import peak_rss_kib
+from .budget import peak_rss_self_kib
 from .checkpoint import Checkpoint, load_checkpoint, write_checkpoint
 from .degradation import DEGRADATION_RUNGS, DegradationLadder
 from .incidents import Incident, IncidentLog
@@ -37,6 +35,6 @@ __all__ = [
     "RestartPolicy",
     "Supervisor",
     "load_checkpoint",
-    "peak_rss_kib",
+    "peak_rss_self_kib",
     "write_checkpoint",
 ]

@@ -7,10 +7,10 @@ ladder (see :mod:`.degradation`).  The run therefore always terminates
 with a sound — possibly coarser — verdict.
 
 The RSS ceiling is checked against the *peak* resident set size of the
-analyzer (``VmHWM`` from ``/proc/self/status`` where available, else
-``ru_maxrss``) plus its worker children.  Peak RSS is monotone, so once
-the ceiling trips it stays tripped: the ladder runs to the end and the
-analysis finishes under the cheapest sound configuration.
+analyzer process (``VmHWM`` from ``/proc/self/status`` where available,
+else ``ru_maxrss``).  Peak RSS is monotone, so once the ceiling trips it
+stays tripped: the ladder runs to the end and the analysis finishes
+under the cheapest sound configuration.
 """
 
 from __future__ import annotations
@@ -21,29 +21,18 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-__all__ = ["ResourceBudget", "BudgetWatchdog", "peak_rss_kib",
-           "peak_rss_self_kib"]
-
-
-def peak_rss_kib() -> int:
-    """Peak RSS of this process plus its (worker) children, in KiB.
-
-    Socket-dispatch workers (:mod:`repro.parallel.remote`) are *not*
-    children of the analyzer and are invisible to this reading; they
-    report their own :func:`peak_rss_self_kib` over the wire and the
-    dispatch backend aggregates the fleet maximum (see
-    ``AnalysisResult.fleet_peak_rss_kib``).
-    """
-    return peak_rss_self_kib() + _ru_maxrss_kib("RUSAGE_CHILDREN")
+__all__ = ["ResourceBudget", "BudgetWatchdog", "peak_rss_self_kib"]
 
 
 def peak_rss_self_kib() -> int:
-    """Peak RSS of this process only, in KiB (what a dispatch worker
-    reports about itself in job results).
+    """Peak RSS of this process only, in KiB.
 
-    ``VmHWM`` from ``/proc/self/status`` where it exists: on Linux the
-    ``ru_maxrss`` of an exec'd process also covers the spawning
-    process's high-water mark, carried across vfork and exec."""
+    Children are not counted: the analyzer runs no workers, so
+    ``RUSAGE_CHILDREN`` would only see unrelated processes the caller
+    has reaped.  ``VmHWM`` from ``/proc/self/status`` where it exists:
+    on Linux the ``ru_maxrss`` of an exec'd process also covers the
+    spawning process's high-water mark, carried across vfork and
+    exec."""
     try:
         with open("/proc/self/status", "rb") as f:
             for line in f:
@@ -51,15 +40,11 @@ def peak_rss_self_kib() -> int:
                     return int(line.split()[1])
     except OSError:
         pass
-    return _ru_maxrss_kib("RUSAGE_SELF")
-
-
-def _ru_maxrss_kib(who: str) -> int:
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX
         return 0
-    rss = resource.getrusage(getattr(resource, who)).ru_maxrss
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if sys.platform == "darwin":  # pragma: no cover - ru_maxrss in bytes
         rss //= 1024
     return int(rss)
@@ -88,7 +73,7 @@ class ResourceBudget:
                 and time.perf_counter() - started_at > self.wall_deadline_s):
             return "deadline"
         if (self.rss_limit_kib is not None
-                and peak_rss_kib() > self.rss_limit_kib):
+                and peak_rss_self_kib() > self.rss_limit_kib):
             return "rss"
         return None
 

@@ -61,13 +61,11 @@ def context_fingerprint(ctx) -> str:
     by a build with another ``SEMANTICS_VERSION``.
 
     Deliberately excluded: the sharing/memoization knobs (incremental,
-    lattice_memo_size, value_intern_size, closure_memo_size), the
+    lattice_memo_size, value_intern_size, closure_memo_size) and the
     vectorized-kernel knobs (vectorize, vectorize_min_cells — the
-    batched numpy backend is bit-identical to the scalar oracle), jobs
-    and the dispatch backend/fleet (dispatch, workers — scheduling only,
-    never merge order).  They affect physical identity and wall time
-    only — results
-    are bit-identical across their settings — so a checkpoint written
+    batched numpy backend is bit-identical to the scalar oracle).  They
+    affect physical identity and wall time only — results are
+    bit-identical across their settings — so a checkpoint written
     under one setting must resume under any other.  (The intern pools are
     process-local and a checkpoint never refers to them: a checkpoint is
     one pickle stream, so its states come back sharing the subtrees

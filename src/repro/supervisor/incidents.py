@@ -1,7 +1,7 @@
 """Structured incident records.
 
-Every deviation from the happy path — a worker crash, a tripped budget, a
-degradation step, a disabled subsystem — is recorded as an
+Every deviation from the happy path — a tripped budget, a degradation
+step, a checkpoint resume — is recorded as an
 :class:`Incident` instead of being silently swallowed or raised at the
 user.  The log rides on the :class:`~repro.analysis.AnalysisResult` so a
 caller can audit exactly what the run survived and what it cost in
@@ -20,9 +20,6 @@ __all__ = ["Incident", "IncidentLog"]
 class IncidentKind:
     """Well-known incident kinds (free-form strings are also accepted)."""
 
-    WORKER_CRASH = "worker-crash"
-    PICKLING_ERROR = "pickling-error"
-    PARALLEL_DISABLED = "parallel-disabled"
     DEADLINE = "deadline"
     RSS = "rss"
     STMT_TIMEOUT = "stmt-timeout"
@@ -36,8 +33,8 @@ class Incident:
     """One recorded deviation from the happy path.
 
     ``kind`` names what happened, ``action`` what the supervisor did
-    about it (``retry``, ``rebuild-pool``, ``sequential-fallback``,
-    ``degrade:<rung>``, ``exhausted-ladder``, ...), ``detail`` is a
+    about it (``degrade:<rung>``, ``exhausted-ladder``, ``restored``,
+    ...), ``detail`` is a
     human-readable elaboration, and ``at_s`` is the offset from analysis
     start (informational only — never compared for determinism).
     """
@@ -53,8 +50,7 @@ class Incident:
 
 
 class IncidentLog:
-    """Append-only, size-capped incident sink shared by the supervisor
-    and the parallel engine."""
+    """Append-only, size-capped incident sink of one analysis run."""
 
     MAX_INCIDENTS = 200
 

@@ -6,7 +6,7 @@ One :class:`Supervisor` instance wraps one analysis run.  It owns
   mutate it in place; the caller's config is never touched),
 * the resource budgets and their watchdog thread,
 * the degradation ladder,
-* the incident log (shared with the parallel engine), and
+* the incident log, and
 * the checkpoint/resume machinery.
 
 The iterator polls it at two kinds of boundaries:
@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 
 from ..config import AnalyzerConfig
 from ..errors import CheckpointError, SupervisorHalt
-from .budget import BudgetWatchdog, ResourceBudget
+from .budget import BudgetWatchdog, ResourceBudget, peak_rss_self_kib
 from .checkpoint import (Checkpoint, context_fingerprint, load_checkpoint,
                          write_checkpoint)
 from .degradation import DegradationLadder
@@ -63,9 +63,6 @@ class Supervisor:
         self.ladder = DegradationLadder(config)
         self.degraded = False
         self.resumed = False
-        # Set by analyze_program when jobs > 1 (shut down on first trip
-        # to stop paying worker memory/dispatch costs).
-        self.engine = None
         # Set by attach_context: needed to flush configuration-derived
         # caches when a degradation rung mutates the config mid-run.
         self.ctx = None
@@ -152,29 +149,20 @@ class Supervisor:
                 and time.perf_counter() - self._t0 > b.wall_deadline_s):
             self._tripped = "deadline"
             return
-        if b.rss_limit_kib is not None and sample_rss:
-            from .budget import peak_rss_kib
-
-            if peak_rss_kib() > b.rss_limit_kib:
-                self._tripped = "rss"
+        if (b.rss_limit_kib is not None and sample_rss
+                and peak_rss_self_kib() > b.rss_limit_kib):
+            self._tripped = "rss"
 
     def _budget_detail(self, reason: str) -> str:
         if reason == "deadline":
             return (f"wall clock {time.perf_counter() - self._t0:.2f}s "
                     f"exceeded deadline {self.config.wall_deadline_s}s")
         if reason == "rss":
-            from .budget import peak_rss_kib
-
-            return (f"peak RSS {peak_rss_kib()} KiB exceeded ceiling "
+            return (f"peak RSS {peak_rss_self_kib()} KiB exceeded ceiling "
                     f"{self.config.rss_limit_kib} KiB")
         return ""
 
     def _degrade(self, reason: str, detail: str) -> None:
-        if self.engine is not None:
-            # Free worker processes first; already-merged parallel
-            # results were computed under the stricter config (sound).
-            engine, self.engine = self.engine, None
-            engine.shutdown(f"budget trip ({reason})")
         step = self.ladder.step()
         if step is None:
             if not self._exhausted_reported:

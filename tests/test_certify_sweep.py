@@ -1,9 +1,9 @@
 """Certification across the engine matrix and the serving layer.
 
-A 20-seed sweep asserts that every engine path — ``dispatch x jobs x
-incremental x vectorize``, cycled per seed — produces a result whose
-certificate the independent checker validates: the certification layer
-must not depend on *how* the fixpoint was computed.  The serve tests
+A 20-seed sweep asserts that every engine path — ``incremental x
+vectorize``, cycled per seed — produces a result whose certificate the
+independent checker validates: the certification layer must not depend
+on *how* the fixpoint was computed.  The serve tests
 then pin the warm path: journal-warmed results (including after a
 daemon restart) are certified before they are returned, and a warm
 result that fails certification is discarded and re-run cold with a
@@ -11,9 +11,6 @@ bit-identical digest.
 """
 
 import os
-import subprocess
-import sys
-import time
 
 import pytest
 
@@ -24,51 +21,8 @@ from repro.errors import CertificateError
 from repro.frontend import compile_source
 from repro.serve.worker import JobExecutor
 
-SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src")
-
-
 # ---------------------------------------------------------------------------
-# Socket fleet (shared by the sweep's socket rows)
-# ---------------------------------------------------------------------------
-
-
-def _spawn_worker(listen="127.0.0.1:0"):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC_ROOT, env.get("PYTHONPATH")) if p)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.parallel.remote", "--listen", listen],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
-    deadline = time.monotonic() + 60.0
-    line = b""
-    while b"\n" not in line:
-        assert time.monotonic() < deadline, "worker did not start"
-        chunk = os.read(proc.stdout.fileno(), 4096)
-        assert chunk, "worker died before announcing its address"
-        line += chunk
-    addr = line.split(b"\n", 1)[0].decode().split("listening on ", 1)[1]
-    return proc, addr.strip()
-
-
-@pytest.fixture(scope="module")
-def fleet():
-    workers = [_spawn_worker() for _ in range(2)]
-    yield tuple(addr for _, addr in workers)
-    for proc, _ in workers:
-        if proc.poll() is None:
-            proc.terminate()
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=5.0)
-        proc.stdout.close()
-
-
-# ---------------------------------------------------------------------------
-# Seed-varied program family (persistent int counters INCLUDED: the
-# certifier must hold on exactly the shapes the dispatch sweep avoids)
+# Seed-varied program family (persistent int counters included)
 # ---------------------------------------------------------------------------
 
 
@@ -116,30 +70,22 @@ def _case(seed, **overrides):
         ranges[f"in{k}_b"] = (0.0, 1.0)
     cfg = AnalyzerConfig(input_ranges=ranges,
                          max_clock=600 + 100 * (seed % 4),
-                         parallel_min_stmts=8, certify=True, **overrides)
+                         certify=True, **overrides)
     return src, compile_source(src, f"fam_{seed}.c"), cfg
 
 
-DISPATCHES = ("inline", "pool", "socket")
-
-# Cycle the full matrix across 20 seeds (dispatch 3-cycle, jobs
-# 2-cycle, incremental 2-cycle, vectorize 2-cycle: all combinations
-# appear across the sweep).
-SWEEP = [(s, DISPATCHES[s % 3], 1 + s % 2,
-          (s // 2) % 2 == 0, (s // 3) % 2 == 0)
-         for s in range(20)]
+# Cycle the matrix across 20 seeds (incremental and vectorize on
+# offset 2-cycles: all four combinations appear across the sweep).
+SWEEP = [(s, (s // 2) % 2 == 0, (s // 3) % 2 == 0) for s in range(20)]
 
 
 class TestCertifySweep:
-    @pytest.mark.parametrize("seed,dispatch,jobs,incremental,vectorize",
-                             SWEEP)
-    def test_every_engine_path_certifies(self, fleet, seed, dispatch,
-                                         jobs, incremental, vectorize):
+    @pytest.mark.parametrize("seed,incremental,vectorize", SWEEP)
+    def test_every_engine_path_certifies(self, seed, incremental,
+                                         vectorize):
         src, prog, cfg = _case(
-            seed, incremental=incremental, vectorize=vectorize,
-            dispatch=dispatch,
-            workers=fleet if dispatch == "socket" else ())
-        result = analyze_program(prog, cfg, jobs=jobs)
+            seed, incremental=incremental, vectorize=vectorize)
+        result = analyze_program(prog, cfg)
         assert result.cert_invariants, "engine recorded no loop records"
         cert = build_certificate(result, src, f"fam_{seed}.c")
         chk = check_certificate(cert)

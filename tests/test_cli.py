@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -89,6 +92,27 @@ class TestAnalyzeCommand:
         main(["analyze", str(p), "--invariants"])
         out = capsys.readouterr().out
         assert "main loop invariant" in out
+
+
+    def test_default_analysis_loads_no_process_pool(self, tmp_path):
+        # The engine is sequential: a run that reaches a loop fixpoint
+        # (and so the incremental engine's footprints) must not import
+        # the process-pool machinery.
+        src = tmp_path / "loop.c"
+        src.write_text("volatile int s; int x;\n"
+                       "int main(void) { while (1) { x = s;"
+                       " __ASTREE_wait_for_clock(); } return 0; }\n")
+        code = ("import sys\n"
+                "from repro.analysis import analyze\n"
+                "analyze(open(sys.argv[1]).read(), 'loop.c')\n"
+                "print(sorted(m for m in ('multiprocessing',"
+                " 'concurrent.futures.process') if m in sys.modules))\n")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestGenerateCommand:

@@ -1,6 +1,6 @@
 """Vectorized environment lattice kernels: bit-identity to the scalar
 oracle, threshold-scan boundary behavior, the batching crossover, and
-the end-to-end differential matrix across vectorize/incremental/jobs.
+the end-to-end differential matrix across vectorize/incremental.
 
 The contract under test (see numeric/interval_kernels.py): every
 batched numpy kernel produces *bit-identical* results to the scalar
@@ -449,13 +449,12 @@ def _snapshot(result) -> dict:
     }
 
 
-#: Per-seed variant rotation covering the vectorize x incremental x jobs
+#: Per-seed variant rotation covering the vectorize x incremental
 #: matrix; the reference run is always the all-defaults config.
 VARIANTS = [
     dict(vectorize=False),
     dict(vectorize=False, incremental=False),
     dict(incremental=False),
-    dict(vectorize=False, jobs=2),
 ]
 
 
@@ -468,7 +467,7 @@ class TestDifferentialMatrix:
         other = analyze_program(prog, dataclasses.replace(cfg, **variant))
         assert _snapshot(base) == _snapshot(other), variant
         if variant.get("incremental", True):
-            # Same engine, different backend/jobs: the iteration count
+            # Same engine, different backend: the iteration count
             # and the statement slicing must match exactly too — the
             # batched kernels must not perturb what gets re-executed.
             assert base.widening_iterations == other.widening_iterations

@@ -46,6 +46,11 @@ class TestNumbers:
         t = tokenize("017")[0]
         assert t.value == 15
 
+    def test_invalid_octal_int_raises(self):
+        # '08' is no octal literal: a located LexerError, not ValueError.
+        with pytest.raises(LexerError, match="invalid octal literal '08'"):
+            tokenize("08")
+
     def test_unsigned_suffix(self):
         t = tokenize("42u")[0]
         assert t.value == 42 and "u" in t.suffix

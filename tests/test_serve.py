@@ -59,12 +59,36 @@ class TestFingerprints:
         assert fp != config_fingerprint(
             dataclasses.replace(cfg, max_widening_iterations=7))
         # ...performance/robustness knobs do not.
-        assert fp == config_fingerprint(dataclasses.replace(cfg, jobs=4))
+        assert fp == config_fingerprint(
+            dataclasses.replace(cfg, vectorize=False))
         assert fp == config_fingerprint(
             dataclasses.replace(cfg, incremental=False))
         assert fp == config_fingerprint(
             dataclasses.replace(cfg, wall_deadline_s=1.0,
                                 closure_memo_size=1))
+
+    def test_config_fingerprint_pinned(self):
+        # Deleting a non-semantic config field must not move any serve
+        # request key, journal key or certificate fingerprint: these
+        # values predate the removal of the parallel dispatch fields.
+        from repro.config import baseline_config
+
+        assert config_fingerprint(AnalyzerConfig()) == (
+            "8e39747431843fc1eb83b61fc54856a577c22d62294d92b13b7d7b87188d3c90")
+        assert config_fingerprint(baseline_config()) == (
+            "ba90c5089a2eb15fdcd8179e2fbaaaec672d8049292e172084883bcde82bf80a")
+
+    def test_field_name_sets_name_config_fields(self):
+        # A mode deletion must not leave a stale name behind in any of
+        # the sets that list AnalyzerConfig fields by name.
+        from repro.fuzz.worker import _ANALYZER_OVERRIDES
+        from repro.serve.fingerprints import _NON_SEMANTIC_FIELDS
+        from repro.serve.jobs import CLIENT_FIELDS
+
+        fields = {f.name for f in dataclasses.fields(AnalyzerConfig)}
+        assert _NON_SEMANTIC_FIELDS <= fields, _NON_SEMANTIC_FIELDS - fields
+        assert CLIENT_FIELDS <= fields, CLIENT_FIELDS - fields
+        assert _ANALYZER_OVERRIDES <= fields, _ANALYZER_OVERRIDES - fields
 
     def test_degraded_effective_config_fingerprints_differently(self):
         # Every degradation rung mutates precision fields, so the
@@ -448,6 +472,9 @@ class TestDaemon:
         bad2 = c.submit([("a.c", "void main(){}")],
                         config={"checkpoint_path": "/tmp/x"})
         assert not bad2["ok"] and "not settable" in bad2["error"]
+        # The removed parallel engine's knob is refused, not ignored.
+        removed = c.submit([("a.c", "void main(){}")], config={"jobs": 2})
+        assert not removed["ok"] and "not settable" in removed["error"]
         unknown = c.request({"op": "frobnicate"})
         assert not unknown["ok"]
 

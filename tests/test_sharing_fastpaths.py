@@ -1,6 +1,6 @@
 """Sharing-aware lattice fast paths.
 
-The parallel engine leans on two structural guarantees:
+The incremental engine leans on two structural guarantees:
 
 * :class:`PMap` merges short-circuit on physical identity (``a is b``)
   without allocating a single tree node, and a merge of two maps that
