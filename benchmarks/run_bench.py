@@ -1,24 +1,16 @@
-"""Fig. 2 scaling suite: engine-mode A/B comparison.
+"""Fig. 2 scaling suite: incremental-vs-full engine A/B comparison.
 
 Runs the pinned-seed generated family at every Fig. 2 size through the
-CLI (``python -m repro.cli analyze --json --stats``) twice per size — in
-a fresh subprocess per run so peak RSS is per-run, not cumulative —
-checks that alarms and exit codes are bit-identical across modes, and
-writes the result table to a JSON file at the repo root.
-
-Two comparisons are supported (``--compare``):
-
-* ``incremental`` (default): ``--incremental`` (the default engine) vs
-  ``--no-incremental`` (full re-execution) — writes ``BENCH_4.json``;
-* ``vectorize``: the batched numpy lattice kernels (the default) vs
-  ``--no-vectorize`` (the scalar-oracle backend) — writes
-  ``BENCH_8.json``, including the ``--stats`` phase breakdown and the
-  vectorized-kernel counters per mode.
+CLI (``python -m repro.cli analyze --json --stats``) twice per size —
+``--no-incremental`` (full re-execution) and ``--incremental`` (the
+default engine), each in a fresh subprocess so peak RSS is per-run, not
+cumulative — checks that alarms and exit codes are bit-identical across
+the two, and writes the result table (``BENCH_4.json`` at the repo root
+by default), including the ``--stats`` phase breakdown per mode.
 
 Usage::
 
-    python benchmarks/run_bench.py [--compare vectorize] [--out PATH]
-                                   [--sizes 0.5 2.0]
+    python benchmarks/run_bench.py [--out PATH] [--sizes 0.5 2.0]
 """
 
 import argparse
@@ -36,22 +28,9 @@ sys.path.insert(0, HERE)
 
 from conftest import FAMILY_SEED, FIG2_SIZES, family_program  # noqa: E402
 
-#: --compare name -> (bench title, output file, (baseline, optimized)
-#: mode names, per-mode extra CLI flag).
-COMPARISONS = {
-    "incremental": {
-        "bench": "incremental-vs-full (Fig. 2 scaling suite)",
-        "out": "BENCH_4.json",
-        "baseline": ("full", ["--no-incremental"]),
-        "optimized": ("incremental", ["--incremental"]),
-    },
-    "vectorize": {
-        "bench": "vectorized-vs-scalar kernels (Fig. 2 scaling suite)",
-        "out": "BENCH_8.json",
-        "baseline": ("scalar", ["--no-vectorize"]),
-        "optimized": ("vectorized", ["--vectorize"]),
-    },
-}
+BENCH = "incremental-vs-full (Fig. 2 scaling suite)"
+#: (mode name, extra CLI flags): the baseline first.
+MODES = (("full", ["--no-incremental"]), ("incremental", ["--incremental"]))
 
 
 def _run_cli(args, env):
@@ -66,7 +45,7 @@ def _run_cli(args, env):
     return wall, json.loads(proc.stdout)
 
 
-def bench_size(kloc: float, workdir: str, comparison: dict) -> dict:
+def bench_size(kloc: float, workdir: str) -> dict:
     gp = family_program(kloc)
     src = os.path.join(workdir, f"family_{kloc}.c")
     with open(src, "w") as f:
@@ -80,7 +59,7 @@ def bench_size(kloc: float, workdir: str, comparison: dict) -> dict:
 
     row = {"kloc": kloc, "seed": FAMILY_SEED}
     payloads = {}
-    for mode, flags in (comparison["baseline"], comparison["optimized"]):
+    for mode, flags in MODES:
         wall, payload = _run_cli(base + flags, env)
         payloads[mode] = payload
         row[mode] = {
@@ -94,13 +73,8 @@ def bench_size(kloc: float, workdir: str, comparison: dict) -> dict:
             "peak_rss_kib": payload["peak_rss_kib"],
             "alarm_count": payload["alarm_count"],
             "exit_code": payload["exit_code"],
-            "vector_batches": payload["vector_batches"],
-            "vector_cells": payload["vector_cells"],
-            "vector_scalar_fallbacks": payload["vector_scalar_fallbacks"],
         }
-    base_name = comparison["baseline"][0]
-    opt_name = comparison["optimized"][0]
-    base_p, opt_p = payloads[base_name], payloads[opt_name]
+    base_p, opt_p = payloads["full"], payloads["incremental"]
     row["identical"] = (base_p["alarms"] == opt_p["alarms"]
                         and base_p["exit_code"] == opt_p["exit_code"]
                         and base_p["widening_iterations"]
@@ -116,32 +90,27 @@ def bench_size(kloc: float, workdir: str, comparison: dict) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--compare", choices=sorted(COMPARISONS),
-                    default="incremental")
-    ap.add_argument("--out", default=None,
-                    help="output path (default: the comparison's "
-                         "canonical BENCH_*.json at the repo root)")
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_4.json"),
+                    help="output path (default: BENCH_4.json at the "
+                         "repo root)")
     ap.add_argument("--sizes", nargs="*", type=float, default=FIG2_SIZES)
     args = ap.parse_args(argv)
-    comparison = COMPARISONS[args.compare]
-    out = args.out or os.path.join(ROOT, comparison["out"])
-    base_name = comparison["baseline"][0]
-    opt_name = comparison["optimized"][0]
 
     rows = []
     with tempfile.TemporaryDirectory() as workdir:
         for kloc in args.sizes:
-            row = bench_size(kloc, workdir, comparison)
+            row = bench_size(kloc, workdir)
             rows.append(row)
             print(f"{kloc:7.3f} kLOC:"
-                  f" {base_name} {row[base_name]['analysis_time_s']:7.2f}s"
-                  f"  {opt_name} {row[opt_name]['analysis_time_s']:7.2f}s"
+                  f" full {row['full']['analysis_time_s']:7.2f}s"
+                  f"  incremental"
+                  f" {row['incremental']['analysis_time_s']:7.2f}s"
                   f"  = {row['speedup']:.2f}x"
                   f"  (identical={row['identical']})")
 
     largest = max(rows, key=lambda r: r["kloc"])
     result = {
-        "bench": comparison["bench"],
+        "bench": BENCH,
         "seed": FAMILY_SEED,
         "host_cpus": os.cpu_count(),
         "sizes_kloc": args.sizes,
@@ -149,10 +118,10 @@ def main(argv=None) -> int:
         "largest_size_speedup": largest["speedup"],
         "all_identical": all(r["identical"] for r in rows),
     }
-    with open(out, "w") as f:
+    with open(args.out, "w") as f:
         json.dump(result, f, indent=2)
         f.write("\n")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     if not result["all_identical"]:
         print("ERROR: modes disagree on alarms/exit codes", file=sys.stderr)
         return 1

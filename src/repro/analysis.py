@@ -20,10 +20,9 @@ from .frontend import compile_source, link_sources
 from .frontend.ir import IRProgram
 from .iterator.alarms import Alarm, AlarmCollector
 from .iterator.iterator import Iterator
-from .iterator.state import AbstractState, AnalysisContext, LatticeMemo
+from .iterator.state import AbstractState, AnalysisContext
 from .memory.cells import CellTable
 from .numeric import FloatInterval, IntInterval
-from .numeric import interval_kernels
 from .packing.boolean_packs import compute_bool_packs
 from .packing.ellipsoid_sites import find_filter_sites
 from .packing.octagon_packs import compute_octagon_packs
@@ -87,20 +86,16 @@ class AnalysisResult:
     peak_rss_kib: int = 0
     # Incremental engine feedback (repro.iterator.incremental):
     # statement executions performed vs spliced from memoized records
-    # (skips are weighted by footprint span), and the hit/miss counts of
-    # the identity-keyed lattice memo.  stmts_executed also counts in
-    # full (non-incremental) mode, making the two comparable.
+    # (skips are weighted by footprint span).  stmts_executed also
+    # counts in full (non-incremental) mode, making the two comparable.
     incremental: bool = True
     stmts_executed: int = 0
     stmts_skipped: int = 0
+    # Always zero: the cost ledger's traced runs read these five by
+    # name (benchmarks/ledger/trace.py, RESULT_COUNTERS).  Nothing sets
+    # or renders them.
     lattice_memo_hits: int = 0
     lattice_memo_misses: int = 0
-    # Vectorized kernel feedback (repro.numeric.interval_kernels):
-    # whether the batched numpy backend was enabled, how many batched
-    # environment merges ran, how many cells they covered, and how many
-    # differing cells of engaged batches fell back to scalar ops
-    # (non-float, clocked, frozen or bottom cells).
-    vectorize: bool = True
     vector_batches: int = 0
     vector_cells: int = 0
     vector_scalar_fallbacks: int = 0
@@ -239,30 +234,20 @@ def _configure_sharing(config: AnalyzerConfig) -> None:
     """Size the process-global sharing caches (value intern pool and
     octagon closure memo) for this run.
 
-    All of them are gated on ``config.incremental``: ``--no-incremental``
-    is specified as a fallback to the pre-incremental engine, which had
+    Both are gated on ``config.incremental``: ``--no-incremental`` is
+    specified as a fallback to the pre-incremental engine, which had
     none of this machinery.  Disabling is always safe — the caches are
     value-preserving and only affect physical identity and wall time.
-
-    The vectorized kernel backend (``config.vectorize``) is configured
-    here too: it selects between the batched numpy kernels and the
-    scalar oracle for the environment lattice ops — bit-identical either
-    way, so it matters for wall time and counters, never for results.
     """
-    from .domains.octagon import configure_closure_memo
-    from .memory import environment
+    from .domains.octagon import CLOSURE_MEMO_CAPACITY, configure_closure_memo
     from .memory import interning
-    from .numeric import interval_kernels
 
     if config.incremental:
-        interning.configure(config.value_intern_size)
-        configure_closure_memo(config.closure_memo_size)
+        interning.configure(interning.POOL_CAPACITY)
+        configure_closure_memo(CLOSURE_MEMO_CAPACITY)
     else:
         interning.configure(0)
         configure_closure_memo(0)
-    environment.configure_vectorize(config.vectorize,
-                                    config.vectorize_min_cells)
-    interval_kernels.reset_stats()
 
 
 def _needs_supervisor(config: AnalyzerConfig) -> bool:
@@ -311,8 +296,6 @@ def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
                           oct_packs=oct_packs, bool_packs=bool_packs,
                           filter_sites=sites)
     _configure_sharing(config)
-    ctx.lattice_memo = LatticeMemo(
-        config.lattice_memo_size if config.incremental else 0)
     if sup is not None:
         sup.attach_context(ctx)
     packing_seconds = time.perf_counter() - start
@@ -332,7 +315,6 @@ def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
     elapsed = time.perf_counter() - start
     checking_seconds = max(0.0, elapsed - packing_seconds
                            - it.fixpoint_seconds)
-    _ik_stats = interval_kernels.stats()
     useful = frozenset(
         oct_packs.pack(pid).key for pid in ctx.useful_oct_packs
     )
@@ -368,12 +350,6 @@ def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
         incremental=config.incremental,
         stmts_executed=it.stmts_executed,
         stmts_skipped=it.stmts_skipped,
-        lattice_memo_hits=ctx.lattice_memo.hits,
-        lattice_memo_misses=ctx.lattice_memo.misses,
-        vectorize=config.vectorize,
-        vector_batches=_ik_stats["batches"],
-        vector_cells=_ik_stats["cells"],
-        vector_scalar_fallbacks=_ik_stats["fallbacks"],
         cross_run_seeded=0 if cross_run is None else cross_run.seeded,
         cross_run_hits=it.cross_run_hits,
         cross_run_spliced=it.cross_run_spliced,

@@ -1,13 +1,12 @@
 """Invariant certificates: engine-independent result validation.
 
-The analyzer has three execution paths to the same answer (full,
-incremental, vectorized) plus a journal-replay serving cache.
-Following Blazy et al. (*Formal Verification of a C Value Analysis
-Based on Abstract Interpretation*), none of them needs to be trusted:
-a result is *certified* by packaging its invariants into a
-content-addressed artifact and re-applying every transfer function
-exactly once over the certified states, checking only lattice
-containment —
+The analyzer has two execution paths to the same answer (full and
+incremental) plus a journal-replay serving cache.  Following Blazy et
+al. (*Formal Verification of a C Value Analysis Based on Abstract
+Interpretation*), none of them needs to be trusted: a result is
+*certified* by packaging its invariants into a content-addressed
+artifact and re-applying every transfer function exactly once over the
+certified states, checking only lattice containment —
 
 * ``F(pre) ⊑ post`` for every recorded atomic statement,
 * ``entry ∪ F(inv) ⊑ inv`` at every loop head (post-fixpoint
@@ -16,9 +15,10 @@ containment —
   re-application raises.
 
 The checker (:func:`check_certificate`) uses the abstract domains'
-``transfer``/``includes`` only — no widening, no narrowing, no memo/
-interning/vectorize machinery — so it cannot share a bug with
-any engine path.  See docs/soundness.md, "Result certification".
+``transfer``/``includes`` only — no widening, no narrowing, no
+interning or closure memo — so it cannot share a bug with any engine
+path.  It runs the same scalar lattice operations as the engine.  See
+docs/soundness.md, "Result certification".
 """
 
 from .api import (CertificateCheck, CertificationSummary, build_certificate,

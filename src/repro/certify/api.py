@@ -1,13 +1,13 @@
 """Emission and checking entry points.
 
 Both ends rebuild a *fresh, plain* analysis context from the source
-units: performance machinery is normalized away (no incremental
-engine, no vectorized kernels, no lattice memo, no interning, no
-supervisor budgets), while every semantic knob (domains, thresholds,
-widening/unrolling strategy, partitioning, input ranges, max_clock,
-packing) is kept verbatim — the walker must traverse the same program
-under the same abstract semantics the engine claims to have analyzed,
-but through none of the engine's optimization layers.
+units: performance machinery is normalized away (no incremental engine,
+no interning or closure memo, no supervisor budgets), while every
+semantic knob (domains, thresholds, widening/unrolling strategy,
+partitioning, input ranges, max_clock, packing) is kept verbatim — the
+walker must traverse the same program under the same abstract semantics
+the engine claims to have analyzed, but through none of the engine's
+optimization layers.
 
 Emission validates before it serializes: a certificate that this
 module returns has already passed the exact checks the independent
@@ -25,8 +25,8 @@ from typing import List, Sequence, Tuple, Union
 from ..config import AnalyzerConfig
 from ..errors import CertificateError, ReproError
 from ..frontend import link_sources
-from ..iterator.state import (AnalysisContext, LatticeMemo,
-                              get_active_context, set_active_context)
+from ..iterator.state import (AnalysisContext, get_active_context,
+                              set_active_context)
 from ..memory.cells import CellTable
 from ..packing.boolean_packs import compute_bool_packs
 from ..packing.ellipsoid_sites import find_filter_sites
@@ -91,9 +91,8 @@ def _normalize_sources(sources, filename: str) -> List[Tuple[str, str]]:
 def _plain_config(cfg: AnalyzerConfig) -> AnalyzerConfig:
     """Strip every performance/robustness layer; keep the semantics."""
     return cfg.with_overrides(
-        incremental=False, vectorize=False, trace=False,
-        lattice_memo_size=0, value_intern_size=0, closure_memo_size=0,
-        collect_invariants=False, certify=False,
+        incremental=False, trace=False, collect_invariants=False,
+        certify=False,
         wall_deadline_s=None, rss_limit_kib=None, stmt_timeout_s=None,
         checkpoint_path=None, resume_path=None, checkpoint_halt_after=None,
     )
@@ -117,7 +116,6 @@ def _fresh_context(sources: Sources, entry: str,
         oct_packs=compute_octagon_packs(prog, table, cfg),
         bool_packs=compute_bool_packs(prog, table, cfg),
         filter_sites=find_filter_sites(prog, table))
-    ctx.lattice_memo = LatticeMemo(0)
     _configure_sharing(cfg)
     set_active_context(ctx)
     return ctx
@@ -236,7 +234,6 @@ def build_certificate(result, sources, filename: str = "<input>") -> dict:
                 result.ctx.config),
             "engine": {
                 "incremental": bool(result.incremental),
-                "vectorize": bool(result.vectorize),
                 "cross_run_hits": int(result.cross_run_hits),
                 "widening_iterations": int(result.widening_iterations),
             },

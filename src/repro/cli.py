@@ -69,10 +69,6 @@ def _build_config(args) -> AnalyzerConfig:
         overrides["collect_invariants"] = True
     if getattr(args, "incremental", None) is not None:
         overrides["incremental"] = args.incremental
-    if getattr(args, "vectorize", None) is not None:
-        overrides["vectorize"] = args.vectorize
-    if getattr(args, "vectorize_min_cells", None) is not None:
-        overrides["vectorize_min_cells"] = args.vectorize_min_cells
     if getattr(args, "deadline", None) is not None:
         overrides["wall_deadline_s"] = args.deadline
     if getattr(args, "max_rss", None) is not None:
@@ -110,15 +106,6 @@ def _print_stats(result) -> None:
     pct = 100.0 * result.stmts_skipped / total if total else 0.0
     print(f"  statements ({mode}): executed={result.stmts_executed} "
           f"skipped={result.stmts_skipped} ({pct:.1f}% skipped)")
-    if result.incremental:
-        print(f"  lattice memo: hits={result.lattice_memo_hits} "
-              f"misses={result.lattice_memo_misses}")
-    if result.vectorize:
-        print(f"  vectorized kernels: batches={result.vector_batches} "
-              f"cells={result.vector_cells} "
-              f"scalar fallbacks={result.vector_scalar_fallbacks}")
-    else:
-        print("  vectorized kernels: off (scalar oracle)")
     if result.cross_run_seeded or result.cross_run_hits:
         print(f"  cross-run cache: seeded={result.cross_run_seeded} "
               f"hits={result.cross_run_hits} "
@@ -198,12 +185,6 @@ def cmd_analyze(args) -> int:
             payload["incremental"] = result.incremental
             payload["stmts_executed"] = result.stmts_executed
             payload["stmts_skipped"] = result.stmts_skipped
-            payload["lattice_memo_hits"] = result.lattice_memo_hits
-            payload["lattice_memo_misses"] = result.lattice_memo_misses
-            payload["vectorize"] = result.vectorize
-            payload["vector_batches"] = result.vector_batches
-            payload["vector_cells"] = result.vector_cells
-            payload["vector_scalar_fallbacks"] = result.vector_scalar_fallbacks
             payload["cross_run_seeded"] = result.cross_run_seeded
             payload["cross_run_hits"] = result.cross_run_hits
             payload["cross_run_spliced"] = result.cross_run_spliced
@@ -297,7 +278,6 @@ def cmd_fuzz(args) -> int:
         streams=args.streams,
         max_ticks=args.max_ticks,
         inject_crash=args.inject_crash,
-        exercise_no_vectorize=args.no_vectorize,
     )
 
     def progress(res) -> None:
@@ -530,19 +510,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     action="store_false",
                     help="fall back to full body re-execution (the "
                          "pre-incremental engine, no sharing caches)")
-    pa.add_argument("--vectorize", dest="vectorize",
-                    action="store_true", default=None,
-                    help="batched numpy lattice kernels for environment "
-                         "merges (the default; bit-identical results)")
-    pa.add_argument("--no-vectorize", dest="vectorize",
-                    action="store_false",
-                    help="fall back to the scalar environment-merge "
-                         "kernels (the differential-testing reference)")
-    pa.add_argument("--vectorize-min-cells", dest="vectorize_min_cells",
-                    type=int, default=None, metavar="N",
-                    help="crossover heuristic: minimum differing float "
-                         "cells in one environment merge before the "
-                         "batched kernel engages (default 16)")
     pa.add_argument("--certify", action="store_true",
                     help="record invariant certificates during the run and "
                          "validate the result by an independent "
@@ -636,11 +603,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     pf.add_argument("--min-kloc", type=float, default=0.06)
     pf.add_argument("--max-kloc", type=float, default=0.2)
     pf.add_argument("--max-mutations", type=int, default=3)
-    pf.add_argument("--no-vectorize", dest="no_vectorize",
-                    action="store_true",
-                    help="run every other case with the scalar-oracle "
-                         "kernels and differentially compare its "
-                         "verdict against the vectorized backend")
     pf.add_argument("--inject-crash", default=None, metavar="BLOCK",
                     help="fault injection: crash the worker on cases "
                          "whose program contains this block type "

@@ -94,28 +94,9 @@ class AnalyzerConfig:
     # read/write footprint disagrees with the memoized previous
     # execution, splicing recorded post-states for the rest.  Results
     # are bit-identical to full re-execution (--no-incremental).
+    # Also switches on the sharing caches (the cell-value intern pool
+    # and the octagon closure memo; see analysis._configure_sharing).
     incremental: bool = True
-    # Bounded LRU memo for AbstractState join/widen/includes, keyed on
-    # interned node identities (entries; 0 disables).
-    lattice_memo_size: int = 4096
-    # Bounded hash-consing pool for cell values (entries; 0 disables).
-    value_intern_size: int = 65536
-    # Bounded value-keyed memo for octagon closure (matrices; 0
-    # disables).  Incremental iteration preserves matrix identity across
-    # iterations, so closures of already-seen matrices recur constantly.
-    closure_memo_size: int = 8192
-
-    # -- vectorized lattice kernels (repro.numeric.interval_kernels) -------------
-    # Batched numpy kernels for the cell-wise FloatInterval lattice ops
-    # of environment merges.  Bit-identical to the scalar
-    # implementations, which remain the differential-testing oracle
-    # behind --no-vectorize; a pure performance knob, excluded from the
-    # checkpoint and serve compat fingerprints like ``incremental``.
-    vectorize: bool = True
-    # Crossover heuristic: minimum differing batchable float cells in
-    # one environment merge before the batched kernel path engages
-    # (below it, per-cell scalar ops beat the numpy call overhead).
-    vectorize_min_cells: int = 16
 
     # -- resource budgets (repro.supervisor) ------------------------------------
     # When any budget trips, the supervisor walks the soundness-
@@ -149,7 +130,7 @@ class AnalyzerConfig:
     # packages them into an engine-independent, content-addressed
     # artifact validated by ``astree-repro check-certificate``.  A pure
     # observation knob: results are unchanged, so it is excluded from the
-    # checkpoint and serve fingerprints like ``vectorize``.
+    # checkpoint and serve fingerprints like ``incremental``.
     certify: bool = False
 
     # -- reporting --------------------------------------------------------------------

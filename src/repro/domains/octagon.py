@@ -32,7 +32,8 @@ import numpy as np
 from ..numeric import FloatInterval, LinearForm
 from ..numeric.float_utils import add_up, div_up, mul_up
 
-__all__ = ["Octagon", "closure_memo_stats", "configure_closure_memo"]
+__all__ = ["CLOSURE_MEMO_CAPACITY", "Octagon", "closure_memo_stats",
+           "configure_closure_memo"]
 
 _INF = math.inf
 
@@ -45,7 +46,9 @@ _INF = math.inf
 # only the oldest insertions are dropped (a batch at a time), so a full
 # memo sheds cold entries instead of cold-starting the whole hot set
 # (it is a cache — dropping entries costs time, never correctness).
-# Off by default; analyze_program enables it for incremental runs.
+# Off by default; analyze_program enables it for incremental runs with
+# CLOSURE_MEMO_CAPACITY entries.
+CLOSURE_MEMO_CAPACITY = 8192
 _CLOSURE_MEMO: Dict[Tuple[bytes, Optional[Tuple[int, ...]]], "Octagon"] = {}
 _CLOSURE_MEMO_MAX = 0
 _CLOSURE_HITS = 0

@@ -69,12 +69,6 @@ class CampaignConfig:
     # Fault-injection hook, stamped onto every generated spec (see
     # CaseSpec.inject_crash); validates the triage/reduce pipeline.
     inject_crash: Optional[str] = None
-    # Vectorized-kernel differential mode: every other case runs on the
-    # scalar-oracle backend (analyzer override {"vectorize": False}) and
-    # the worker re-analyzes it vectorized, failing the case on any
-    # verdict drift.  Off by default; enabling it does not perturb the
-    # spec stream (no extra rng draws).
-    exercise_no_vectorize: bool = False
 
     def to_json(self) -> Dict:
         return {
@@ -89,7 +83,6 @@ class CampaignConfig:
             "streams": self.streams,
             "max_ticks": self.max_ticks,
             "inject_crash": self.inject_crash,
-            "exercise_no_vectorize": self.exercise_no_vectorize,
         }
 
 
@@ -118,12 +111,6 @@ class CaseResult:
             "wall_time_s": round(self.wall_time_s, 3),
             "case_size": case_size(self.spec),
         }
-        # Keep the slim report payload-free, but the vectorize
-        # differential verdict is one bool and CI gates want to see
-        # that the mode actually exercised cases.
-        if self.payload and "vectorize_differential" in self.payload:
-            out["vectorize_differential"] = \
-                self.payload["vectorize_differential"]
         if full:
             out["spec"] = self.spec.to_json()
             out["payload"] = self.payload
@@ -242,8 +229,6 @@ def generate_case_specs(config: CampaignConfig) -> List[CaseSpec]:
             streams=config.streams,
             max_ticks=config.max_ticks,
             inject_crash=config.inject_crash,
-            analyzer={"vectorize": False}
-            if config.exercise_no_vectorize and index % 2 == 1 else {},
         ))
     return specs
 

@@ -36,7 +36,7 @@ __all__ = ["execute_spec", "run_built_case", "main"]
 #: ``spec.analyzer`` is rejected so corpus files can't silently no-op).
 _ANALYZER_OVERRIDES = frozenset({
     "wall_deadline_s", "rss_limit_kib", "stmt_timeout_s", "incremental",
-    "widening_delay", "expand_threshold", "vectorize",
+    "widening_delay", "expand_threshold",
 })
 
 
@@ -66,24 +66,6 @@ def run_built_case(built: BuiltCase) -> Dict:
     prog = result.ctx.prog
     oracle = run_oracle(prog, result, built.input_ranges, spec.case_seed,
                         streams=spec.streams, max_ticks=spec.max_ticks)
-    vectorize_differential = None
-    if spec.analyzer.get("vectorize") is False:
-        # Differential oracle for the vectorized kernels: this case ran
-        # on the scalar-oracle backend; re-analyze with the batched
-        # numpy kernels and demand a bit-identical verdict.  Any drift
-        # is an unsoundness-grade finding (one backend must be wrong).
-        vec_cfg = _analyzer_config(spec, built)
-        vec_cfg.vectorize = True
-        vec = analyze(built.source, filename=f"<{spec.case_id}>",
-                      config=vec_cfg)
-        identical = (
-            [(a.kind, a.loc.line, a.message) for a in result.alarms]
-            == [(a.kind, a.loc.line, a.message) for a in vec.alarms]
-            and result.alarm_count == vec.alarm_count
-            and result.exit_code == vec.exit_code
-            and result.widening_iterations == vec.widening_iterations
-        )
-        vectorize_differential = {"identical": identical}
     certified = None
     certify_error = None
     if not result.degraded:
@@ -107,9 +89,6 @@ def run_built_case(built: BuiltCase) -> Dict:
         outcome = "unsound"
     elif certified is False:
         outcome = "unsound"
-    elif vectorize_differential is not None \
-            and not vectorize_differential["identical"]:
-        outcome = "unsound"
     else:
         outcome = "sound"
     payload = {
@@ -132,8 +111,6 @@ def run_built_case(built: BuiltCase) -> Dict:
         payload["certified"] = certified
     if certify_error is not None:
         payload["certify_error"] = certify_error
-    if vectorize_differential is not None:
-        payload["vectorize_differential"] = vectorize_differential
     return payload
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -40,8 +39,8 @@ from ..packing.boolean_packs import BoolPacking
 from ..packing.ellipsoid_sites import FilterSites
 from ..packing.octagon_packs import OctagonPacking
 
-__all__ = ["AnalysisContext", "AbstractState", "LatticeMemo",
-           "set_active_context", "get_active_context"]
+__all__ = ["AnalysisContext", "AbstractState", "set_active_context",
+           "get_active_context"]
 
 # Process-wide context registry (checkpoint/resume and certificate
 # support).  Pickled AbstractStates carry domain content only; the heavy
@@ -69,71 +68,6 @@ def _rebuild_state(env, octagons, dtrees, ellipsoids):
     return AbstractState(ctx, env, octagons, dtrees, ellipsoids)
 
 
-class LatticeMemo:
-    """Bounded LRU memo for the binary lattice operations on
-    :class:`AbstractState` (join/widen/includes).
-
-    Keys are built from the *physical identities* of the operands'
-    component roots (plus the value-compared clock and bottom flags):
-    states are immutable, so two operands with identical roots are the
-    same lattice elements, and the operations are pure functions of
-    their operands (given a fixed configuration) — a memoized result is
-    exactly what recomputation would return.  Entries hold strong
-    references to both operands, so the ids in a live key can never be
-    reused by the allocator; evicting an entry drops the key and the
-    references together.
-
-    The memo must be flushed whenever the effective configuration
-    changes (the supervisor's degradation ladder mutates thresholds and
-    domain-enable flags in place): ``AnalysisContext.
-    invalidate_derived_caches`` does this alongside bumping the
-    config generation the incremental executors check.
-    """
-
-    __slots__ = ("maxsize", "hits", "misses", "_entries")
-
-    def __init__(self, maxsize: int = 4096):
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        # key -> (state_a, state_b, result); insertion order is LRU.
-        self._entries: "OrderedDict" = OrderedDict()
-
-    def __reduce__(self):
-        # Memo contents are identity-keyed and therefore meaningless in
-        # another process: pickle to a fresh, empty memo.
-        return (LatticeMemo, (self.maxsize,))
-
-    @property
-    def enabled(self) -> bool:
-        return self.maxsize > 0
-
-    @staticmethod
-    def state_key(st: "AbstractState"):
-        env = st.env
-        return (env.bottom, id(env.cells._root), env.clock,
-                id(st.octagons._root), id(st.dtrees._root),
-                id(st.ellipsoids._root))
-
-    def lookup(self, key):
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def store(self, key, a, b, result) -> None:
-        entries = self._entries
-        entries[key] = (a, b, result)
-        if len(entries) > self.maxsize:
-            entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
 @dataclass
 class AnalysisContext:
     """Immutable-per-analysis shared data plus mutable statistics."""
@@ -147,12 +81,9 @@ class AnalysisContext:
     # Mutable usefulness records (Sect. 7.2.2).
     useful_oct_packs: Set[int] = field(default_factory=set)
     useful_bool_packs: Set[int] = field(default_factory=set)
-    # Bounded memo for join/widen/includes (sized by config in
-    # analyze_program; see LatticeMemo).
-    lattice_memo: LatticeMemo = field(default_factory=LatticeMemo)
     # Bumped whenever the effective configuration mutates mid-run (the
-    # degradation ladder); identity-keyed caches (the lattice memo, the
-    # incremental executors' footprints and records) revalidate on it.
+    # degradation ladder); identity-keyed caches (the incremental
+    # executors' footprints and records) revalidate on it.
     config_generation: int = 0
     # Wall time spent inside AbstractState lattice ops (join/widen/
     # narrow/includes) — the lattice half of the transfer-vs-lattice
@@ -163,7 +94,6 @@ class AnalysisContext:
         """Mid-run configuration change: flush every cache whose keys or
         results depend on the configuration."""
         self.config_generation += 1
-        self.lattice_memo.clear()
 
     def thresholds(self) -> Optional[Sequence[float]]:
         ts = self.config.thresholds
@@ -278,31 +208,18 @@ class AbstractState:
 
     # -- lattice -----------------------------------------------------------------------
     #
-    # The public join/widen/includes route through a bounded LRU memo
-    # keyed on the operands' component-root identities (see LatticeMemo)
-    # and accumulate wall time into ctx.lattice_seconds for the
-    # transfer-vs-lattice profile split.  The *_impl methods hold the
-    # actual domain logic and are pure functions of (operands, config),
-    # which is what makes the memoization sound.
+    # The public join/widen/narrow/includes accumulate wall time into
+    # ctx.lattice_seconds for the transfer-vs-lattice profile split; the
+    # *_impl methods hold the domain logic.
 
     def join(self, other: "AbstractState") -> "AbstractState":
         if self.is_bottom:
             return other
         if other.is_bottom:
             return self
-        memo = self.ctx.lattice_memo
         t0 = time.perf_counter()
         try:
-            if not memo.enabled:
-                return self._join_impl(other)
-            key = ("join", LatticeMemo.state_key(self),
-                   LatticeMemo.state_key(other))
-            entry = memo.lookup(key)
-            if entry is not None:
-                return entry[2]
-            res = self._join_impl(other)
-            memo.store(key, self, other, res)
-            return res
+            return self._join_impl(other)
         finally:
             self.ctx.lattice_seconds += time.perf_counter() - t0
 
@@ -330,21 +247,9 @@ class AbstractState:
             return other
         if other.is_bottom:
             return self
-        memo = self.ctx.lattice_memo
         t0 = time.perf_counter()
         try:
-            # frozen_cids (delayed widening) is per-iteration context the
-            # identity key cannot capture: only the plain form memoizes.
-            if not memo.enabled or frozen_cids is not None:
-                return self._widen_impl(other, frozen_cids)
-            key = ("widen", LatticeMemo.state_key(self),
-                   LatticeMemo.state_key(other))
-            entry = memo.lookup(key)
-            if entry is not None:
-                return entry[2]
-            res = self._widen_impl(other, None)
-            memo.store(key, self, other, res)
-            return res
+            return self._widen_impl(other, frozen_cids)
         finally:
             self.ctx.lattice_seconds += time.perf_counter() - t0
 
@@ -414,19 +319,9 @@ class AbstractState:
             return True
         if self.is_bottom:
             return False
-        memo = self.ctx.lattice_memo
         t0 = time.perf_counter()
         try:
-            if not memo.enabled:
-                return self._includes_impl(other)
-            key = ("incl", LatticeMemo.state_key(self),
-                   LatticeMemo.state_key(other))
-            entry = memo.lookup(key)
-            if entry is not None:
-                return entry[2]
-            res = self._includes_impl(other)
-            memo.store(key, self, other, res)
-            return res
+            return self._includes_impl(other)
         finally:
             self.ctx.lattice_seconds += time.perf_counter() - t0
 

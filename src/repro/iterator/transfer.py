@@ -55,6 +55,11 @@ class Transfer:
     def __init__(self, ctx: AnalysisContext, alarms: AlarmCollector):
         self.ctx = ctx
         self.alarms = alarms
+        # Global var uid -> source name (volatile input ranges are keyed
+        # by source name); the first global with a uid names it.
+        self.source_names: Dict[int, str] = {}
+        for v in ctx.prog.globals:
+            self.source_names.setdefault(v.uid, v.name)
         # Call-by-reference bindings of the current call stack:
         # param var uid -> actual LValue (grows/shrinks with inlined calls).
         self.bindings: List[Dict[int, I.LValue]] = [{}]
@@ -150,7 +155,7 @@ class Transfer:
         return state, v
 
     def ctx_volatile_range(self, cell: CellInfo) -> CellValue:
-        name = _var_source_name(self.ctx, cell)
+        name = self.source_names.get(cell.var_uid, cell.name)
         rng = self.ctx.config.input_ranges.get(name)
         if rng is None:
             return top_value(cell.ctype)
@@ -570,10 +575,3 @@ def _expr_ctype(e: I.Expr):
     if isinstance(e, I.Load):
         return e.lval.ctype
     return e.ctype
-
-
-def _var_source_name(ctx: AnalysisContext, cell: CellInfo) -> str:
-    for v in ctx.prog.globals:
-        if v.uid == cell.var_uid:
-            return v.name
-    return cell.name

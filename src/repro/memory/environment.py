@@ -12,102 +12,14 @@ environments, i.e. unreachable code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from ..domains.values import CellValue, ClockInfo
-from ..numeric import FloatInterval
-from ..numeric import interval_kernels as _kernels
 from . import interning
-from .cells import CellInfo, CellTable
 from .fmap import PMap
 
-__all__ = ["MemoryEnv", "configure_vectorize", "vectorize_enabled"]
-
-
-# -- vectorized merge path (repro.numeric.interval_kernels) ------------------
-#
-# When two environments differ on many float cells at once, the
-# per-cell scalar combine is replaced by one batched kernel call: the
-# differing cells' bounds are gathered into lo/hi planes, the kernel
-# produces the combined planes, and the merge's combine function reads
-# the rebuilt CellValues out of a precomputed dict.  Everything the
-# scalar path guarantees is preserved: ``a == b`` cells still return
-# ``a`` itself (so PMap sharing shortcuts and the hash-consing/memo
-# invariants of the incremental engine see physically unchanged
-# subtrees), non-float cells, clocked cells, frozen widening cells and
-# bottom values fall back to the scalar ops, and the kernels are
-# bit-identical picks (see interval_kernels).  Below the crossover the
-# scalar path runs unchanged — numpy call overhead beats a tiny batch.
-
-_VECTORIZE = True
-_MIN_CELLS = 16
-
-
-def configure_vectorize(enabled: bool, min_cells: int = 16) -> None:
-    """Configure the batched merge path for this process: enable flag
-    and the crossover (minimum differing batchable cells before one
-    kernel call replaces the per-cell scalar combine)."""
-    global _VECTORIZE, _MIN_CELLS
-    _VECTORIZE = bool(enabled)
-    _MIN_CELLS = max(1, int(min_cells))
-
-
-def vectorize_enabled() -> bool:
-    return _VECTORIZE
-
-
-def _batchable(v: CellValue) -> bool:
-    """Cells the kernels may combine: plain float intervals, no clocked
-    components, not bottom (scalar join/widen return the *other operand
-    object* for bottom — the scalar path preserves that)."""
-    return (v.minus_clock is None and v.plus_clock is None
-            and type(v.itv) is FloatInterval and not v.itv.is_empty)
-
-
-def _gather_pairs(mine: PMap, theirs: PMap,
-                  frozen_cids: Optional[set] = None
-                  ) -> Optional[List[Tuple[int, CellValue, CellValue]]]:
-    """The differing batchable (cid, a, b) pairs of two cell maps, or
-    None when below the crossover (the scalar path is cheaper)."""
-    pairs: List[Tuple[int, CellValue, CellValue]] = []
-    for cid in mine.diff_keys(theirs):
-        va = mine.get(cid)
-        if va is None:
-            continue
-        vb = theirs.get(cid)
-        if vb is None or va is vb or va == vb:
-            continue
-        if frozen_cids is not None and cid in frozen_cids:
-            continue
-        if _batchable(va) and _batchable(vb):
-            pairs.append((cid, va, vb))
-    if len(pairs) < _MIN_CELLS:
-        return None
-    return pairs
-
-
-def _pair_planes(pairs):
-    n = len(pairs)
-    a_lo = np.fromiter((p[1].itv.lo for p in pairs), np.float64, count=n)
-    a_hi = np.fromiter((p[1].itv.hi for p in pairs), np.float64, count=n)
-    b_lo = np.fromiter((p[2].itv.lo for p in pairs), np.float64, count=n)
-    b_hi = np.fromiter((p[2].itv.hi for p in pairs), np.float64, count=n)
-    return a_lo, a_hi, b_lo, b_hi
-
-
-def _rebuild(pairs, out_lo: np.ndarray, out_hi: np.ndarray
-             ) -> Dict[int, CellValue]:
-    """cid -> fresh CellValue from the kernel's bound planes.  Fresh and
-    un-interned, exactly like the scalar combine's ``a.join(b)`` result
-    (interning happens only at MemoryEnv.set/weak_set)."""
-    lo = out_lo.tolist()
-    hi = out_hi.tolist()
-    _kernels.note_batch(len(pairs))
-    return {pairs[i][0]: CellValue(FloatInterval(lo[i], hi[i]))
-            for i in range(len(pairs))}
+__all__ = ["MemoryEnv"]
 
 
 @dataclass(frozen=True)
@@ -210,28 +122,9 @@ class MemoryEnv:
             return other
         if other.bottom:
             return self
-        pre: Optional[Dict[int, CellValue]] = None
-        if _VECTORIZE:
-            pairs = _gather_pairs(self.cells, other.cells)
-            if pairs is not None:
-                out_lo, out_hi = _kernels.batch_join(*_pair_planes(pairs))
-                pre = _rebuild(pairs, out_lo, out_hi)
-
-        if pre is None:
-            combine = lambda cid, a, b: a if a == b else a.join(b)  # noqa: E731
-        else:
-            def combine(cid, a, b):
-                if a == b:
-                    return a
-                v = pre.get(cid)
-                if v is not None:
-                    return v
-                _kernels.note_fallback()
-                return a.join(b)
-
         cells = self.cells.merge(
             other.cells,
-            combine,
+            lambda cid, a, b: a if a == b else a.join(b),
             missing_self=lambda cid, b: b,
             missing_other=lambda cid, a: a,
         )
@@ -249,26 +142,12 @@ class MemoryEnv:
             return other
         if other.bottom:
             return self
-        pre: Optional[Dict[int, CellValue]] = None
-        if _VECTORIZE:
-            pairs = _gather_pairs(self.cells, other.cells, frozen_cids)
-            if pairs is not None:
-                ladder = (None if thresholds is None
-                          else _kernels.ladder_array(thresholds))
-                out_lo, out_hi = _kernels.batch_widen(
-                    *_pair_planes(pairs), ladder)
-                pre = _rebuild(pairs, out_lo, out_hi)
 
         def combine(cid, a: CellValue, b: CellValue) -> CellValue:
             if a == b:
                 return a
             if frozen_cids is not None and cid in frozen_cids:
                 return a.join(b)
-            if pre is not None:
-                v = pre.get(cid)
-                if v is not None:
-                    return v
-                _kernels.note_fallback()
             return a.widen(b, thresholds)
 
         cells = self.cells.merge(
@@ -282,28 +161,9 @@ class MemoryEnv:
     def narrow(self, other: "MemoryEnv") -> "MemoryEnv":
         if self.bottom or other.bottom:
             return other
-        pre: Optional[Dict[int, CellValue]] = None
-        if _VECTORIZE:
-            pairs = _gather_pairs(self.cells, other.cells)
-            if pairs is not None:
-                out_lo, out_hi = _kernels.batch_narrow(*_pair_planes(pairs))
-                pre = _rebuild(pairs, out_lo, out_hi)
-
-        if pre is None:
-            combine = lambda cid, a, b: a if a == b else a.narrow(b)  # noqa: E731
-        else:
-            def combine(cid, a, b):
-                if a == b:
-                    return a
-                v = pre.get(cid)
-                if v is not None:
-                    return v
-                _kernels.note_fallback()
-                return a.narrow(b)
-
         cells = self.cells.merge(
             other.cells,
-            combine,
+            lambda cid, a, b: a if a == b else a.narrow(b),
             missing_self=lambda cid, b: b,
             missing_other=lambda cid, a: a,
         )
@@ -313,24 +173,12 @@ class MemoryEnv:
         if self.bottom or other.bottom:
             return self.to_bottom()
         saw_empty = False
-        pre: Optional[Dict[int, CellValue]] = None
-        if _VECTORIZE:
-            pairs = _gather_pairs(self.cells, other.cells)
-            if pairs is not None:
-                out_lo, out_hi = _kernels.batch_meet(*_pair_planes(pairs))
-                pre = _rebuild(pairs, out_lo, out_hi)
 
         def combine(cid, a: CellValue, b: CellValue) -> CellValue:
             nonlocal saw_empty
             if a == b:
                 return a
-            m = None
-            if pre is not None:
-                m = pre.get(cid)
-                if m is None:
-                    _kernels.note_fallback()
-            if m is None:
-                m = a.meet(b)
+            m = a.meet(b)
             if m.is_bottom:
                 saw_empty = True
             return m
@@ -355,12 +203,6 @@ class MemoryEnv:
             return False
         if self.cells._root is other.cells._root:  # physical shortcut
             return True
-        # Batchable pairs are deferred into bound planes and checked
-        # with one kernel call when numerous enough; everything else
-        # keeps the scalar per-cell check.  The verdict is a bool, so
-        # batching trivially preserves bit-identity (the scalar loop's
-        # early exit only skips work, never changes the answer).
-        deferred: List[Tuple[CellValue, CellValue]] = []
         for cid in self.cells.diff_keys(other.cells):
             mine = self.cells.get(cid)
             theirs = other.cells.get(cid)
@@ -368,34 +210,8 @@ class MemoryEnv:
                 continue
             if mine is None:
                 return False
-            if mine is theirs:
-                continue
-            if (_VECTORIZE
-                    and mine.minus_clock is None and mine.plus_clock is None
-                    and type(mine.itv) is FloatInterval
-                    and type(theirs.itv) is FloatInterval):
-                deferred.append((mine, theirs))
-            elif not mine.includes(theirs):
+            if mine is not theirs and not mine.includes(theirs):
                 return False
-        if deferred:
-            if len(deferred) >= _MIN_CELLS:
-                n = len(deferred)
-                a_lo = np.fromiter((p[0].itv.lo for p in deferred),
-                                   np.float64, count=n)
-                a_hi = np.fromiter((p[0].itv.hi for p in deferred),
-                                   np.float64, count=n)
-                b_lo = np.fromiter((p[1].itv.lo for p in deferred),
-                                   np.float64, count=n)
-                b_hi = np.fromiter((p[1].itv.hi for p in deferred),
-                                   np.float64, count=n)
-                _kernels.note_batch(n)
-                ok = _kernels.batch_includes(a_lo, a_hi, b_lo, b_hi)
-                if not bool(ok.all()):
-                    return False
-            else:
-                for mine, theirs in deferred:
-                    if not mine.includes(theirs):
-                        return False
         # Keys only in other:
         for cid in other.cells.diff_keys(self.cells):
             if cid not in self.cells:

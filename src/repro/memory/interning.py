@@ -18,7 +18,8 @@ replaced by an ``==``-equal value, and the whole analyzer already treats
 when ``a == b``, dropping ``b``'s identity).  The only observable effect
 is that the physical-identity fast paths fire far more often.
 
-The pool is process-global and bounded: when it reaches the configured capacity it is simply cleared —
+The pool is process-global and bounded: when it reaches its capacity
+(:data:`POOL_CAPACITY` for incremental runs) it is simply cleared —
 interning is a cache, and dropping it costs sharing, never correctness.
 """
 
@@ -26,12 +27,17 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-__all__ = ["configure", "intern_value", "intern_stats", "clear"]
+__all__ = ["POOL_CAPACITY", "configure", "intern_value", "intern_stats",
+           "clear"]
+
+#: Pool capacity (entries) that analyze_program configures for
+#: incremental runs.
+POOL_CAPACITY = 65536
 
 # value -> canonical representative.  Keys and values are the same
 # objects; CellValue is a frozen (hashable) dataclass.
 _POOL: Dict[object, object] = {}
-_MAX: int = 65536
+_MAX: int = POOL_CAPACITY
 _ENABLED: bool = True
 _HITS: int = 0
 _MISSES: int = 0

@@ -29,12 +29,6 @@ def render_markdown(result: AnalysisResult, title: str = "Analysis report") -> s
         lines.append(f"* statements ({mode}): {result.stmts_executed} "
                      f"executed, {result.stmts_skipped} skipped "
                      f"({pct:.1f}%)")
-    if result.vectorize:
-        lines.append(f"* vectorized kernels: {result.vector_batches} "
-                     f"batches over {result.vector_cells} cells "
-                     f"({result.vector_scalar_fallbacks} scalar fallbacks)")
-    else:
-        lines.append("* vectorized kernels: off (scalar oracle)")
     lines.append(f"* octagon packs: {result.octagon_pack_count} "
                  f"({len(result.useful_octagon_packs)} useful, "
                  f"avg size {result.octagon_pack_avg_size:.1f})")
@@ -110,17 +104,9 @@ def render_json(result: AnalysisResult) -> str:
             "enabled": result.incremental,
             "stmts_executed": result.stmts_executed,
             "stmts_skipped": result.stmts_skipped,
-            "lattice_memo_hits": result.lattice_memo_hits,
-            "lattice_memo_misses": result.lattice_memo_misses,
             "cross_run_seeded": result.cross_run_seeded,
             "cross_run_hits": result.cross_run_hits,
             "cross_run_spliced": result.cross_run_spliced,
-        },
-        "vectorize": {
-            "enabled": result.vectorize,
-            "batches": result.vector_batches,
-            "cells": result.vector_cells,
-            "scalar_fallbacks": result.vector_scalar_fallbacks,
         },
         "packing": {
             "octagon_packs": result.octagon_pack_count,

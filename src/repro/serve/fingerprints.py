@@ -29,11 +29,11 @@ Three layers of keys, from coarse to fine:
 
 The configuration fingerprint covers every knob that can change the
 verdict (domains, thresholds, unrolling, ranges, partitioning) and
-deliberately excludes the sharing/performance knobs (incremental,
-memo sizes, vectorize) and the resource budgets: results are bit-identical
-across the former, and budgets only decide whether a run *finishes* at
-full precision — degraded runs are never cached (see repro.serve.cache),
-so budget settings must not fragment the key space.  The supervisor's
+deliberately excludes the performance knob (incremental) and the
+resource budgets: results are bit-identical across the former, and
+budgets only decide whether a run *finishes* at full precision —
+degraded runs are never cached (see repro.serve.cache), so budget
+settings must not fragment the key space.  The supervisor's
 degradation ladder mutates precision fields in place, hence a degraded
 effective configuration always fingerprints differently from the
 requested one.
@@ -75,9 +75,7 @@ def source_digest(sources: Sequence[Tuple[str, str]]) -> str:
 # Performance/robustness knobs that cannot change a (non-degraded)
 # verdict: excluded from the configuration fingerprint on purpose.
 _NON_SEMANTIC_FIELDS = frozenset({
-    "incremental", "lattice_memo_size", "value_intern_size",
-    "closure_memo_size", "vectorize", "vectorize_min_cells",
-    "wall_deadline_s", "rss_limit_kib", "stmt_timeout_s",
+    "incremental", "wall_deadline_s", "rss_limit_kib", "stmt_timeout_s",
     "watchdog_interval_s", "checkpoint_path", "checkpoint_every",
     "resume_path", "checkpoint_halt_after", "certify",
 })

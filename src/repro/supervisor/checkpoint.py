@@ -60,13 +60,11 @@ def context_fingerprint(ctx) -> str:
     producing silently wrong (key-shifted) states, and so is one written
     by a build with another ``SEMANTICS_VERSION``.
 
-    Deliberately excluded: the sharing/memoization knobs (incremental,
-    lattice_memo_size, value_intern_size, closure_memo_size) and the
-    vectorized-kernel knobs (vectorize, vectorize_min_cells — the
-    batched numpy backend is bit-identical to the scalar oracle).  They
-    affect physical identity and wall time only — results are
-    bit-identical across their settings — so a checkpoint written
-    under one setting must resume under any other.  (The intern pools are
+    Deliberately excluded: ``incremental``, which also switches the
+    sharing caches (intern pool, closure memo).  It affects physical
+    identity and wall time only — results are bit-identical across its
+    settings — so a checkpoint written under one setting must resume
+    under the other.  (The intern pools are
     process-local and a checkpoint never refers to them: a checkpoint is
     one pickle stream, so its states come back sharing the subtrees
     they shared when written, and values computed after the resume are

@@ -19,7 +19,7 @@ from repro.fuzz import (
     verdict_digest,
 )
 from repro.fuzz.mutators import MUTATION_KINDS, apply_mutations
-from repro.fuzz.worker import execute_spec
+from repro.fuzz.worker import _analyzer_config, execute_spec
 
 
 def spec_with(**kw):
@@ -170,6 +170,14 @@ class TestWorkerAndRunner:
                                      "depth": 40}])
         out = InProcessRunner().run_spec(spec)
         assert out.outcome in ("sound", "rejected")
+
+    def test_removed_override_is_refused(self):
+        # Old corpus files that ran the scalar-kernel mode must fail
+        # loudly, not silently replay under a different mode.
+        spec = spec_with(analyzer={"vectorize": False})
+        with pytest.raises(ValueError, match=r"unknown analyzer "
+                                             r"overrides: \['vectorize'\]"):
+            _analyzer_config(spec, build_case(spec))
 
 
 class TestTriage:

@@ -3,7 +3,7 @@
 The incremental executor (repro.iterator.incremental) skips statements
 whose footprint slice of the state is unchanged since their last
 execution and splices the memoized post-states; interning and the
-lattice/closure memos make the identity fast paths it relies on hot.
+closure memo make the identity fast paths it relies on hot.
 All of it is claimed to be *bit-identical* to full re-execution — these
 tests hold that claim against ``--no-incremental`` across a seeded
 sweep of generated family programs (mixed nested loops, branches, calls
@@ -25,7 +25,6 @@ from repro.domains.octagon import (Octagon, closure_memo_stats,
                                    configure_closure_memo)
 from repro.errors import SupervisorHalt
 from repro.frontend import compile_source
-from repro.iterator.state import LatticeMemo
 from repro.memory import interning
 from repro.synth import FamilySpec, generate_program
 
@@ -231,44 +230,6 @@ class TestInterning:
         e1 = MemoryEnv.initial().set(0, CellValue(IntInterval.of(5, 9)))
         e2 = MemoryEnv.initial().set(1, CellValue(IntInterval.of(5, 9)))
         assert e1.get(0) is e2.get(1)
-
-
-class TestLatticeMemo:
-    def test_hit_and_miss_counting(self):
-        memo = LatticeMemo(maxsize=4)
-        assert memo.enabled
-        assert memo.lookup("k") is None
-        memo.store("k", "a", "b", "r")
-        assert memo.lookup("k") == ("a", "b", "r")
-        assert memo.hits == 1 and memo.misses == 1
-
-    def test_lru_eviction(self):
-        memo = LatticeMemo(maxsize=2)
-        memo.store("k1", 1, 1, 1)
-        memo.store("k2", 2, 2, 2)
-        memo.lookup("k1")  # refresh: k2 becomes LRU
-        memo.store("k3", 3, 3, 3)
-        assert memo.lookup("k2") is None
-        assert memo.lookup("k1") is not None
-
-    def test_zero_size_disables(self):
-        memo = LatticeMemo(maxsize=0)
-        assert not memo.enabled
-
-    def test_memoized_join_is_identical(self):
-        # End-to-end: joining the same two states twice returns the
-        # memoized result object the second time.
-        prog, cfg = _family(0.05, 5)
-        res = analyze_program(prog, cfg)
-        invs = [st for st in res.loop_invariants.values()
-                if not st.is_bottom]
-        assert len(invs) >= 1
-        a = invs[0]
-        b = invs[-1]
-        assert res.ctx.lattice_memo.enabled
-        j1 = a.join(b)
-        j2 = a.join(b)
-        assert j1 is j2
 
 
 class TestOctagonSharing:

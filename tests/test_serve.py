@@ -60,12 +60,12 @@ class TestFingerprints:
             dataclasses.replace(cfg, max_widening_iterations=7))
         # ...performance/robustness knobs do not.
         assert fp == config_fingerprint(
-            dataclasses.replace(cfg, vectorize=False))
+            dataclasses.replace(cfg, certify=True))
         assert fp == config_fingerprint(
             dataclasses.replace(cfg, incremental=False))
         assert fp == config_fingerprint(
             dataclasses.replace(cfg, wall_deadline_s=1.0,
-                                closure_memo_size=1))
+                                checkpoint_every=3))
 
     def test_config_fingerprint_pinned(self):
         # Deleting a non-semantic config field must not move any serve

@@ -369,9 +369,13 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize("argv", [
         ["--jobs", "2"],
+        ["--no-vectorize"],
+        ["--vectorize-min-cells", "4"],
         ["--no-such-flag"],
         ["--max-clock", "abc"],
-    ], ids=["removed-jobs-flag", "unknown-flag", "bad-int-value"])
+    ], ids=["removed-jobs-flag", "removed-no-vectorize-flag",
+            "removed-vectorize-min-cells-flag", "unknown-flag",
+            "bad-int-value"])
     def test_usage_error_is_3(self, tmp_path, argv):
         # argparse's own exit 2 would read as a degraded verdict.
         f = tmp_path / "loop.c"
