@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
-from ..config import AnalyzerConfig
+from ..config import AnalyzerConfig, config_fingerprint
 from ..errors import CertificateError, ReproError
 from ..frontend import link_sources
 from ..iterator.state import (AnalysisContext, get_active_context,
@@ -31,8 +31,7 @@ from ..memory.cells import CellTable
 from ..packing.boolean_packs import compute_bool_packs
 from ..packing.ellipsoid_sites import find_filter_sites
 from ..packing.octagon_packs import compute_octagon_packs
-from ..serve.fingerprints import (config_fingerprint, source_digest,
-                                  stable_ordinals)
+from ..serve.fingerprints import source_digest, stable_ordinals
 from .artifact import (CERT_FORMAT, CERT_VERSION, StateTable, decode_config,
                        decode_states, encode_config, encode_state,
                        load_certificate, payload_digest, validate_envelope)

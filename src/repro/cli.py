@@ -342,7 +342,6 @@ def cmd_serve(args) -> int:
         job_rss_limit_kib=(int(args.job_max_rss * 1024)
                            if args.job_max_rss else None),
         job_hard_timeout_s=args.job_hard_timeout,
-        isolate_jobs=args.isolate_jobs,
         drain_deadline_s=args.drain_deadline,
         backoff_seed=args.backoff_seed,
         certify_serve=args.certify_serve,
@@ -357,8 +356,8 @@ def cmd_serve(args) -> int:
         for sig in (signal.SIGTERM, signal.SIGINT):
             previous[sig] = signal.signal(
                 sig, lambda signum, frame: server.stop())
-    mode = "isolated worker" if sc.isolate_jobs else "in-process"
-    print(f"astree-repro serve: listening on {args.socket} ({mode})"
+    print(f"astree-repro serve: listening on {args.socket} "
+          "(isolated worker)"
           + (f", cache at {args.cache_dir}" if args.cache_dir else
              ", in-memory caches"), flush=True)
     try:
@@ -411,31 +410,6 @@ def cmd_client(args) -> int:
                                          for k, v in ranges.items()}
         if args.max_clock is not None:
             overrides["max_clock"] = args.max_clock
-
-        if args.edit_loop:
-            if len(sources) != 1:
-                print("error: --edit-loop takes exactly one source file",
-                      file=sys.stderr)
-                return int(ExitCode.INTERNAL_ERROR)
-            name, text = sources[0]
-            summary = client.edit_loop(name, text, args.edit_loop,
-                                       entry=args.entry, config=overrides)
-            if args.json:
-                print(json.dumps(summary, indent=2))
-            else:
-                for row in summary["rounds"]:
-                    tag = "exact-hit" if row["cached"] else "run"
-                    ident = ("" if "bit_identical" not in row else
-                             " bit-identical" if row["bit_identical"]
-                             else " MISMATCH")
-                    print(f"round {row['round']:>3}: {tag:<9} "
-                          f"{row['server_wall_s']*1000:9.2f} ms  "
-                          f"cross-run hits {row['cross_run_hits']:>4}"
-                          f"{ident}")
-                print(f"cold {summary['cold_wall_s']*1000:.1f} ms, "
-                      f"warm avg {summary['warm_avg_wall_s']*1000:.1f} ms, "
-                      f"{summary['mismatches']} mismatch(es)")
-            return 0 if summary["mismatches"] == 0 else 1
 
         reply = client.submit(sources, entry=args.entry, config=overrides,
                               bypass_cache=args.bypass_cache,
@@ -643,11 +617,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="parent-side hard ceiling per job: the analysis "
                          "worker is killed after this long (outer backstop "
                          "over the in-analysis budgets)")
-    pv.add_argument("--no-isolate-jobs", dest="isolate_jobs",
-                    action="store_false", default=True,
-                    help="run jobs in the daemon process instead of the "
-                         "supervised worker subprocess (no crash "
-                         "isolation)")
     pv.add_argument("--drain-deadline", type=float, default=10.0,
                     metavar="SECONDS",
                     help="graceful-shutdown budget for the in-flight job "
@@ -684,10 +653,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     pc.add_argument("--bypass-cache", action="store_true",
                     help="force a cold run (reference for differential "
                          "checks)")
-    pc.add_argument("--edit-loop", type=int, default=None, metavar="N",
-                    help="benchmark driver: submit the source plus N "
-                         "perturbed near-duplicates, checking each warm "
-                         "result against a bypass-cache reference")
     pc.add_argument("--timeout", type=float, default=600.0, metavar="SECONDS")
     pc.add_argument("--stats", action="store_true",
                     help="print per-request cache/queue feedback")

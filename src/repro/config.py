@@ -16,18 +16,22 @@ paper exposes is a field here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
+import hashlib
+from dataclasses import dataclass, field, fields
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .domains.thresholds import ThresholdSet, default_thresholds
 
-__all__ = ["AnalyzerConfig", "SEMANTICS_VERSION", "baseline_config"]
+__all__ = ["AnalyzerConfig", "SEMANTICS_VERSION", "baseline_config",
+           "config_fingerprint"]
 
-#: Version of the analysis semantics, salting the serve result/journal
-#: keys and the checkpoint fingerprint so entries written by a build with
-#: other semantics miss.  Bump it with every change that can alter a bit
-#: of a result, even one ulp of a bound (2: incremental octagon closure).
-SEMANTICS_VERSION = 2
+#: Version of the analysis semantics, salting config_fingerprint (and so
+#: the serve result/journal keys and the checkpoint fingerprint) so
+#: entries written by a build with other semantics miss.  Bump it with
+#: every change that can alter a bit of a result, even one ulp of a bound
+#: (2: incremental octagon closure; 3: alarm lines after preprocessor
+#: directives).
+SEMANTICS_VERSION = 3
 
 
 @dataclass
@@ -144,6 +148,43 @@ class AnalyzerConfig:
         import dataclasses
 
         return dataclasses.replace(self, **kwargs)
+
+
+#: Performance, robustness and observation knobs that cannot change a
+#: (non-degraded) verdict: excluded from the configuration fingerprint.
+#: Results are bit-identical across ``incremental`` and ``certify``;
+#: budgets only decide whether a run *finishes* at full precision, and
+#: the degradation ladder mutates precision fields in place, so a
+#: degraded effective configuration fingerprints differently anyway.
+_NON_SEMANTIC_FIELDS = frozenset({
+    "incremental", "wall_deadline_s", "rss_limit_kib", "stmt_timeout_s",
+    "watchdog_interval_s", "checkpoint_path", "checkpoint_every",
+    "resume_path", "checkpoint_halt_after", "certify",
+})
+
+
+def config_fingerprint(cfg: AnalyzerConfig) -> str:
+    """Hash of every analysis-relevant configuration field, threshold
+    *values* included, salted with ``SEMANTICS_VERSION``.  The one
+    configuration key: serve request and journal keys, certificates and
+    checkpoints all build on it."""
+    items: List[Tuple[str, str]] = []
+    for f in fields(cfg):
+        if f.name in _NON_SEMANTIC_FIELDS:
+            continue
+        v = getattr(cfg, f.name)
+        if f.name == "thresholds":
+            v = None if v is None else tuple(v.values)
+        elif isinstance(v, dict):
+            v = tuple(sorted(v.items()))
+        elif isinstance(v, (set, frozenset)):
+            v = tuple(sorted(v))
+        items.append((f.name, repr(v)))
+    h = hashlib.sha256()
+    for chunk in (str(SEMANTICS_VERSION), repr(sorted(items))):
+        h.update(chunk.encode())
+        h.update(b"\x00")
+    return h.hexdigest()
 
 
 def baseline_config(**kwargs) -> AnalyzerConfig:

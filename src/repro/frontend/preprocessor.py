@@ -4,8 +4,11 @@ Supports object-like and function-like ``#define`` (with rescanning),
 ``#undef``, ``#include "file"`` with include directories, conditional
 compilation (``#ifdef``, ``#ifndef``, ``#if``, ``#elif``, ``#else``,
 ``#endif`` with ``defined`` and integer constant expressions), line
-continuations and comment stripping.  Line markers (``# <n> "file"``) are
-emitted so downstream diagnostics point at original source locations.
+continuations and comment stripping.  Every input line yields exactly one
+output line — a dropped line (a directive, an inactive ``#if`` branch, a
+line joined to the previous one by a backslash) yields an empty one — and
+line markers (``# <n> "file"``) re-sync after a quoted ``#include``, so
+downstream diagnostics point at original source locations.
 """
 
 from __future__ import annotations
@@ -165,9 +168,13 @@ class Preprocessor:
             stripped = raw.strip()
             if stripped.startswith("#"):
                 directive = stripped[1:].strip()
+                emitted = len(out)
                 self._handle_directive(directive, filename, lineno, out, stack, active)
+                if len(out) == emitted:  # only a quoted #include emits lines
+                    out.append("")
                 continue
             if not active():
+                out.append("")
                 continue
             expanded = self._expand_tokens(_split_tokens(raw), set())
             out.append(_join_tokens(expanded))
@@ -399,7 +406,20 @@ def _collect_args(tokens: List[str], start: int) -> Tuple[List[List[str]], Optio
 
 
 def _splice_lines(source: str) -> str:
-    return source.replace("\\\r\n", "").replace("\\\n", "")
+    """Join backslash-continued lines.  Each joined line is followed by
+    one empty line per continuation, so later lines keep their numbers."""
+    parts = source.replace("\\\r\n", "\\\n").split("\\\n")
+    out = [parts[0]]
+    joined = 0
+    for part in parts[1:]:
+        joined += 1
+        end = part.find("\n")
+        if end < 0:
+            out.append(part)
+            continue
+        out.append(part[:end] + "\n" * joined + part[end:])
+        joined = 0
+    return "".join(out) + "\n" * joined
 
 
 def _strip_comments(source: str) -> str:

@@ -6,12 +6,13 @@ continuously manufactures adversarial evidence for that claim.  It
 
 * mutates :mod:`repro.synth` block-diagram specs and the generated
   programs into edge-case variants (:mod:`.mutators`),
-* runs every case in an isolated subprocess with a per-case timeout and
-  retry/backoff on infrastructure failures (:mod:`.runner`),
+* runs every case in an isolated worker process with a per-case timeout
+  and retry/backoff on infrastructure failures (:mod:`.runner`, over
+  :mod:`repro.ipc.process`),
 * checks each case against the differential soundness oracle — concrete
   executions must stay inside the abstract invariants and every concrete
   run-time error must be covered by an alarm (:mod:`.oracle`),
-* triages failures by crash signature (:mod:`.triage`), minimizes them
+* triages failures by signature (:mod:`.triage`), minimizes them
   with a spec-level delta-debugging reducer (:mod:`.reduce`), and
 * persists a replayable corpus plus a JSON campaign report
   (:mod:`.campaign`); ``astree-repro fuzz --replay case.json``
@@ -26,13 +27,13 @@ from .campaign import (
 from .oracle import OracleReport, run_oracle
 from .reduce import ReductionResult, reduce_case
 from .runner import CaseOutcome, InProcessRunner, SubprocessRunner
-from .triage import crash_signature, triage_failures
+from .triage import triage_failures
 
 __all__ = [
     "BuiltCase", "CampaignConfig", "CampaignReport", "CaseOutcome",
     "CaseResult", "CaseSpec", "InProcessRunner", "OracleReport",
     "ReductionResult", "SubprocessRunner", "build_case", "case_size",
-    "crash_signature", "generate_case_specs", "load_case", "reduce_case",
+    "generate_case_specs", "load_case", "reduce_case",
     "replay_case", "run_campaign", "run_oracle", "save_case",
     "triage_failures", "verdict_digest",
 ]

@@ -53,8 +53,6 @@ class CampaignConfig:
     case_timeout_s: Optional[float] = 120.0
     # Isolation: subprocess-per-case (default) or in-process.
     isolation: bool = True
-    infra_retries: int = 2
-    backoff_s: float = 0.5
     # Corpus persistence (failing specs + reductions); None disables.
     corpus_dir: Optional[str] = None
     # Reduction of one representative case per failure signature.
@@ -258,9 +256,7 @@ def load_case(path: str) -> CaseSpec:
 
 def _make_runner(config: CampaignConfig):
     if config.isolation:
-        return SubprocessRunner(timeout_s=config.case_timeout_s,
-                                infra_retries=config.infra_retries,
-                                backoff_s=config.backoff_s)
+        return SubprocessRunner(timeout_s=config.case_timeout_s)
     return InProcessRunner()
 
 

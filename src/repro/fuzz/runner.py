@@ -1,19 +1,21 @@
-"""Isolated case execution: one subprocess per case, with retry/backoff.
+"""Isolated case execution: one worker process per case, with retry.
 
-Each case runs in a fresh ``python -m repro.fuzz.worker`` process so an
-analyzer crash, a runaway allocation, or a hang is contained and
-classified instead of killing the campaign.  The runner distinguishes
+Each case runs in a fresh ``python -m repro.fuzz.worker`` child
+(:class:`repro.ipc.process.WorkerProcess`) that reads the spec as one
+frame and answers with one verdict frame, so an analyzer crash, a
+runaway allocation, or a hang is contained and classified instead of
+killing the campaign.  The runner distinguishes
 
-* **verdicts** — the worker exited 0 with a JSON payload
-  (sound / unsound / degraded / rejected),
-* **crashes** — nonzero exit; the stderr traceback is signed by
-  :func:`repro.fuzz.triage.crash_signature`,
-* **timeouts** — the per-case wall limit expired and the process was
-  killed,
+* **verdicts** — the reply frame (sound / unsound / degraded / rejected),
+* **crashes** — the child died without a reply; its stderr traceback is
+  signed by :func:`repro.ipc.process.crash_signature`,
+* **timeouts** — no reply within the per-case limit; the child was
+  killed and reaped,
 * **infrastructure failures** — spawn errors (``OSError``) or SIGKILL
   (the OOM killer's signature), retried with exponential backoff before
   being surfaced, so transient host pressure does not masquerade as an
-  analyzer bug.
+  analyzer bug.  A child that exits 0 without a reply is signed
+  ``infra|no-reply|``.
 
 The in-process variant (:class:`InProcessRunner`) runs the identical
 worker code path in this interpreter — faster and easier to debug, used
@@ -22,23 +24,22 @@ by the reducer and ``--in-process`` replay.
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
+import signal
 import time
 import traceback
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from ..ipc.process import (RestartPolicy, WorkerDied, WorkerProcess,
+                           crash_signature)
 from .case import CaseSpec
-from .triage import crash_signature
 
 __all__ = ["CaseOutcome", "InProcessRunner", "SubprocessRunner"]
 
-#: Exit statuses treated as infrastructure failures (retry, don't triage):
-#: SIGKILL is what the kernel OOM killer and batch schedulers deliver.
-_INFRA_RETURNCODES = (-9,)
+#: Infrastructure failures are retried this many times, paced by a
+#: RestartPolicy from this base delay (0.5 s, then 1 s).
+_INFRA_RETRIES = 2
+_INFRA_BACKOFF_S = 0.5
 
 
 @dataclass
@@ -61,89 +62,52 @@ def _stderr_tail(text: str, limit: int = 4000) -> str:
 
 
 class SubprocessRunner:
-    """Runs case specs in isolated worker subprocesses."""
+    """Runs case specs in isolated worker processes."""
 
-    def __init__(self, timeout_s: Optional[float] = 120.0,
-                 infra_retries: int = 2, backoff_s: float = 0.5,
-                 python: Optional[str] = None):
+    def __init__(self, timeout_s: Optional[float] = 120.0):
         self.timeout_s = timeout_s
-        self.infra_retries = infra_retries
-        self.backoff_s = backoff_s
-        self.python = python or sys.executable
-
-    def _env(self) -> Dict[str, str]:
-        import repro
-
-        src_dir = os.path.dirname(os.path.dirname(
-            os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (src_dir if not existing
-                             else src_dir + os.pathsep + existing)
-        return env
 
     def run_spec(self, spec: CaseSpec) -> CaseOutcome:
-        job = json.dumps({"spec": spec.to_json()})
-        env = self._env()
+        job = {"spec": spec.to_json()}
+        policy = RestartPolicy(base_s=_INFRA_BACKOFF_S, jitter=0.0)
         started = time.perf_counter()
-        retries = 0
+
+        def outcome(kind: str, **fields) -> CaseOutcome:
+            return CaseOutcome(outcome=kind, attempts=policy.failures + 1,
+                               infra_retries=policy.failures,
+                               wall_time_s=time.perf_counter() - started,
+                               **fields)
+
         while True:
-            attempts = retries + 1
             try:
-                proc = subprocess.run(
-                    [self.python, "-m", "repro.fuzz.worker"],
-                    input=job, capture_output=True, text=True,
-                    timeout=self.timeout_s, env=env)
-            except subprocess.TimeoutExpired as exc:
-                stderr = exc.stderr or ""
-                if isinstance(stderr, bytes):
-                    stderr = stderr.decode("utf-8", "replace")
-                return CaseOutcome(
-                    outcome="timeout",
-                    signature=f"timeout|{self.timeout_s}s|",
-                    stderr_tail=_stderr_tail(stderr),
-                    attempts=attempts, infra_retries=retries,
-                    wall_time_s=time.perf_counter() - started)
+                worker = WorkerProcess("repro.fuzz.worker")
             except OSError as exc:
                 # Could not even spawn the worker: host-level trouble.
-                if retries < self.infra_retries:
-                    time.sleep(self.backoff_s * (2 ** retries))
-                    retries += 1
+                if policy.failures < _INFRA_RETRIES:
+                    time.sleep(policy.next_delay())
                     continue
-                return CaseOutcome(
-                    outcome="crash",
-                    signature=f"infra|spawn|{type(exc).__name__}",
-                    stderr_tail=str(exc), attempts=attempts,
-                    infra_retries=retries,
-                    wall_time_s=time.perf_counter() - started)
-            if proc.returncode == 0:
-                try:
-                    payload = json.loads(proc.stdout)
-                except (json.JSONDecodeError, ValueError):
-                    return CaseOutcome(
-                        outcome="crash",
-                        signature="infra|invalid-worker-output|",
-                        stderr_tail=_stderr_tail(proc.stderr),
-                        returncode=0, attempts=attempts,
-                        infra_retries=retries,
-                        wall_time_s=time.perf_counter() - started)
-                return CaseOutcome(
-                    outcome=payload.get("outcome", "crash"),
-                    payload=payload, returncode=0, attempts=attempts,
-                    infra_retries=retries,
-                    wall_time_s=time.perf_counter() - started)
-            if (proc.returncode in _INFRA_RETURNCODES
-                    and retries < self.infra_retries):
-                time.sleep(self.backoff_s * (2 ** retries))
-                retries += 1
-                continue
-            return CaseOutcome(
-                outcome="crash",
-                signature=crash_signature(proc.stderr),
-                stderr_tail=_stderr_tail(proc.stderr),
-                returncode=proc.returncode, attempts=attempts,
-                infra_retries=retries,
-                wall_time_s=time.perf_counter() - started)
+                return outcome(
+                    "crash", signature=f"infra|spawn|{type(exc).__name__}",
+                    stderr_tail=str(exc))
+            try:
+                payload = worker.request(job, timeout_s=self.timeout_s)
+            except WorkerDied as died:
+                stderr = _stderr_tail(died.stderr)
+                if died.timed_out:
+                    return outcome("timeout",
+                                   signature=f"timeout|{self.timeout_s}s|",
+                                   stderr_tail=stderr)
+                if (died.returncode == -signal.SIGKILL
+                        and policy.failures < _INFRA_RETRIES):
+                    time.sleep(policy.next_delay())
+                    continue
+                signature = ("infra|no-reply|" if died.returncode == 0
+                             else crash_signature(died.stderr))
+                return outcome("crash", signature=signature,
+                               stderr_tail=stderr,
+                               returncode=died.returncode)
+            return outcome(payload.get("outcome", "crash"), payload=payload,
+                           returncode=worker.close())
 
 
 class InProcessRunner:

@@ -1,61 +1,17 @@
-"""Crash triage: collapse failures into stable signatures.
+"""Crash triage: group a campaign's failures by signature.
 
 A campaign that finds one analyzer bug usually finds it fifty times.
-Signatures bucket those fifty results into one work item: the exception
-class, the topmost frame *inside the repro code base*, and the message
-with volatile detail (digits, hex ids, quoted case ids) normalized away.
-The same function signs in-process tracebacks (reducer, replay) and
-worker stderr (subprocess isolation), so a reduction provably preserves
-the failure it started from.
+Each failing case carries a signature
+(:func:`repro.ipc.process.crash_signature` for crashes, ``timeout|<t>s|``
+for overruns, an ``unsound|...`` summary for oracle violations), and one
+signature bucket is one work item.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-__all__ = ["crash_signature", "normalize_message", "triage_failures"]
-
-_FRAME_RE = re.compile(r'File "([^"]+)", line \d+, in (\S+)')
-# The final "ExceptionClass: message" line of a traceback (tolerates
-# dotted classes; skips the "Traceback ..." header and frame lines).
-_ERROR_RE = re.compile(r"^(\w[\w.]*(?:Error|Exception|Halt|Interrupt|Exit))"
-                       r"(?::\s*(.*))?$")
-
-
-def normalize_message(message: str) -> str:
-    """Strip volatile detail so equal bugs sign equally."""
-    msg = re.sub(r"0x[0-9a-fA-F]+", "0x#", message)
-    msg = re.sub(r"\d+", "#", msg)
-    msg = re.sub(r"<[^<>]*>", "<#>", msg)
-    return msg.strip()[:160]
-
-
-def _repro_frame(text: str) -> Optional[str]:
-    """The topmost (deepest) traceback frame inside the repro package."""
-    frame = None
-    for match in _FRAME_RE.finditer(text):
-        path, func = match.groups()
-        norm = path.replace("\\", "/")
-        idx = norm.rfind("/repro/")
-        if idx < 0:
-            continue
-        module = norm[idx + 1:].rsplit(".py", 1)[0].replace("/", ".")
-        frame = f"{module}:{func}"
-    return frame
-
-
-def crash_signature(text: str) -> str:
-    """Signature of a traceback (in-process) or worker stderr text."""
-    exc_class, message = "UnknownError", ""
-    for line in reversed(text.strip().splitlines()):
-        match = _ERROR_RE.match(line.strip())
-        if match:
-            exc_class = match.group(1)
-            message = match.group(2) or ""
-            break
-    frame = _repro_frame(text) or "?"
-    return f"{exc_class}|{frame}|{normalize_message(message)}"
+__all__ = ["triage_failures"]
 
 
 def triage_failures(results) -> Dict[str, List[str]]:

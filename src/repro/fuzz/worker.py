@@ -1,11 +1,12 @@
 """Per-case worker: the isolated unit of one fuzz execution.
 
-Invoked as ``python -m repro.fuzz.worker`` with a JSON job on stdin
-(``{"spec": {...CaseSpec...}}``) and a JSON verdict payload on stdout.
+Invoked as ``python -m repro.fuzz.worker`` (a
+:class:`repro.ipc.process.WorkerProcess`): it reads one job frame
+(``{"spec": {...CaseSpec...}}``) and answers with one verdict frame.
 Clean rejections of invalid mutants (:class:`repro.errors.ReproError`)
 are part of the payload; *any other* exception propagates and crashes
-the process — the campaign runner classifies the nonzero exit plus the
-stderr traceback as a ``crash`` outcome.  That asymmetry is the point of
+the process — the campaign runner classifies the death plus the stderr
+traceback as a ``crash`` outcome.  That asymmetry is the point of
 process isolation: an analyzer bug takes down one worker, not the
 campaign.
 
@@ -20,13 +21,14 @@ replays of the same spec.
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
 from typing import Dict
 
 from ..analysis import analyze
 from ..config import AnalyzerConfig
 from ..errors import ReproError
+from ..ipc.frames import recv_frame, send_frame
+from ..ipc.process import claim_frame_channel
 from .case import BuiltCase, CaseSpec, build_case
 from .oracle import run_oracle
 
@@ -130,11 +132,11 @@ def execute_spec(spec: CaseSpec) -> Dict:
 
 
 def main() -> int:
-    job = json.load(sys.stdin)
-    spec = CaseSpec.from_json(job["spec"])
-    payload = execute_spec(spec)
-    json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    inp, out = claim_frame_channel()
+    job = recv_frame(inp)
+    if job is None:
+        return 1  # the runner went away before sending the case
+    send_frame(out, execute_spec(CaseSpec.from_json(job["spec"])))
     return 0
 
 

@@ -1,12 +1,9 @@
 """Shared inter-process plumbing.
 
-:mod:`repro.ipc.frames` is the one implementation of the length-prefixed
-JSON frame format spoken on the serve daemon's worker pipes
-(:mod:`repro.serve.supervise`, :mod:`repro.serve.worker`).
+* :mod:`repro.ipc.frames` — the length-prefixed JSON frame format, the
+  one framing used on worker pipes;
+* :mod:`repro.ipc.process` — :class:`~repro.ipc.process.WorkerProcess`,
+  the one child-process primitive (spawn, framed request with a
+  deadline, death report, crash signatures, restart pacing).  The serve
+  daemon keeps one across jobs; the fuzz runner starts one per case.
 """
-
-from .frames import (FdFrameReader, FrameTimeout, MAX_FRAME, ProtocolError,
-                     encode_frame, read_exact, recv_frame, send_frame)
-
-__all__ = ["FdFrameReader", "FrameTimeout", "MAX_FRAME", "ProtocolError",
-           "encode_frame", "read_exact", "recv_frame", "send_frame"]

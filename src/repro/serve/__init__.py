@@ -18,7 +18,7 @@ keeps the expensive state warm across requests:
 * :mod:`.fingerprints` — the content-addressed keys everything above
   is indexed by;
 * :mod:`.workload` — the near-duplicate edit workload used by the
-  benchmark driver, tests and CI.
+  cost ledger, tests and CI.
 
 Determinism contract: a cache-served result is bit-identical (alarms,
 invariant statistics, exit code) to a cold run of the same
@@ -28,8 +28,8 @@ cross-run caching".
 
 from .cache import CrossRunCache, FrontendCache
 from .client import ServeClient
-from .fingerprints import (compat_fingerprint, config_fingerprint,
-                           result_digest, result_payload, source_digest)
+from .fingerprints import (compat_fingerprint, result_digest,
+                           result_payload, source_digest)
 from .jobs import Job, JobQueue
 from .server import AnalysisServer, ServeConfig
 from .store import JournalStore, ResultStore
@@ -37,6 +37,6 @@ from .store import JournalStore, ResultStore
 __all__ = [
     "AnalysisServer", "CrossRunCache", "FrontendCache", "Job", "JobQueue",
     "JournalStore", "ResultStore", "ServeClient", "ServeConfig",
-    "compat_fingerprint", "config_fingerprint", "result_digest",
+    "compat_fingerprint", "result_digest",
     "result_payload", "source_digest",
 ]

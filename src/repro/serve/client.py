@@ -12,12 +12,6 @@ content, so resubmitting the same request is always safe.
 ``retries > 0`` it reconnects and retries on connection errors and on
 retryable daemon refusals (queue full, draining), honoring the
 server's ``retry_after_s`` hint with exponential backoff on top.
-
-``edit_loop`` is the built-in benchmark driver (``--edit-loop N``): it
-analyzes the given source cold, then N perturbed near-duplicates
-(repro.serve.workload), reporting per-request wall time, cache
-disposition and the digest-equality check against a bypass-cache
-reference run.
 """
 
 from __future__ import annotations
@@ -152,59 +146,6 @@ class ServeClient:
                 attempt += 1
                 continue
             return reply
-
-    # -- the --edit-loop benchmark driver ------------------------------------
-
-    def edit_loop(self, filename: str, source: str, rounds: int,
-                  entry: str = "main", config: Optional[Dict] = None,
-                  verify: bool = True) -> Dict:
-        """Submit ``source`` then ``rounds`` perturbed near-duplicates;
-        per round optionally submit a ``bypass_cache`` reference of the
-        same variant and check digest equality.  Returns a summary dict
-        (per-round rows + aggregate speedup)."""
-        from .workload import make_variant
-
-        rows: List[Dict] = []
-        mismatches = 0
-        for i in range(rounds + 1):
-            variant = make_variant(source, i)  # i=0: the base source
-            t0 = time.perf_counter()
-            reply = self.submit([(filename, variant)], entry=entry,
-                                config=config)
-            wall = time.perf_counter() - t0
-            if not reply.get("ok"):
-                raise RuntimeError(
-                    f"edit-loop round {i} failed: {reply.get('error')}")
-            row = {
-                "round": i,
-                "cached": reply["cached"],
-                "digest": reply["digest"],
-                "client_wall_s": wall,
-                "server_wall_s": reply["wall_s"],
-                "cross_run_hits":
-                    reply["result"].get("cross_run_hits", 0),
-            }
-            if verify:
-                ref = self.submit([(filename, variant)], entry=entry,
-                                  config=config, bypass_cache=True)
-                if not ref.get("ok"):
-                    raise RuntimeError(
-                        f"edit-loop reference {i} failed: "
-                        f"{ref.get('error')}")
-                row["reference_digest"] = ref["digest"]
-                row["bit_identical"] = ref["digest"] == reply["digest"]
-                if not row["bit_identical"]:
-                    mismatches += 1
-            rows.append(row)
-        warm = [r["server_wall_s"] for r in rows[1:]
-                if not r["cached"]]
-        cold = rows[0]["server_wall_s"]
-        return {
-            "rounds": rows,
-            "mismatches": mismatches,
-            "cold_wall_s": cold,
-            "warm_avg_wall_s": sum(warm) / len(warm) if warm else 0.0,
-        }
 
 
 def wait_until_ready(socket_path: str, timeout_s: float = 30.0,

@@ -27,16 +27,11 @@ Three layers of keys, from coarse to fine:
   the pre-state, making the splice exact (see
   repro.iterator.incremental).
 
-The configuration fingerprint covers every knob that can change the
-verdict (domains, thresholds, unrolling, ranges, partitioning) and
-deliberately excludes the performance knob (incremental) and the
-resource budgets: results are bit-identical across the former, and
-budgets only decide whether a run *finishes* at full precision —
-degraded runs are never cached (see repro.serve.cache), so budget
-settings must not fragment the key space.  The supervisor's
-degradation ladder mutates precision fields in place, hence a degraded
-effective configuration always fingerprints differently from the
-requested one.
+The configuration fingerprint (:func:`repro.config.config_fingerprint`)
+covers every knob that can change the verdict and excludes the
+performance knob and the resource budgets: degraded runs are never
+cached (see repro.serve.cache), so budget settings must not fragment
+the key space.
 """
 
 from __future__ import annotations
@@ -45,9 +40,9 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..config import SEMANTICS_VERSION
+from ..config import config_fingerprint
 
-__all__ = ["compat_fingerprint", "config_fingerprint", "function_hashes",
+__all__ = ["compat_fingerprint", "function_hashes",
            "request_key", "result_digest", "result_payload",
            "source_digest", "stable_ordinals", "stmt_content_hash",
            "stmt_record_key"]
@@ -70,39 +65,6 @@ def source_digest(sources: Sequence[Tuple[str, str]]) -> str:
         h.update(text.encode())
         h.update(b"\x00")
     return h.hexdigest()
-
-
-# Performance/robustness knobs that cannot change a (non-degraded)
-# verdict: excluded from the configuration fingerprint on purpose.
-_NON_SEMANTIC_FIELDS = frozenset({
-    "incremental", "wall_deadline_s", "rss_limit_kib", "stmt_timeout_s",
-    "watchdog_interval_s", "checkpoint_path", "checkpoint_every",
-    "resume_path", "checkpoint_halt_after", "certify",
-})
-
-
-def config_fingerprint(cfg) -> str:
-    """Hash of every analysis-relevant configuration field (threshold
-    *values* included — unlike the coarser checkpoint fingerprint, this
-    key crosses runs and programs, so it cannot rely on a fixed
-    in-process thresholds object).  Salted with ``SEMANTICS_VERSION``,
-    so both keys built on it — :func:`request_key` and
-    :func:`compat_fingerprint` — change with the analysis semantics."""
-    import dataclasses
-
-    items: List[Tuple[str, str]] = []
-    for f in dataclasses.fields(cfg):
-        if f.name in _NON_SEMANTIC_FIELDS:
-            continue
-        v = getattr(cfg, f.name)
-        if f.name == "thresholds":
-            v = None if v is None else tuple(v.values)
-        elif isinstance(v, dict):
-            v = tuple(sorted(v.items()))
-        elif isinstance(v, (set, frozenset)):
-            v = tuple(sorted(v))
-        items.append((f.name, repr(v)))
-    return _sha(str(SEMANTICS_VERSION), repr(sorted(items)))
 
 
 def stable_ordinals(prog) -> Dict[int, int]:

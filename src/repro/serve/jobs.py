@@ -59,8 +59,9 @@ def decode_overrides(raw: Dict) -> Dict:
 def effective_config(base_config, raw_overrides: Dict,
                      default_deadline_s: Optional[float] = None,
                      default_rss_kib: Optional[int] = None):
-    """The AnalyzerConfig one job runs under: daemon base config, then
-    the request's overrides, with the daemon's per-job budget defaults
+    """The AnalyzerConfig one job runs under: the base config (the stock
+    defaults, in the daemon and its worker alike), then the request's
+    overrides, with the daemon's per-job budget defaults
     filling any budget the request left unset.  Identical on both sides
     of the worker pipe, so the parent's request key and the worker's
     analysis agree on the configuration fingerprint."""

@@ -38,14 +38,8 @@ repro.serve.fingerprints.result_digest) — the determinism contract is
 that ``digest`` of a cache-served response equals the digest of the
 cold run that populated the entry.
 
-The daemon-to-worker channel (repro.serve.worker) uses a different
-framing on the same JSON payloads: **length-prefixed frames** (4-byte
-big-endian length + UTF-8 JSON body) over the worker subprocess's
-stdin/stdout pipes.  Length prefixes make truncation *detectable*: a
-worker killed mid-write leaves a frame whose declared length exceeds
-the bytes that follow, which ``recv_frame`` reports as a
-:class:`ProtocolError` instead of blocking forever or mis-parsing the
-next frame — the supervisor treats that exactly like a worker death.
+The daemon-to-worker channel uses the length-prefixed frames of
+repro.ipc.frames instead (see repro.ipc.process).
 """
 
 from __future__ import annotations
@@ -54,14 +48,10 @@ import json
 import socket
 from typing import Dict, Optional
 
-from ..ipc.frames import MAX_FRAME, ProtocolError, recv_frame, send_frame
+from ..ipc.frames import MAX_FRAME, ProtocolError
 
-__all__ = ["MAX_LINE", "ProtocolError", "recv_frame", "recv_message",
-           "send_frame", "send_message"]
-
-# One message may carry whole translation units; bound it generously
-# (64 MiB) so a runaway client cannot exhaust daemon memory.
-MAX_LINE = MAX_FRAME
+__all__ = ["ProtocolError", "error_response", "recv_message",
+           "send_message"]
 
 
 def send_message(sock: socket.socket, message: Dict) -> None:
@@ -72,10 +62,10 @@ def send_message(sock: socket.socket, message: Dict) -> None:
 def recv_message(reader) -> Optional[Dict]:
     """Read one message from a buffered binary reader (``sock.makefile``).
     Returns None on clean EOF, raises ProtocolError on garbage."""
-    line = reader.readline(MAX_LINE + 1)
+    line = reader.readline(MAX_FRAME + 1)
     if not line:
         return None
-    if len(line) > MAX_LINE:
+    if len(line) > MAX_FRAME:
         raise ProtocolError("message exceeds size limit")
     if not line.endswith(b"\n"):
         raise ProtocolError("truncated message (connection dropped mid-line)")
@@ -93,8 +83,3 @@ def error_response(message: str, **extra) -> Dict:
     out.update(extra)
     return out
 
-
-# -- length-prefixed frames (daemon <-> worker subprocess pipes) --------------
-#
-# ``send_frame``/``recv_frame`` are re-exported from the shared framing
-# module (repro.ipc.frames).

@@ -15,8 +15,8 @@ pools).  A job that segfaults, OOMs, or wedges the worker kills *one
 subprocess*: the supervisor (repro.serve.supervise) restarts it with
 seeded exponential backoff, retries the in-flight job once on a fresh
 worker, and quarantines request keys that kill workers twice under one
-stable crash signature.  ``--no-isolate-jobs`` falls back to running
-the same pipeline in-process (no isolation, no subprocess overhead).
+stable crash signature.  There is no in-process fallback: every job
+runs in the worker.
 
 The serving pipeline per job:
 
@@ -70,7 +70,6 @@ from .jobs import (Job, JobQueue, QueueFull, decode_overrides,
 from .protocol import ProtocolError, error_response, recv_message, send_message
 from .store import ResultStore
 from .supervise import PoisonRegistry, WorkerCrashed, WorkerSupervisor
-from .worker import InProcessExecutor
 
 __all__ = ["AnalysisServer", "ServeConfig"]
 
@@ -89,22 +88,16 @@ class ServeConfig:
     # the job fails with a stable timeout signature) after this many
     # seconds.  None: rely on the in-analysis supervisor budgets only.
     job_hard_timeout_s: Optional[float] = None
-    # Crash isolation: run jobs in a supervised worker subprocess.
-    isolate_jobs: bool = True
     # Graceful-drain budget for the in-flight job on shutdown.
     drain_deadline_s: float = 10.0
-    # Worker restart pacing (exponential backoff base; the seed pins
-    # the jitter sequence for deterministic chaos tests).
-    restart_backoff_s: float = 0.05
+    # Seed of the worker restart backoff jitter (deterministic chaos
+    # tests).
     backoff_seed: Optional[int] = None
     # Journal-warmed result validation (repro.certify): "off",
     # "sampled" (deterministic 1-in-8 by source digest), or "all".
     # A warm result that fails certification is never cached or
     # returned — it is discarded and the job re-runs cold.
     certify_serve: str = "sampled"
-    # Base configuration jobs start from before request overrides.
-    base_config: AnalyzerConfig = dataclasses.field(
-        default_factory=AnalyzerConfig)
 
 
 class AnalysisServer:
@@ -117,26 +110,9 @@ class AnalysisServer:
         self.queue = JobQueue(max_queue=config.max_queue)
         self.results = ResultStore(config.cache_dir)
         self.poison = PoisonRegistry(config.cache_dir)
-        if config.isolate_jobs:
-            from .fingerprints import config_fingerprint
-
-            if (config_fingerprint(config.base_config)
-                    != config_fingerprint(AnalyzerConfig())):
-                # The worker builds its configs from the stock defaults;
-                # a semantically different base would silently disagree
-                # with the parent's request keys.  Refuse loudly instead.
-                raise ServeError(
-                    "isolate_jobs does not support a semantically "
-                    "non-default base_config; pass isolate_jobs=False")
-            self.executor = WorkerSupervisor(
-                cache_dir=config.cache_dir,
-                backoff_base_s=config.restart_backoff_s,
-                backoff_seed=config.backoff_seed,
-                certify_mode=config.certify_serve)
-        else:
-            self.executor = InProcessExecutor(config.cache_dir,
-                                              config.base_config,
-                                              config.certify_serve)
+        self.executor = WorkerSupervisor(
+            cache_dir=config.cache_dir, backoff_seed=config.backoff_seed,
+            certify_mode=config.certify_serve)
         self.started_at = time.monotonic()
         self._stop = threading.Event()
         self._draining = threading.Event()
@@ -173,8 +149,7 @@ class AnalysisServer:
         the job (finish or fail); raising is reserved for bugs."""
         t0 = time.perf_counter()
         self.requests += 1
-        cfg = effective_config(self.config.base_config,
-                               job.config_overrides,
+        cfg = effective_config(AnalyzerConfig(), job.config_overrides,
                                self.config.job_deadline_s,
                                self.config.job_rss_limit_kib)
         rkey = request_key(source_digest(job.sources), job.entry, cfg)

@@ -1,22 +1,19 @@
 """Supervision of the out-of-process analysis worker.
 
 The daemon never runs analysis in its own process: jobs are dispatched
-to one ``python -m repro.serve.worker`` subprocess over length-prefixed
-pipe frames.  This module is the parent half of that arrangement:
+to one ``python -m repro.serve.worker`` child, a
+:class:`repro.ipc.process.WorkerProcess` kept across jobs.  That
+primitive does the spawning, the framed request/response with a hard
+deadline, the stderr capture and the death detection; this module is
+the serve-specific policy on top:
 
-* :class:`WorkerHandle` — one live worker subprocess: framed
-  request/response with a hard deadline, stderr capture (ring buffer,
-  passed through to the daemon's stderr), death detection.  EOF, a
-  half-written frame, and a hard-deadline overrun all surface as
-  :class:`WorkerDied`.
 * :class:`WorkerSupervisor` — the restart loop: spawns workers, paces
   respawns with seeded exponential backoff + jitter
-  (:class:`repro.supervisor.restart.RestartPolicy`), verifies each
-  spawn with a ping, and converts a death into a
-  :class:`WorkerCrashed` carrying a *stable crash signature* (the
-  fuzz-triage normalization over the worker's stderr tail, falling back
-  to the exit status) so the server can quarantine jobs that kill
-  workers reproducibly.
+  (:class:`repro.ipc.process.RestartPolicy`), verifies each spawn with a
+  ping, and converts a death into a :class:`WorkerCrashed` carrying a
+  *stable crash signature* (:func:`repro.ipc.process.crash_signature`
+  over the worker's stderr tail, falling back to the exit status) so the
+  server can quarantine jobs that kill workers reproducibly.
 * :class:`PoisonRegistry` — the quarantine: request keys that crashed a
   worker twice under one signature are answered with a structured
   ``poisoned`` error instead of being re-run.  Persisted atomically
@@ -33,32 +30,20 @@ the blocked read fail with EOF, which unblocks the dispatcher.
 from __future__ import annotations
 
 import os
-import signal
-import subprocess
 import sys
 import threading
 import time
-from collections import deque
 from typing import Dict, List, Optional
 
 from ..errors import ServeError
-from ..ipc.frames import FdFrameReader, FrameTimeout
-from .protocol import ProtocolError, send_frame
+from ..ipc.process import (RestartPolicy, WorkerDied, WorkerProcess,
+                           crash_signature)
 from .store import _atomic_write
 
-__all__ = ["PoisonRegistry", "WorkerCrashed", "WorkerDied",
-           "WorkerSupervisor"]
+__all__ = ["PoisonRegistry", "WorkerCrashed", "WorkerSupervisor"]
 
-
-class WorkerDied(Exception):
-    """The worker subprocess is unusable: EOF / truncated frame /
-    hard-deadline overrun.  Internal to this module; the supervisor
-    converts it into :class:`WorkerCrashed`."""
-
-    def __init__(self, detail: str, timed_out: bool = False):
-        super().__init__(detail)
-        self.detail = detail
-        self.timed_out = timed_out
+#: Base delay of the worker restart backoff (doubling, capped at 5 s).
+RESTART_BACKOFF_S = 0.05
 
 
 class WorkerCrashed(Exception):
@@ -74,145 +59,6 @@ class WorkerCrashed(Exception):
         self.exit_status = exit_status
 
 
-def _exit_status(returncode: Optional[int]) -> str:
-    if returncode is None:
-        return "unknown"
-    if returncode < 0:
-        try:
-            name = signal.Signals(-returncode).name
-        except ValueError:
-            name = str(-returncode)
-        return f"signal:{name}"
-    return f"exit:{returncode}"
-
-
-class WorkerHandle:
-    """One spawned worker subprocess and its frame channel."""
-
-    def __init__(self, cache_dir: Optional[str],
-                 stderr_passthrough: bool = True,
-                 certify_mode: str = "off"):
-        argv = [sys.executable, "-m", "repro.serve.worker"]
-        if cache_dir:
-            argv += ["--cache-dir", cache_dir]
-        if certify_mode != "off":
-            argv += ["--certify", certify_mode]
-        self.proc = subprocess.Popen(
-            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, env=self._env())
-        self._reader = FdFrameReader(self.proc.stdout.fileno())
-        self._stderr_tail: "deque[bytes]" = deque(maxlen=200)
-        self._stderr_passthrough = stderr_passthrough
-        self._stderr_thread = threading.Thread(
-            target=self._pump_stderr, name="worker-stderr", daemon=True)
-        self._stderr_thread.start()
-
-    @staticmethod
-    def _env() -> Dict[str, str]:
-        import repro
-
-        src_dir = os.path.dirname(os.path.dirname(
-            os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (src_dir if not existing
-                             else src_dir + os.pathsep + existing)
-        return env
-
-    def _pump_stderr(self) -> None:
-        try:
-            for line in self.proc.stderr:
-                self._stderr_tail.append(line)
-                if self._stderr_passthrough:
-                    sys.stderr.buffer.write(line)
-                    sys.stderr.buffer.flush()
-        except (OSError, ValueError):
-            pass
-
-    def stderr_tail(self) -> str:
-        # Only called once the worker is dead (crash classification and
-        # spawn-failure reporting).  The frame pipe can hit EOF before
-        # the pump thread has drained the worker's final flushed lines
-        # — e.g. its crash banner — so wait for the pump to reach EOF
-        # first, or the crash signature misses the banner and degrades
-        # to the exit-status fallback.
-        self._stderr_thread.join(timeout=2.0)
-        return b"".join(self._stderr_tail).decode("utf-8", "replace")
-
-    def alive(self) -> bool:
-        return self.proc.poll() is None
-
-    # -- framed request/response ---------------------------------------------
-
-    def request(self, message: Dict,
-                timeout_s: Optional[float] = None) -> Dict:
-        deadline = (time.monotonic() + timeout_s
-                    if timeout_s is not None else None)
-        try:
-            send_frame(self.proc.stdin, message)
-        except (OSError, ValueError, ProtocolError) as e:
-            raise WorkerDied(f"request write failed: {e}")
-        return self._recv_frame(deadline)
-
-    def _recv_frame(self, deadline: Optional[float]) -> Dict:
-        # The shared deadline-bounded reader (repro.ipc.frames) does the
-        # byte work; every failure mode maps onto WorkerDied, which is
-        # what the supervisor's crash classification keys on.
-        try:
-            msg = self._reader.recv_frame(deadline)
-        except FrameTimeout:
-            raise WorkerDied("worker exceeded the hard job deadline",
-                             timed_out=True)
-        except ProtocolError as e:
-            raise WorkerDied(f"half-written or garbage frame from "
-                             f"worker: {e}")
-        if msg is None:
-            raise WorkerDied("worker closed its pipe (EOF)")
-        return msg
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def kill(self) -> None:
-        try:
-            self.proc.kill()
-        except OSError:
-            pass
-
-    def reap(self, timeout_s: float = 5.0) -> Optional[int]:
-        try:
-            return self.proc.wait(timeout=timeout_s)
-        except subprocess.TimeoutExpired:
-            return None
-
-    def close(self, graceful: bool = True,
-              grace_s: float = 2.0) -> Optional[int]:
-        """Shut the worker down: ``exit`` frame, then escalate through
-        terminate/kill.  Returns the exit code when reaped."""
-        if graceful and self.alive():
-            try:
-                send_frame(self.proc.stdin, {"op": "exit"})
-                self.proc.stdin.close()
-            except (OSError, ValueError, ProtocolError):
-                pass
-            if self.reap(grace_s) is not None:
-                return self.proc.returncode
-        if self.alive():
-            try:
-                self.proc.terminate()
-            except OSError:
-                pass
-            if self.reap(grace_s) is None:
-                self.kill()
-                self.reap(grace_s)
-        for stream in (self.proc.stdin, self.proc.stdout):
-            try:
-                if stream:
-                    stream.close()
-            except OSError:
-                pass
-        return self.proc.returncode
-
-
 class WorkerSupervisor:
     """Owns the (single) worker subprocess: spawn, ping-verify, restart
     with backoff, classify deaths into stable crash signatures."""
@@ -221,20 +67,17 @@ class WorkerSupervisor:
     SPAWN_PING_TIMEOUT_S = 120.0
 
     def __init__(self, cache_dir: Optional[str] = None,
-                 backoff_base_s: float = 0.05, backoff_cap_s: float = 5.0,
                  backoff_seed: Optional[int] = None,
-                 stderr_passthrough: bool = True,
                  certify_mode: str = "off"):
-        from ..supervisor.restart import RestartPolicy
-
-        self.cache_dir = cache_dir
-        self.certify_mode = certify_mode
-        self.policy = RestartPolicy(base_s=backoff_base_s,
-                                    cap_s=backoff_cap_s,
+        self._args: List[str] = []
+        if cache_dir:
+            self._args += ["--cache-dir", cache_dir]
+        if certify_mode != "off":
+            self._args += ["--certify", certify_mode]
+        self.policy = RestartPolicy(base_s=RESTART_BACKOFF_S,
                                     seed=backoff_seed)
-        self._stderr_passthrough = stderr_passthrough
         self._lock = threading.Lock()
-        self._handle: Optional[WorkerHandle] = None
+        self._worker: Optional[WorkerProcess] = None
         self._next_spawn_at = 0.0
         self._closing = False
         self.spawns = 0
@@ -243,7 +86,6 @@ class WorkerSupervisor:
         self.last_exit: Optional[str] = None
         self.last_signature: Optional[str] = None
         self.worker_stats: Dict = {}
-        self.incidents: List[str] = []
 
     # -- spawning -------------------------------------------------------------
 
@@ -253,33 +95,36 @@ class WorkerSupervisor:
         try:
             with self._lock:
                 self._ensure_worker()
-        except (ServeError, WorkerDied):
+        except ServeError:
             pass
 
-    def _ensure_worker(self) -> WorkerHandle:
+    def _ensure_worker(self) -> WorkerProcess:
         if self._closing:
             raise ServeError("supervisor is shutting down")
-        if self._handle is not None and self._handle.alive():
-            return self._handle
+        if self._worker is not None and self._worker.alive():
+            return self._worker
         delay = self._next_spawn_at - time.monotonic()
         if delay > 0:
             time.sleep(delay)
-        handle = WorkerHandle(self.cache_dir, self._stderr_passthrough,
-                              certify_mode=self.certify_mode)
+        try:
+            worker = WorkerProcess("repro.serve.worker", self._args,
+                                   stderr_passthrough=True)
+        except OSError as e:
+            raise ServeError(f"cannot spawn the analysis worker: {e}")
         self.spawns += 1
         try:
-            reply = handle.request({"op": "ping"},
+            reply = worker.request({"op": "ping"},
                                    timeout_s=self.SPAWN_PING_TIMEOUT_S)
         except WorkerDied as e:
-            status = _exit_status(handle.close(graceful=False))
             raise ServeError(
-                f"analysis worker failed to start ({status}): {e.detail}; "
-                f"stderr: {handle.stderr_tail()[-500:]!r}")
+                f"analysis worker failed to start ({e.status}): "
+                f"{e.detail}; stderr: {e.stderr[-500:]!r}")
         if not reply.get("ok"):
-            handle.close(graceful=False)
+            worker.kill()
+            worker.close()
             raise ServeError(f"analysis worker ping failed: {reply!r}")
-        self._handle = handle
-        return handle
+        self._worker = worker
+        return worker
 
     # -- dispatch -------------------------------------------------------------
 
@@ -289,55 +134,46 @@ class WorkerSupervisor:
         Raises :class:`WorkerCrashed` when the worker dies under the
         job (the caller decides about retry and quarantine)."""
         with self._lock:
-            handle = self._ensure_worker()
+            worker = self._ensure_worker()
             try:
-                reply = handle.request(dict(job.to_wire(),
+                reply = worker.request(dict(job.to_wire(),
                                             defaults=defaults),
                                        timeout_s=hard_timeout_s)
             except WorkerDied as e:
-                raise self._crashed(handle, e)
+                raise self._crashed(e)
             self.policy.reset()
             stats = reply.pop("worker_stats", None)
             if stats:
                 self.worker_stats = stats
             return reply
 
-    def _crashed(self, handle: WorkerHandle, died: WorkerDied
-                 ) -> WorkerCrashed:
+    def _crashed(self, died: WorkerDied) -> WorkerCrashed:
         """Classify a worker death, pace the next respawn, and build
         the WorkerCrashed for the caller.  Called with the lock held."""
         if died.timed_out:
-            handle.kill()
-        stderr = handle.stderr_tail()
-        status = _exit_status(handle.close(graceful=False))
-        if died.timed_out:
             signature = "worker-timeout|hard-deadline|"
         else:
-            from ..fuzz.triage import crash_signature
-
-            signature = crash_signature(stderr)
+            signature = crash_signature(died.stderr)
             if signature.startswith("UnknownError|?|"):
-                signature = f"worker-exit|{status}|"
-        self._handle = None
+                signature = f"worker-exit|{died.status}|"
+        self._worker = None
         self.crashes += 1
         self.restarts += 1
-        self.last_exit = status
+        self.last_exit = died.status
         self.last_signature = signature
         self._next_spawn_at = time.monotonic() + self.policy.next_delay()
-        incident = (f"worker-crash: {status} [{signature}] — {died.detail}")
-        self.incidents.append(incident)
-        print(f"astree-repro serve: {incident}", file=sys.stderr,
-              flush=True)
-        return WorkerCrashed(signature, died.detail, status)
+        print(f"astree-repro serve: worker-crash: {died.status} "
+              f"[{signature}] — {died.detail}", file=sys.stderr, flush=True)
+        return WorkerCrashed(signature, died.detail, died.status)
 
     # -- control --------------------------------------------------------------
 
     def abort_current(self) -> None:
         """Kill the worker out from under a blocked dispatch (drain
         escalation).  Lock-free on purpose — see the module docstring."""
-        handle = self._handle
-        if handle is not None:
-            handle.kill()
+        worker = self._worker
+        if worker is not None:
+            worker.kill()
 
     def request_stats(self) -> Optional[Dict]:
         """Live worker cache stats, if the worker is idle (non-blocking
@@ -345,11 +181,13 @@ class WorkerSupervisor:
         if not self._lock.acquire(blocking=False):
             return None
         try:
-            if self._handle is None or not self._handle.alive():
+            if self._worker is None or not self._worker.alive():
                 return None
             try:
-                reply = self._handle.request({"op": "stats"}, timeout_s=10.0)
+                reply = self._worker.request({"op": "stats"},
+                                             timeout_s=10.0)
             except WorkerDied:
+                self._worker = None
                 return None
             stats = reply.get("worker_stats")
             if stats:
@@ -360,17 +198,17 @@ class WorkerSupervisor:
 
     def shutdown(self) -> None:
         self._closing = True
-        handle = self._handle
-        self._handle = None
-        if handle is not None:
-            handle.close(graceful=True)
+        worker = self._worker
+        self._worker = None
+        if worker is not None:
+            worker.close()
 
     def health(self) -> Dict:
-        handle = self._handle
+        worker = self._worker
         return {
             "mode": "subprocess",
-            "alive": bool(handle is not None and handle.alive()),
-            "pid": handle.proc.pid if handle is not None else None,
+            "alive": bool(worker is not None and worker.alive()),
+            "pid": worker.pid if worker is not None else None,
             "spawns": self.spawns,
             "restarts": self.restarts,
             "crashes": self.crashes,

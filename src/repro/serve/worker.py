@@ -5,20 +5,20 @@ daemon dispatches jobs to (see repro.serve.supervise).  It owns the
 *warm* per-process analysis state — value intern pool, octagon closure
 memo, frontend cache, the journal store the cross-run cache replays —
 so a worker that dies takes one job's warmth with it, never the daemon,
-its exact-result store, or its accepted queue.  The channel is
-length-prefixed JSON frames (repro.serve.protocol) on stdin/stdout:
-the real stdout fd is claimed for frames before any analysis code runs
-and fd 1 is re-pointed at stderr, so a stray ``print`` in analysis code
-can never corrupt the framing.
+its exact-result store, or its accepted queue.  The channel is the
+length-prefixed JSON frames of repro.ipc.frames on stdin/stdout,
+claimed by :func:`repro.ipc.process.claim_frame_channel` before any
+analysis code runs, so a stray ``print`` in analysis code can never
+corrupt the framing.
 
 Frame ops: ``run`` (a job; replies with the result envelope — analysis
 *errors* are caught and returned as ``ok: false`` envelopes, only a
-process death is a crash), ``ping``, ``stats``, ``exit``.
+process death is a crash), ``ping`` and ``stats``.  EOF on stdin is the
+cue to exit.
 
 :class:`JobExecutor` is the actual pipeline (frontend cache ->
-cross-run fixpoint cache -> analysis -> journal harvest); the daemon
-reuses it in-process under ``--no-isolate-jobs``, and the exact-result
-layer stays in the daemon either way.
+cross-run fixpoint cache -> analysis -> journal harvest); the
+exact-result layer stays in the daemon.
 
 Chaos fault-injection hooks (tests/CI only), all deterministic:
 
@@ -36,21 +36,21 @@ Chaos fault-injection hooks (tests/CI only), all deterministic:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
-import struct
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
+from ..config import AnalyzerConfig
+from ..ipc.frames import ProtocolError, encode_frame, recv_frame, send_frame
+from ..ipc.process import claim_frame_channel
 from .cache import CrossRunCache, FrontendCache
 from .fingerprints import result_digest, result_payload, source_digest
 from .jobs import effective_config
-from .protocol import ProtocolError, recv_frame, send_frame
 from .store import JournalStore
 
-__all__ = ["JobExecutor", "InProcessExecutor", "main"]
+__all__ = ["JobExecutor", "main"]
 
 
 class JobExecutor:
@@ -59,11 +59,8 @@ class JobExecutor:
     exact-result store is *not* consulted here — the parent daemon
     answers exact hits without involving a worker at all."""
 
-    def __init__(self, cache_dir: Optional[str] = None, base_config=None,
+    def __init__(self, cache_dir: Optional[str] = None,
                  certify_mode: str = "off"):
-        from ..config import AnalyzerConfig
-
-        self.base_config = base_config or AnalyzerConfig()
         self.journals = JournalStore(cache_dir)
         self.frontend = FrontendCache()
         self.jobs_run = 0
@@ -98,7 +95,7 @@ class JobExecutor:
         entry = str(msg.get("entry", "main"))
         bypass = bool(msg.get("bypass_cache", False))
         defaults = msg.get("defaults") or {}
-        cfg = effective_config(self.base_config,
+        cfg = effective_config(AnalyzerConfig(),
                                msg.get("config_overrides") or {},
                                defaults.get("deadline_s"),
                                defaults.get("rss_kib"))
@@ -204,37 +201,6 @@ class JobExecutor:
         }
 
 
-class InProcessExecutor:
-    """The ``--no-isolate-jobs`` fallback: the same :class:`JobExecutor`
-    pipeline run inside the daemon process (no crash isolation — a hard
-    worker death takes the daemon with it).  Presents the supervisor's
-    interface so the server code has a single dispatch path."""
-
-    def __init__(self, cache_dir: Optional[str] = None, base_config=None,
-                 certify_mode: str = "off"):
-        self._executor = JobExecutor(cache_dir, base_config, certify_mode)
-
-    def ensure_started(self) -> None:
-        pass
-
-    def run_job(self, job, defaults: Dict,
-                hard_timeout_s: Optional[float] = None) -> Dict:
-        return self._executor.run(dict(job.to_wire(), defaults=defaults))
-
-    def abort_current(self) -> None:
-        pass  # nothing to kill without a subprocess
-
-    def shutdown(self) -> None:
-        pass
-
-    def health(self) -> Dict:
-        return {"mode": "in-process", "alive": True, "pid": os.getpid(),
-                "restarts": 0, "spawns": 0, "last_exit": None}
-
-    def cache_stats(self) -> Dict:
-        return self._executor.stats()
-
-
 # -- chaos fault-injection hooks (worker subprocess only) ---------------------
 
 
@@ -266,8 +232,7 @@ def _chaos_before_run(msg: Dict) -> None:
 
 def _chaos_send(out, reply: Dict) -> None:
     if _claim_marker("REPRO_FAULT_SERVE_TRUNCATE_FRAME"):
-        data = json.dumps(reply, separators=(",", ":")).encode()
-        frame = struct.pack(">I", len(data)) + data
+        frame = encode_frame(reply)
         out.write(frame[:max(1, len(frame) // 2)])
         out.flush()
         print("ChaosTruncatedFrameError: injected half-written frame",
@@ -288,13 +253,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "invariant certification before returning")
     args = parser.parse_args(argv)
 
-    # Claim the frame channel before anything can print to it: frames go
-    # to the original stdout, fd 1 becomes a clone of stderr.
-    out = os.fdopen(os.dup(1), "wb")
-    os.dup2(2, 1)
-    sys.stdout = sys.stderr
-    inp = os.fdopen(os.dup(0), "rb")
-
+    inp, out = claim_frame_channel()
     executor = JobExecutor(args.cache_dir, certify_mode=args.certify)
     while True:
         try:
@@ -306,8 +265,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if msg is None:
             return 0  # daemon closed our stdin: clean shutdown
         op = msg.get("op")
-        if op == "exit":
-            return 0
         if op == "ping":
             send_frame(out, {"ok": True, "pid": os.getpid()})
         elif op == "stats":

@@ -12,9 +12,6 @@ verdict* on hour-scale runs.  This package supplies the machinery:
   :class:`~repro.analysis.AnalysisResult`;
 * :mod:`.checkpoint` — iteration-boundary checkpoints and bit-identical
   resume;
-* :mod:`.restart` — seeded exponential-backoff-plus-jitter pacing for
-  restarting crashed workers (used by the serving layer's out-of-process
-  worker supervision);
 * :mod:`.supervisor` — the :class:`Supervisor` façade the iterator
   reports into.
 """
@@ -23,7 +20,6 @@ from .budget import peak_rss_self_kib
 from .checkpoint import Checkpoint, load_checkpoint, write_checkpoint
 from .degradation import DEGRADATION_RUNGS, DegradationLadder
 from .incidents import Incident, IncidentLog
-from .restart import RestartPolicy
 from .supervisor import Supervisor
 
 __all__ = [
@@ -32,7 +28,6 @@ __all__ = [
     "DegradationLadder",
     "Incident",
     "IncidentLog",
-    "RestartPolicy",
     "Supervisor",
     "load_checkpoint",
     "peak_rss_self_kib",

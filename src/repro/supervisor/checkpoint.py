@@ -42,7 +42,7 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
-from ..config import SEMANTICS_VERSION
+from ..config import config_fingerprint
 from ..errors import CheckpointError
 from .incidents import Incident
 
@@ -55,24 +55,23 @@ CHECKPOINT_VERSION = 1
 def context_fingerprint(ctx) -> str:
     """Hash of everything the checkpointed state is keyed against:
     statement ids, cell ids, pack layout, and the analysis-relevant
-    starting configuration.  A resume against a different program or a
-    differently-parameterized run is rejected up front instead of
-    producing silently wrong (key-shifted) states, and so is one written
-    by a build with another ``SEMANTICS_VERSION``.
+    starting configuration (:func:`repro.config.config_fingerprint`,
+    which also carries ``SEMANTICS_VERSION``).  A resume against a
+    different program, a differently-parameterized run, or a build with
+    other semantics is rejected up front instead of producing silently
+    wrong (key-shifted) states.
 
-    Deliberately excluded: ``incremental``, which also switches the
-    sharing caches (intern pool, closure memo).  It affects physical
-    identity and wall time only — results are bit-identical across its
-    settings — so a checkpoint written under one setting must resume
-    under the other.  (The intern pools are
-    process-local and a checkpoint never refers to them: a checkpoint is
-    one pickle stream, so its states come back sharing the subtrees
-    they shared when written, and values computed after the resume are
-    interned afresh.)"""
+    ``incremental`` is not part of it: it affects physical identity and
+    wall time only — results are bit-identical across its settings — so
+    a checkpoint written under one setting must resume under the other.
+    (The intern pools are process-local and a checkpoint never refers to
+    them: a checkpoint is one pickle stream, so its states come back
+    sharing the subtrees they shared when written, and values computed
+    after the resume are interned afresh.)"""
     from ..frontend import ir as I
 
     h = hashlib.sha256()
-    h.update(repr(SEMANTICS_VERSION).encode())
+    h.update(config_fingerprint(ctx.config).encode())
     sids: List[int] = []
     for name in sorted(ctx.prog.functions):
         fn = ctx.prog.functions[name]
@@ -83,17 +82,6 @@ def context_fingerprint(ctx) -> str:
     h.update(repr(ctx.table.cell_count).encode())
     h.update(repr((len(ctx.oct_packs), len(ctx.bool_packs),
                    len(ctx.filter_sites))).encode())
-    cfg = ctx.config
-    ts = cfg.thresholds
-    h.update(repr((
-        cfg.enable_clock, cfg.enable_octagons, cfg.enable_ellipsoids,
-        cfg.enable_decision_trees, cfg.enable_linearization,
-        cfg.widening_delay, cfg.delay_fairness_bound, cfg.narrowing_steps,
-        cfg.max_widening_iterations, cfg.default_unroll,
-        sorted(cfg.loop_unroll.items()), cfg.iteration_epsilon,
-        sorted(cfg.input_ranges.items()), cfg.max_clock,
-        None if ts is None else len(ts),
-    )).encode())
     return h.hexdigest()
 
 

@@ -215,9 +215,12 @@ class TestServeCertification:
 
         cold_server = AnalysisServer(ServeConfig(
             socket_path=str(tmp_path / "s1.sock"), cache_dir=cache_dir,
-            isolate_jobs=False, certify_serve="all"))
+            certify_serve="all"))
         j1 = Job("job-1", [("serve.c", SERVE_SRC)], "main", overrides)
-        cold_server._serve_job(j1)
+        try:
+            cold_server._serve_job(j1)
+        finally:
+            cold_server.executor.shutdown()
         assert j1.envelope["ok"]
 
         # Restart with the exact-result cache pruned but the fixpoint
@@ -227,9 +230,12 @@ class TestServeCertification:
         shutil.rmtree(os.path.join(cache_dir, "results"))
         server = AnalysisServer(ServeConfig(
             socket_path=str(tmp_path / "s2.sock"), cache_dir=cache_dir,
-            isolate_jobs=False, certify_serve="all"))
+            certify_serve="all"))
         j2 = Job("job-2", [("serve.c", SERVE_SRC)], "main", overrides)
-        server._serve_job(j2)
+        try:
+            server._serve_job(j2)
+        finally:
+            server.executor.shutdown()
         assert j2.envelope["ok"]
         assert j2.envelope["result"]["cross_run_hits"] > 0
         assert j2.envelope["digest"] == j1.envelope["digest"]

@@ -8,16 +8,18 @@ digests, and the campaign wall budget.
 
 import json
 import os
+import signal
 
 import pytest
 
 from repro.concrete.interpreter import RandomInputs, derive_seed
 from repro.fuzz import (
     CampaignConfig, CaseSpec, InProcessRunner, SubprocessRunner,
-    build_case, case_size, crash_signature, generate_case_specs, load_case,
+    build_case, case_size, generate_case_specs, load_case,
     reduce_case, replay_case, run_campaign, save_case, triage_failures,
     verdict_digest,
 )
+from repro.ipc.process import crash_signature
 from repro.fuzz.mutators import MUTATION_KINDS, apply_mutations
 from repro.fuzz.worker import _analyzer_config, execute_spec
 
@@ -152,6 +154,45 @@ class TestWorkerAndRunner:
         out = SubprocessRunner(timeout_s=300.0).run_spec(spec_with())
         assert out.outcome == "sound"
         assert out.returncode == 0
+
+    def test_subprocess_runner_timeout_reaps_child(self, monkeypatch):
+        from repro.fuzz import runner
+
+        spawned = []
+
+        class Recording(runner.WorkerProcess):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spawned.append(self)
+
+        monkeypatch.setattr(runner, "WorkerProcess", Recording)
+        out = SubprocessRunner(timeout_s=0.05).run_spec(spec_with())
+        assert out.outcome == "timeout"
+        assert out.signature == "timeout|0.05s|"
+        assert out.infra_retries == 0
+        # The overrun child was killed and reaped: nothing left running.
+        assert len(spawned) == 1
+        assert spawned[0].proc.returncode == -signal.SIGKILL
+        with pytest.raises(ProcessLookupError):
+            os.kill(spawned[0].pid, 0)
+
+    def test_subprocess_runner_retries_a_sigkilled_worker(self,
+                                                          monkeypatch):
+        from repro.fuzz import runner
+
+        killed = []
+
+        class KilledOnce(runner.WorkerProcess):
+            def request(self, message, timeout_s=None):
+                if not killed:  # what the OOM killer delivers
+                    killed.append(self.pid)
+                    os.kill(self.pid, signal.SIGKILL)
+                return super().request(message, timeout_s)
+
+        monkeypatch.setattr(runner, "WorkerProcess", KilledOnce)
+        out = SubprocessRunner(timeout_s=300.0).run_spec(spec_with())
+        assert out.outcome == "sound"
+        assert (out.attempts, out.infra_retries) == (2, 1)
 
     def test_subprocess_crash_signature_matches_in_process(self):
         spec = spec_with()

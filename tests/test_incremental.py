@@ -84,7 +84,9 @@ class TestDifferentialSweep:
         prog, cfg = _family(0.12, 7)
         full, incr = _both_modes(prog, cfg)
         assert incr.stmts_skipped > 0
-        assert incr.stmts_executed < full.stmts_executed
+        # Executing >= 90% of the full-mode statement count would mean
+        # skipping has regressed (the ratio is about 0.65 here).
+        assert incr.stmts_executed < 0.9 * full.stmts_executed
 
     def test_mixed_block_types_handwritten(self):
         # Nested loop + call + both branch arms feasible + filter state:

@@ -144,3 +144,65 @@ class TestMisc:
     def test_line_markers_present(self):
         out = preprocess("x\n", "file.c")
         assert '# 1 "file.c"' in out
+
+
+class TestAlarmLines:
+    """Dropped lines keep their numbers, so alarms land on the line that
+    holds the offending expression."""
+
+    BODY = ("volatile int s;\n"
+            "int main(void) {\n"
+            "    int x; x = s;\n"
+            "    x = 10 / x;\n"
+            "    return 0;\n"
+            "}\n")
+
+    @staticmethod
+    def _division_lines(src, filename="t.c"):
+        from repro.analysis import analyze
+        from repro.config import AnalyzerConfig
+
+        result = analyze(src, filename, config=AnalyzerConfig(
+            input_ranges={"s": (-1.0, 1.0)}))
+        return [(a.loc.filename, a.loc.line) for a in result.alarms
+                if a.kind == "division-by-zero"]
+
+    def test_define(self):
+        src = "#define K 0\n" + self.BODY
+        assert self._division_lines(src) == [("t.c", 5)]
+
+    def test_inactive_if_branch(self):
+        src = ("#if 0\nint unused;\n#else\nint used;\n#endif\n"
+               + self.BODY)
+        assert self._division_lines(src) == [("t.c", 9)]
+
+    def test_define_continued_with_backslash(self):
+        src = "#define K \\\n    0\n" + self.BODY
+        assert self._division_lines(src) == [("t.c", 6)]
+
+    def test_system_include(self):
+        src = "#include <stdio.h>\n" + self.BODY
+        assert self._division_lines(src) == [("t.c", 5)]
+
+    def test_quoted_include_with_guard(self, tmp_path):
+        # The header's own lines, and the including file's lines after
+        # the #include (re-synced by a line marker), both stay exact.
+        (tmp_path / "lib.h").write_text(
+            "#ifndef LIB_H\n"
+            "#define LIB_H\n"
+            "int div10(int x) {\n"
+            "    return 10 / x;\n"
+            "}\n"
+            "#endif\n")
+        main = tmp_path / "main.c"
+        src = ('#include "lib.h"\n'
+               "volatile int s;\n"
+               "int main(void) {\n"
+               "    int x; x = s;\n"
+               "    x = div10(x);\n"
+               "    x = 100 / s;\n"
+               "    return 0;\n"
+               "}\n")
+        lines = self._division_lines(src, str(main))
+        assert sorted(lines) == sorted([(str(tmp_path / "lib.h"), 4),
+                                        (str(main), 6)])

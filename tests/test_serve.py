@@ -18,12 +18,12 @@ import time
 import pytest
 
 from repro.analysis import analyze
-from repro.config import AnalyzerConfig
+from repro.config import AnalyzerConfig, config_fingerprint
 from repro.serve.cache import CrossRunCache, FrontendCache
 from repro.serve.client import wait_until_ready
-from repro.serve.fingerprints import (compat_fingerprint, config_fingerprint,
-                                      request_key, result_digest,
-                                      result_payload, source_digest)
+from repro.serve.fingerprints import (compat_fingerprint, request_key,
+                                      result_digest, result_payload,
+                                      source_digest)
 from repro.serve.jobs import Job, JobQueue, QueueFull
 from repro.serve.protocol import (ProtocolError, recv_message, send_message)
 from repro.serve.server import AnalysisServer, ServeConfig
@@ -67,12 +67,20 @@ class TestFingerprints:
             dataclasses.replace(cfg, wall_deadline_s=1.0,
                                 checkpoint_every=3))
 
-    def test_config_fingerprint_pinned(self):
+    def test_config_fingerprint_pinned(self, monkeypatch):
         # Deleting a non-semantic config field must not move any serve
-        # request key, journal key or certificate fingerprint: these
-        # values predate the removal of the parallel dispatch fields.
+        # request key, journal key or certificate fingerprint; only the
+        # SEMANTICS_VERSION salt may.
+        import repro.config
         from repro.config import baseline_config
 
+        assert config_fingerprint(AnalyzerConfig()) == (
+            "389f11db919510de6e3f8beed4226d6697d6d97ab86c92f763331a66f0db387a")
+        assert config_fingerprint(baseline_config()) == (
+            "7b4c9c681feaea83d6e3033026088979029503b31afbf28fa843a21fc7851cf9")
+        # Under the previous salt, the values that predate the removal
+        # of the parallel dispatch fields.
+        monkeypatch.setattr(repro.config, "SEMANTICS_VERSION", 2)
         assert config_fingerprint(AnalyzerConfig()) == (
             "8e39747431843fc1eb83b61fc54856a577c22d62294d92b13b7d7b87188d3c90")
         assert config_fingerprint(baseline_config()) == (
@@ -81,8 +89,8 @@ class TestFingerprints:
     def test_field_name_sets_name_config_fields(self):
         # A mode deletion must not leave a stale name behind in any of
         # the sets that list AnalyzerConfig fields by name.
+        from repro.config import _NON_SEMANTIC_FIELDS
         from repro.fuzz.worker import _ANALYZER_OVERRIDES
-        from repro.serve.fingerprints import _NON_SEMANTIC_FIELDS
         from repro.serve.jobs import CLIENT_FIELDS
 
         fields = {f.name for f in dataclasses.fields(AnalyzerConfig)}
@@ -174,13 +182,13 @@ class TestStores:
                                                    monkeypatch):
         """Keys are salted with SEMANTICS_VERSION: a result written by a
         build with other semantics is never served."""
-        from repro.serve import fingerprints
+        import repro.config
 
         cfg = AnalyzerConfig()
         d = source_digest([("a.c", "int main(void){return 0;}")])
         new_key = request_key(d, "main", cfg)
-        monkeypatch.setattr(fingerprints, "SEMANTICS_VERSION",
-                            fingerprints.SEMANTICS_VERSION - 1)
+        monkeypatch.setattr(repro.config, "SEMANTICS_VERSION",
+                            repro.config.SEMANTICS_VERSION - 1)
         old_key = request_key(d, "main", cfg)
         ResultStore(str(tmp_path)).put(old_key, {"digest": "stale"})
         monkeypatch.undo()

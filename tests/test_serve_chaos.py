@@ -33,12 +33,12 @@ from repro.errors import ServeError
 from repro.serve.client import ServeClient, wait_until_ready
 from repro.serve.fingerprints import result_digest, result_payload
 from repro.serve.jobs import effective_config
-from repro.serve.protocol import (ProtocolError, recv_frame, send_frame,
-                                  recv_message, send_message)
+from repro.ipc.frames import ProtocolError, recv_frame, send_frame
+from repro.ipc.process import RestartPolicy
+from repro.serve.protocol import recv_message, send_message
 from repro.serve.server import AnalysisServer, ServeConfig
 from repro.serve.store import ResultStore
 from repro.serve.workload import base_program
-from repro.supervisor.restart import RestartPolicy
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +154,22 @@ class TestRestartPolicy:
         p.reset()
         assert p.failures == 0
         assert p.next_delay() <= 0.05 * 1.5
+
+
+class TestProcessLayer:
+    def test_serve_worker_path_loads_no_fuzz_module(self):
+        # The daemon and its worker share the process primitive with the
+        # fuzz runner, not the fuzz package.
+        src_dir = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        code = ("import sys, repro.serve.supervise, repro.serve.worker; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('repro.fuzz')))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src_dir),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +441,13 @@ class TestSocketLifecycle:
         s.bind(sock)
         s.close()  # leaves the file behind with nothing listening
         assert os.path.exists(sock)
-        with daemon(tmp_path, isolate_jobs=False) as d:
+        with daemon(tmp_path) as d:
             assert d.connect().ping()["ok"]
             assert any("stale socket" in i for i in d.server.incidents)
 
     def test_second_daemon_is_refused(self, tmp_path):
-        with daemon(tmp_path, isolate_jobs=False) as d:
-            second = AnalysisServer(ServeConfig(socket_path=d.sock,
-                                                isolate_jobs=False))
+        with daemon(tmp_path) as d:
+            second = AnalysisServer(ServeConfig(socket_path=d.sock))
             with pytest.raises(ServeError, match="already listening"):
                 second.serve_forever()
             # The live daemon's socket must not have been disturbed.
@@ -450,8 +465,7 @@ class TestOverloadAndRetry:
 
     def test_queue_full_is_retryable_with_hint(self, tmp_path):
         server = AnalysisServer(ServeConfig(
-            socket_path=str(tmp_path / "x.sock"), max_queue=1,
-            isolate_jobs=False))
+            socket_path=str(tmp_path / "x.sock"), max_queue=1))
         assert server._op_submit(self._submit_msg())["ok"]
         shed = server._op_submit(self._submit_msg("void main(){int x;}"))
         assert not shed["ok"] and shed["retryable"]
@@ -459,7 +473,7 @@ class TestOverloadAndRetry:
 
     def test_draining_daemon_refuses_submits(self, tmp_path):
         server = AnalysisServer(ServeConfig(
-            socket_path=str(tmp_path / "x.sock"), isolate_jobs=False))
+            socket_path=str(tmp_path / "x.sock")))
         server._draining.set()
         refused = server._op_submit(self._submit_msg())
         assert not refused["ok"] and refused["retryable"]

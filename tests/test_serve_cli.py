@@ -21,8 +21,7 @@ from repro.serve.server import AnalysisServer, ServeConfig
 class TestServeExitCodes:
     def test_second_daemon_on_same_socket_exits_3(self, tmp_path, capsys):
         path = str(tmp_path / "daemon.sock")
-        server = AnalysisServer(ServeConfig(socket_path=path,
-                                            isolate_jobs=False))
+        server = AnalysisServer(ServeConfig(socket_path=path))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

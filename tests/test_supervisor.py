@@ -305,11 +305,21 @@ class TestCheckpointResume:
         fp3 = context_fingerprint(
             ctx_for(dataclasses.replace(loop_cfg, narrowing_steps=7)))
         assert fp3 != fp1
-        # A checkpoint from a build with other semantics never resumes.
-        from repro.supervisor import checkpoint
+        # Threshold *values* count, not just how many there are.
+        from repro.domains.thresholds import ThresholdSet
 
-        monkeypatch.setattr(checkpoint, "SEMANTICS_VERSION",
-                            checkpoint.SEMANTICS_VERSION - 1)
+        ts = loop_cfg.thresholds.values
+        shifted = ThresholdSet([v * 2 for v in ts])
+        assert len(shifted.values) == len(ts)
+        assert context_fingerprint(ctx_for(dataclasses.replace(
+            loop_cfg, thresholds=shifted))) != fp1
+        assert context_fingerprint(ctx_for(dataclasses.replace(
+            loop_cfg, partition_functions={"main"}))) != fp1
+        # A checkpoint from a build with other semantics never resumes.
+        import repro.config
+
+        monkeypatch.setattr(repro.config, "SEMANTICS_VERSION",
+                            repro.config.SEMANTICS_VERSION - 1)
         assert context_fingerprint(ctx_for(loop_cfg)) != fp1
 
 
@@ -368,19 +378,21 @@ class TestExitCodeContract:
         assert "checkpoint" in proc.stderr
 
     @pytest.mark.parametrize("argv", [
-        ["--jobs", "2"],
-        ["--no-vectorize"],
-        ["--vectorize-min-cells", "4"],
-        ["--no-such-flag"],
-        ["--max-clock", "abc"],
+        ["analyze", "loop.c", "--jobs", "2"],
+        ["analyze", "loop.c", "--no-vectorize"],
+        ["analyze", "loop.c", "--vectorize-min-cells", "4"],
+        ["analyze", "loop.c", "--no-such-flag"],
+        ["analyze", "loop.c", "--max-clock", "abc"],
+        ["serve", "--no-isolate-jobs"],
+        ["client", "loop.c", "--edit-loop", "3"],
     ], ids=["removed-jobs-flag", "removed-no-vectorize-flag",
             "removed-vectorize-min-cells-flag", "unknown-flag",
-            "bad-int-value"])
+            "bad-int-value", "removed-no-isolate-jobs-flag",
+            "removed-edit-loop-flag"])
     def test_usage_error_is_3(self, tmp_path, argv):
         # argparse's own exit 2 would read as a degraded verdict.
-        f = tmp_path / "loop.c"
-        f.write_text(LOOP_SRC)
-        proc = _run_cli(["analyze", str(f)] + argv, tmp_path)
+        (tmp_path / "loop.c").write_text(LOOP_SRC)
+        proc = _run_cli(argv, tmp_path)
         assert proc.returncode == int(ExitCode.INTERNAL_ERROR)
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
