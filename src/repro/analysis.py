@@ -84,11 +84,10 @@ class AnalysisResult:
     # Peak resident set size of the analyzer process in KiB, 0 if the
     # resource module is unavailable.
     peak_rss_kib: int = 0
-    # Incremental engine feedback (repro.iterator.incremental):
+    # Statement-skipping feedback (repro.iterator.incremental):
     # statement executions performed vs spliced from memoized records
-    # (skips are weighted by footprint span).  stmts_executed also
-    # counts in full (non-incremental) mode, making the two comparable.
-    incremental: bool = True
+    # (skips are weighted by footprint span).  A traced run executes
+    # every statement, so its stmts_skipped is 0.
     stmts_executed: int = 0
     stmts_skipped: int = 0
     # Always zero: the cost ledger's traced runs read these five by
@@ -230,24 +229,21 @@ def analyze(source, filename: str = "<input>",
                            cross_run=cross_run)
 
 
-def _configure_sharing(config: AnalyzerConfig) -> None:
-    """Size the process-global sharing caches (value intern pool and
-    octagon closure memo) for this run.
+def _configure_sharing(enabled: bool) -> None:
+    """Switch the process-global sharing caches (value intern pool and
+    octagon closure memo) on or off.
 
-    Both are gated on ``config.incremental``: ``--no-incremental`` is
-    specified as a fallback to the pre-incremental engine, which had
-    none of this machinery.  Disabling is always safe — the caches are
-    value-preserving and only affect physical identity and wall time.
+    Every analysis runs with both on except a traced one, the reference
+    engine (see ``AnalyzerConfig.trace``); the certificate checker
+    turns them off for its walk.  Disabling is always safe — the caches
+    are value-preserving and only affect physical identity and wall
+    time.
     """
     from .domains.octagon import CLOSURE_MEMO_CAPACITY, configure_closure_memo
     from .memory import interning
 
-    if config.incremental:
-        interning.configure(interning.POOL_CAPACITY)
-        configure_closure_memo(CLOSURE_MEMO_CAPACITY)
-    else:
-        interning.configure(0)
-        configure_closure_memo(0)
+    interning.configure(interning.POOL_CAPACITY if enabled else 0)
+    configure_closure_memo(CLOSURE_MEMO_CAPACITY if enabled else 0)
 
 
 def _needs_supervisor(config: AnalyzerConfig) -> bool:
@@ -257,7 +253,6 @@ def _needs_supervisor(config: AnalyzerConfig) -> bool:
         config.stmt_timeout_s is not None,
         config.checkpoint_path is not None,
         config.resume_path is not None,
-        config.checkpoint_halt_after is not None,
     ))
 
 
@@ -268,9 +263,9 @@ def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
 
     ``cross_run`` optionally attaches a
     :class:`repro.serve.cache.CrossRunCache`: donor (pre, post) journals
-    of a previous run seed the incremental engine, and this run's
-    journal is collected for harvesting by the caller.  Requires the
-    incremental engine; ignored under ``--no-incremental`` or tracing.
+    of a previous run seed statement skipping, and this run's journal
+    is collected for harvesting by the caller.  Ignored under tracing,
+    which skips no statement.
 
     When any supervisor feature is enabled (resource budget, checkpoint
     or resume path), the run is wrapped in a :class:`Supervisor`; the
@@ -295,23 +290,17 @@ def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
     ctx = AnalysisContext(prog=prog, config=config, table=table,
                           oct_packs=oct_packs, bool_packs=bool_packs,
                           filter_sites=sites)
-    _configure_sharing(config)
+    _configure_sharing(not config.trace)
     if sup is not None:
         sup.attach_context(ctx)
     packing_seconds = time.perf_counter() - start
     alarms = AlarmCollector()
     it = Iterator(ctx, alarms)
     it.supervisor = sup
-    if cross_run is not None and config.incremental and not config.trace:
+    if cross_run is not None and not config.trace:
         cross_run.attach(ctx)
         it.cross_run = cross_run
-    try:
-        if sup is not None:
-            sup.start()
-        final = it.run(checking=True)
-    finally:
-        if sup is not None:
-            sup.stop()
+    final = it.run(checking=True)
     elapsed = time.perf_counter() - start
     checking_seconds = max(0.0, elapsed - packing_seconds
                            - it.fixpoint_seconds)
@@ -347,7 +336,6 @@ def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
         visit_counts=it.visit_counts,
         phase_times=phases,
         peak_rss_kib=peak_rss_self_kib(),
-        incremental=config.incremental,
         stmts_executed=it.stmts_executed,
         stmts_skipped=it.stmts_skipped,
         cross_run_seeded=0 if cross_run is None else cross_run.seeded,

@@ -1,9 +1,9 @@
 """Invariant certificates: engine-independent result validation.
 
-The analyzer has two execution paths to the same answer (full and
-incremental) plus a journal-replay serving cache.  Following Blazy et
+The analyzer's engine skips statements whose inputs are unchanged, and
+the serving cache replays journals of earlier runs.  Following Blazy et
 al. (*Formal Verification of a C Value Analysis Based on Abstract
-Interpretation*), none of them needs to be trusted: a result is
+Interpretation*), neither needs to be trusted: a result is
 *certified* by packaging its invariants into a content-addressed
 artifact and re-applying every transfer function exactly once over the
 certified states, checking only lattice containment —
@@ -16,9 +16,10 @@ certified states, checking only lattice containment —
 
 The checker (:func:`check_certificate`) uses the abstract domains'
 ``transfer``/``includes`` only — no widening, no narrowing, no
-interning or closure memo — so it cannot share a bug with any engine
-path.  It runs the same scalar lattice operations as the engine.  See
-docs/soundness.md, "Result certification".
+statement skipping, no interning or closure memo — so it cannot share
+a bug with any engine path.  It runs the same scalar lattice
+operations as the engine.  See docs/soundness.md, "Result
+certification".
 """
 
 from .api import (CertificateCheck, CertificationSummary, build_certificate,

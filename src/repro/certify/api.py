@@ -1,7 +1,7 @@
 """Emission and checking entry points.
 
 Both ends rebuild a *fresh, plain* analysis context from the source
-units: performance machinery is normalized away (no incremental engine,
+units: performance machinery is normalized away (no statement skipping,
 no interning or closure memo, no supervisor budgets), while every
 semantic knob (domains, thresholds, widening/unrolling strategy,
 partitioning, input ranges, max_clock, packing) is kept verbatim — the
@@ -24,14 +24,14 @@ from typing import List, Sequence, Tuple, Union
 
 from ..config import AnalyzerConfig, config_fingerprint
 from ..errors import CertificateError, ReproError
-from ..frontend import link_sources
+from ..frontend import link_sources, source_digest
+from ..frontend.ir import stable_ordinals
 from ..iterator.state import (AnalysisContext, get_active_context,
                               set_active_context)
 from ..memory.cells import CellTable
 from ..packing.boolean_packs import compute_bool_packs
 from ..packing.ellipsoid_sites import find_filter_sites
 from ..packing.octagon_packs import compute_octagon_packs
-from ..serve.fingerprints import source_digest, stable_ordinals
 from .artifact import (CERT_FORMAT, CERT_VERSION, StateTable, decode_config,
                        decode_states, encode_config, encode_state,
                        load_certificate, payload_digest, validate_envelope)
@@ -90,10 +90,9 @@ def _normalize_sources(sources, filename: str) -> List[Tuple[str, str]]:
 def _plain_config(cfg: AnalyzerConfig) -> AnalyzerConfig:
     """Strip every performance/robustness layer; keep the semantics."""
     return cfg.with_overrides(
-        incremental=False, trace=False, collect_invariants=False,
-        certify=False,
+        trace=False, collect_invariants=False, certify=False,
         wall_deadline_s=None, rss_limit_kib=None, stmt_timeout_s=None,
-        checkpoint_path=None, resume_path=None, checkpoint_halt_after=None,
+        checkpoint_path=None, resume_path=None,
     )
 
 
@@ -101,7 +100,7 @@ def _fresh_context(sources: Sources, entry: str,
                    cfg: AnalyzerConfig) -> AnalysisContext:
     """Compile the certified sources into a brand-new plain context and
     install it as the process's active context (state blobs re-attach
-    to it on decode)."""
+    to it on decode).  The walk runs with both sharing caches off."""
     from ..analysis import _configure_sharing
 
     try:
@@ -115,7 +114,7 @@ def _fresh_context(sources: Sources, entry: str,
         oct_packs=compute_octagon_packs(prog, table, cfg),
         bool_packs=compute_bool_packs(prog, table, cfg),
         filter_sites=find_filter_sites(prog, table))
-    _configure_sharing(cfg)
+    _configure_sharing(False)
     set_active_context(ctx)
     return ctx
 
@@ -125,7 +124,7 @@ def _restore_engine_globals(prev_ctx) -> None:
 
     set_active_context(prev_ctx)
     if prev_ctx is not None:
-        _configure_sharing(prev_ctx.config)
+        _configure_sharing(not prev_ctx.config.trace)
 
 
 def _alarm_keys(alarms, ordinals) -> set:
@@ -232,7 +231,6 @@ def build_certificate(result, sources, filename: str = "<input>") -> dict:
             "engine_config_fingerprint": config_fingerprint(
                 result.ctx.config),
             "engine": {
-                "incremental": bool(result.incremental),
                 "cross_run_hits": int(result.cross_run_hits),
                 "widening_iterations": int(result.widening_iterations),
             },

@@ -28,7 +28,7 @@ string ids) are rejected by the version check and must be re-emitted.
 
 Statements are identified by their *stable ordinal* (depth-first
 position over functions in sorted name order, see
-``repro.serve.fingerprints.stable_ordinals``), never by raw statement
+``repro.frontend.ir.stable_ordinals``), never by raw statement
 ids: ids are process-global counters and do not survive
 re-compilation of the same source in the checking process.
 

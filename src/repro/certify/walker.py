@@ -9,7 +9,7 @@ its ``exec_stmt`` override records — or, in check mode, verifies —
 (guards, branch joins, call inlining, trace partitioning) is the
 inherited structural traversal, driven by the transfer functions
 directly: the walker runs on a performance-normalized configuration
-(no incremental engine, no sharing caches), so the only trusted code
+(no statement skipping, no sharing caches), so the only trusted code
 is the domains' ``transfer``/``includes`` and this file's ~200 lines.
 
 Two modes over one traversal:
@@ -39,7 +39,6 @@ from ..errors import CertificateError
 from ..frontend import ir as I
 from ..iterator.iterator import Flow, Iterator, _join_opt, _join_opt_val
 from ..iterator.state import AbstractState, AnalysisContext
-from ..serve.fingerprints import stable_ordinals
 
 __all__ = ["CertWalker"]
 
@@ -63,7 +62,7 @@ class CertWalker(Iterator):
         super().__init__(ctx)
         assert mode in ("emit", "check")
         self.mode = mode
-        self._ordinals: Dict[int, int] = stable_ordinals(ctx.prog)
+        self._ordinals: Dict[int, int] = I.stable_ordinals(ctx.prog)
         # Emission input: the engine's loop-occurrence records.
         self._engine_loops = engine_loops if engine_loops is not None else []
         self._engine_cursor = 0

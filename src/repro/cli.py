@@ -67,8 +67,6 @@ def _build_config(args) -> AnalyzerConfig:
         overrides["enable_decision_trees"] = False
     if args.invariants:
         overrides["collect_invariants"] = True
-    if getattr(args, "incremental", None) is not None:
-        overrides["incremental"] = args.incremental
     if getattr(args, "deadline", None) is not None:
         overrides["wall_deadline_s"] = args.deadline
     if getattr(args, "max_rss", None) is not None:
@@ -101,10 +99,9 @@ def _print_stats(result) -> None:
     print(f"  total      {result.analysis_time:8.3f}s")
     print(f"  peak RSS   {result.peak_rss_kib / 1024.0:8.1f} MiB")
     print(f"  widening iterations: {result.widening_iterations}")
-    mode = "incremental" if result.incremental else "full"
     total = result.stmts_executed + result.stmts_skipped
     pct = 100.0 * result.stmts_skipped / total if total else 0.0
-    print(f"  statements ({mode}): executed={result.stmts_executed} "
+    print(f"  statements: executed={result.stmts_executed} "
           f"skipped={result.stmts_skipped} ({pct:.1f}% skipped)")
     if result.cross_run_seeded or result.cross_run_hits:
         print(f"  cross-run cache: seeded={result.cross_run_seeded} "
@@ -178,11 +175,10 @@ def cmd_analyze(args) -> int:
         }
         if certification is not None:
             payload["certification"] = certification
-        if args.stats or args.profile_phases:
+        if args.stats:
             payload["phase_times_s"] = result.phase_times
             payload["peak_rss_kib"] = result.peak_rss_kib
             payload["widening_iterations"] = result.widening_iterations
-            payload["incremental"] = result.incremental
             payload["stmts_executed"] = result.stmts_executed
             payload["stmts_skipped"] = result.stmts_skipped
             payload["cross_run_seeded"] = result.cross_run_seeded
@@ -212,7 +208,7 @@ def cmd_analyze(args) -> int:
                   f"(rungs applied: {', '.join(result.degradation_steps)})")
         if result.resumed:
             print("-- resumed from checkpoint")
-        if args.stats or args.profile_phases:
+        if args.stats:
             _print_stats(result)
         if args.invariants:
             print("-- main loop invariant --")
@@ -476,14 +472,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     pa.add_argument("--no-trees", action="store_true")
     pa.add_argument("--invariants", action="store_true",
                     help="dump the main loop invariant")
-    pa.add_argument("--incremental", dest="incremental",
-                    action="store_true", default=None,
-                    help="dependency-sliced body re-execution inside "
-                         "fixpoints (the default; bit-identical results)")
-    pa.add_argument("--no-incremental", dest="incremental",
-                    action="store_false",
-                    help="fall back to full body re-execution (the "
-                         "pre-incremental engine, no sharing caches)")
     pa.add_argument("--certify", action="store_true",
                     help="record invariant certificates during the run and "
                          "validate the result by an independent "
@@ -498,13 +486,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                          "'astree-repro check-certificate PATH')")
     pa.add_argument("--stats", action="store_true",
                     help="report per-phase wall time and peak RSS")
-    pa.add_argument("--profile-phases", dest="profile_phases",
-                    action="store_true",
-                    help="alias of --stats (phase breakdown)")
     pa.add_argument("--json", action="store_true")
-    pa.add_argument("--strict", action="store_true",
-                    help="deprecated no-op: alarms now exit 1 by default "
-                         "(see the exit-code contract)")
     pa.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                     help="wall-clock budget; on overrun the analysis "
                          "degrades to a sound coarser verdict (exit 2)")

@@ -93,27 +93,16 @@ class AnalyzerConfig:
     # however, this precision gain was not needed in our experiments").
     octagon_pivot_reduction: bool = False
 
-    # -- incremental fixpoint engine (repro.iterator.incremental) ---------------
-    # Re-execute only the statements of a widening iteration whose
-    # read/write footprint disagrees with the memoized previous
-    # execution, splicing recorded post-states for the rest.  Results
-    # are bit-identical to full re-execution (--no-incremental).
-    # Also switches on the sharing caches (the cell-value intern pool
-    # and the octagon closure memo; see analysis._configure_sharing).
-    incremental: bool = True
-
     # -- resource budgets (repro.supervisor) ------------------------------------
     # When any budget trips, the supervisor walks the soundness-
     # preserving degradation ladder instead of aborting: the run always
     # terminates with a sound (possibly coarser) verdict and
     # AnalysisResult.degraded set.  None disables a budget.
     wall_deadline_s: Optional[float] = None
-    # Peak-RSS ceiling of the analyzer process, sampled by a watchdog
-    # thread.
+    # Peak-RSS ceiling of the analyzer process.
     rss_limit_kib: Optional[int] = None
     # Soft per-statement timeout, sampled at statement boundaries.
     stmt_timeout_s: Optional[float] = None
-    watchdog_interval_s: float = 0.05
 
     # -- checkpoint / resume (repro.supervisor) ---------------------------------
     # Serialize the analysis at outermost fixpoint-iteration boundaries
@@ -122,9 +111,6 @@ class AnalyzerConfig:
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 1
     resume_path: Optional[str] = None
-    # Fault-injection knob (tests/CI): simulate a kill by raising
-    # SupervisorHalt after this many checkpoints have been written.
-    checkpoint_halt_after: Optional[int] = None
 
     # -- result certification (repro.certify) -----------------------------------
     # Record, for every loop occurrence of the checking-mode traversal,
@@ -134,7 +120,7 @@ class AnalyzerConfig:
     # packages them into an engine-independent, content-addressed
     # artifact validated by ``astree-repro check-certificate``.  A pure
     # observation knob: results are unchanged, so it is excluded from the
-    # checkpoint and serve fingerprints like ``incremental``.
+    # checkpoint and serve fingerprints.
     certify: bool = False
 
     # -- reporting --------------------------------------------------------------------
@@ -142,6 +128,9 @@ class AnalyzerConfig:
     # Tracing facilities (Sect. 5.3): when on, the iterator counts abstract
     # visits per statement (exposed as AnalysisResult.visit_counts) — a
     # cheap way to see where the iteration strategy spends its work.
+    # Counting needs every execution, so a traced run re-executes every
+    # fixpoint body in full with both sharing caches off: the reference
+    # engine the differential tests hold statement skipping against.
     trace: bool = False
 
     def with_overrides(self, **kwargs) -> "AnalyzerConfig":
@@ -152,14 +141,13 @@ class AnalyzerConfig:
 
 #: Performance, robustness and observation knobs that cannot change a
 #: (non-degraded) verdict: excluded from the configuration fingerprint.
-#: Results are bit-identical across ``incremental`` and ``certify``;
-#: budgets only decide whether a run *finishes* at full precision, and
-#: the degradation ladder mutates precision fields in place, so a
-#: degraded effective configuration fingerprints differently anyway.
+#: Results are bit-identical across ``certify``; budgets only decide
+#: whether a run *finishes* at full precision, and the degradation
+#: ladder mutates precision fields in place, so a degraded effective
+#: configuration fingerprints differently anyway.
 _NON_SEMANTIC_FIELDS = frozenset({
-    "incremental", "wall_deadline_s", "rss_limit_kib", "stmt_timeout_s",
-    "watchdog_interval_s", "checkpoint_path", "checkpoint_every",
-    "resume_path", "checkpoint_halt_after", "certify",
+    "wall_deadline_s", "rss_limit_kib", "stmt_timeout_s",
+    "checkpoint_path", "checkpoint_every", "resume_path", "certify",
 })
 
 

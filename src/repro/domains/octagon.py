@@ -46,8 +46,8 @@ _INF = math.inf
 # only the oldest insertions are dropped (a batch at a time), so a full
 # memo sheds cold entries instead of cold-starting the whole hot set
 # (it is a cache — dropping entries costs time, never correctness).
-# Off by default; analyze_program enables it for incremental runs with
-# CLOSURE_MEMO_CAPACITY entries.
+# Off by default; analyze_program enables it with CLOSURE_MEMO_CAPACITY
+# entries for every run except a traced one (the reference engine).
 CLOSURE_MEMO_CAPACITY = 8192
 _CLOSURE_MEMO: Dict[Tuple[bytes, Optional[Tuple[int, ...]]], "Octagon"] = {}
 _CLOSURE_MEMO_MAX = 0

@@ -213,11 +213,6 @@ class CellValue:
             return CellValue(self.itv, self.minus_clock, self.plus_clock)
         return CellValue(candidates, self.minus_clock, self.plus_clock)
 
-    def drop_clock(self) -> "CellValue":
-        if self.minus_clock is None:
-            return self
-        return CellValue(self.itv)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [repr(self.itv)]
         if self.minus_clock is not None:

@@ -1,6 +1,6 @@
 """C frontend: preprocessing, parsing, type checking, lowering, linking."""
 
-from .linker import compile_files, compile_source, link_sources
+from .linker import compile_files, compile_source, link_sources, source_digest
 from .parser import parse
 from .preprocessor import (
     check_source_text, decode_source, preprocess, read_source_file,
@@ -15,4 +15,5 @@ __all__ = [
     "parse",
     "preprocess",
     "read_source_file",
+    "source_digest",
 ]

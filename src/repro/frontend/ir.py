@@ -394,3 +394,19 @@ def iter_stmts(stmts: Sequence[Stmt]):
         elif isinstance(s, SSwitch):
             for _, body in s.cases:
                 yield from iter_stmts(body)
+
+
+def stable_ordinals(prog: IRProgram) -> Dict[int, int]:
+    """sid -> deterministic per-program ordinal (depth-first over
+    functions in sorted name order).  Stable across compilations of the
+    same source in any process, unlike the process-global sid counter."""
+    out: Dict[int, int] = {}
+    n = 0
+    for name in sorted(prog.functions):
+        fn = prog.functions[name]
+        if not fn.body:
+            continue
+        for s in iter_stmts(fn.body):
+            out[s.sid] = n
+            n += 1
+    return out

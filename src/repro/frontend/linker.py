@@ -9,7 +9,8 @@ and functions (``extern`` declarations match definitions by name and type).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+import hashlib
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import LinkError, TypeError_, UnsupportedConstructError
 from .ir import IRProgram
@@ -17,7 +18,7 @@ from .lowering import Lowerer
 from .parser import parse
 from .preprocessor import preprocess, read_source_file
 
-__all__ = ["link_sources", "compile_source"]
+__all__ = ["link_sources", "compile_source", "source_digest"]
 
 
 def compile_source(
@@ -62,6 +63,17 @@ def link_sources(
     except RecursionError as exc:
         raise UnsupportedConstructError(
             "construct nested too deeply for the frontend") from exc
+
+
+def source_digest(sources: Sequence[Tuple[str, str]]) -> str:
+    """Digest of a list of (filename, text) translation units."""
+    h = hashlib.sha256()
+    for name, text in sources:
+        h.update(name.encode())
+        h.update(b"\x00")
+        h.update(text.encode())
+        h.update(b"\x00")
+    return h.hexdigest()
 
 
 def compile_files(

@@ -37,7 +37,7 @@ __all__ = ["execute_spec", "run_built_case", "main"]
 #: AnalyzerConfig fields a case spec may override (everything else in
 #: ``spec.analyzer`` is rejected so corpus files can't silently no-op).
 _ANALYZER_OVERRIDES = frozenset({
-    "wall_deadline_s", "rss_limit_kib", "stmt_timeout_s", "incremental",
+    "wall_deadline_s", "rss_limit_kib", "stmt_timeout_s",
     "widening_delay", "expand_threshold",
 })
 

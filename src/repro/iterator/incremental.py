@@ -5,7 +5,10 @@ of a loop fixpoint most of the abstract state is already stable, yet the
 classical iterator re-executes the *whole* loop body on every iteration.
 This module re-executes only the statements that can possibly produce a
 different post-state than last time, splicing the memoized post-states
-of the rest — bit-identical to full re-execution, by construction.
+of the rest — bit-identical to full re-execution, by construction.  It
+runs in every fixpoint body run except under ``AnalyzerConfig.trace``:
+a traced run executes every statement and is the reference engine the
+differential tests hold this module against.
 
 The engine hooks :meth:`Iterator.exec_block`: while a fixpoint body run
 is in progress (``Iterator._incr_active``), every statement sequence —

@@ -106,7 +106,7 @@ class Iterator:
         # Wall time spent inside outermost loop fixpoints ("iteration"
         # phase); the rest of the run is the checking phase.  The lattice
         # share of it (join/widen/narrow/includes) is split out so
-        # --profile-phases can report transfer vs lattice time.
+        # --stats can report transfer vs lattice time.
         self.fixpoint_seconds: float = 0.0
         self.fixpoint_lattice_seconds: float = 0.0
         self._fixpoint_depth: int = 0
@@ -680,9 +680,7 @@ class Iterator:
         (alarms and loop occurrences are matched across re-compilations
         of the same source by ordinal, never by raw sid)."""
         if self._cert_ordinals is None:
-            from ..serve.fingerprints import stable_ordinals
-
-            self._cert_ordinals = stable_ordinals(self.ctx.prog)
+            self._cert_ordinals = I.stable_ordinals(self.ctx.prog)
         return self._cert_ordinals[sid]
 
     def _loop_fixpoint(self, entry: AbstractState, s: I.SWhile) -> AbstractState:
@@ -722,11 +720,12 @@ class Iterator:
             if restored is not None:
                 inv, prev_unstable, fairness_left, start_it = restored
         # Incremental body re-execution (repro.iterator.incremental):
-        # off under tracing (visit counts would diverge); partitioned
-        # regions are excluded inside exec_block itself.  The flag is
-        # only raised here, where alarms.checking is off, so a skipped
-        # statement can never lose an alarm.
-        use_incr = self.cfg.incremental and not self.cfg.trace
+        # off under tracing (visit counts need every execution; a traced
+        # run is the reference engine); partitioned regions are excluded
+        # inside exec_block itself.  The flag is only raised here, where
+        # alarms.checking is off, so a skipped statement can never lose
+        # an alarm.
+        use_incr = not self.cfg.trace
 
         def run_body(body_state):
             if not use_incr:
@@ -766,7 +765,7 @@ class Iterator:
                     fairness_left -= 1  # fairness: bounded extra joins
                 inv = inv.join(target)
             else:
-                inv = inv.widen(target, frozen_cids=None)
+                inv = inv.widen(target)
             prev_unstable = unstable
         else:
             # Iteration budget exhausted: force convergence with

@@ -87,7 +87,7 @@ class AnalysisContext:
     config_generation: int = 0
     # Wall time spent inside AbstractState lattice ops (join/widen/
     # narrow/includes) — the lattice half of the transfer-vs-lattice
-    # phase split reported by --profile-phases.
+    # phase split reported by --stats.
     lattice_seconds: float = 0.0
 
     def invalidate_derived_caches(self) -> None:
@@ -164,9 +164,6 @@ class AbstractState:
 
     # -- cell access (with reduction) -----------------------------------------------
 
-    def cell_value(self, cid: int) -> Optional[CellValue]:
-        return self.env.get(cid)
-
     def cell_float_range(self, cid: int) -> FloatInterval:
         """Float-interval view of a cell (used by linear forms/octagons)."""
         v = self.env.get(cid)
@@ -241,20 +238,18 @@ class AbstractState:
                      missing_other=lambda k, x: x),
         )
 
-    def widen(self, other: "AbstractState",
-              frozen_cids: Optional[set] = None) -> "AbstractState":
+    def widen(self, other: "AbstractState") -> "AbstractState":
         if self.is_bottom:
             return other
         if other.is_bottom:
             return self
         t0 = time.perf_counter()
         try:
-            return self._widen_impl(other, frozen_cids)
+            return self._widen_impl(other)
         finally:
             self.ctx.lattice_seconds += time.perf_counter() - t0
 
-    def _widen_impl(self, other: "AbstractState",
-                    frozen_cids: Optional[set]) -> "AbstractState":
+    def _widen_impl(self, other: "AbstractState") -> "AbstractState":
         ts = self.ctx.thresholds()
         ea, eb = self._ellipsoids_pre_reduced(other)
 
@@ -270,7 +265,7 @@ class AbstractState:
 
         return AbstractState(
             self.ctx,
-            self.env.widen(other.env, ts, frozen_cids),
+            self.env.widen(other.env, ts),
             self.octagons.merge(other.octagons,
                                 lambda k, a, b: a if a is b else a.widen(b, ts),
                                 missing_self=lambda k, b: b,
@@ -310,9 +305,6 @@ class AbstractState:
                                   missing_self=lambda k, y: y,
                                   missing_other=lambda k, x: x),
         )
-
-    def meet_env(self, env: MemoryEnv) -> "AbstractState":
-        return self._with(env=self.env.meet(env))
 
     def includes(self, other: "AbstractState") -> bool:
         if other.is_bottom:

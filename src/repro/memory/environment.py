@@ -100,9 +100,6 @@ class MemoryEnv:
     def to_bottom(self) -> "MemoryEnv":
         return MemoryEnv(PMap.empty(), self.clock, bottom=True)
 
-    def with_clock(self, clock: ClockInfo) -> "MemoryEnv":
-        return MemoryEnv(self.cells, clock, self.bottom)
-
     # -- the clock tick (the synchronous 'wait') ----------------------------------
 
     def tick(self) -> "MemoryEnv":
@@ -131,28 +128,15 @@ class MemoryEnv:
         return MemoryEnv(cells, self.clock.join(other.clock))
 
     def widen(self, other: "MemoryEnv",
-              thresholds: Optional[Sequence[float]] = None,
-              frozen_cids: Optional[set] = None) -> "MemoryEnv":
-        """Cell-wise widening with thresholds (Sect. 7.1.2).
-
-        ``frozen_cids`` supports delayed widening (Sect. 7.1.3): cells in the
-        set are joined instead of widened this iteration.
-        """
+              thresholds: Optional[Sequence[float]] = None) -> "MemoryEnv":
+        """Cell-wise widening with thresholds (Sect. 7.1.2)."""
         if self.bottom:
             return other
         if other.bottom:
             return self
-
-        def combine(cid, a: CellValue, b: CellValue) -> CellValue:
-            if a == b:
-                return a
-            if frozen_cids is not None and cid in frozen_cids:
-                return a.join(b)
-            return a.widen(b, thresholds)
-
         cells = self.cells.merge(
             other.cells,
-            combine,
+            lambda cid, a, b: a if a == b else a.widen(b, thresholds),
             missing_self=lambda cid, b: b,
             missing_other=lambda cid, a: a,
         )

@@ -19,8 +19,8 @@ when ``a == b``, dropping ``b``'s identity).  The only observable effect
 is that the physical-identity fast paths fire far more often.
 
 The pool is process-global and bounded: when it reaches its capacity
-(:data:`POOL_CAPACITY` for incremental runs) it is simply cleared —
-interning is a cache, and dropping it costs sharing, never correctness.
+(:data:`POOL_CAPACITY`) it is simply cleared — interning is a cache,
+and dropping it costs sharing, never correctness.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import Dict, Optional
 __all__ = ["POOL_CAPACITY", "configure", "intern_value", "intern_stats",
            "clear"]
 
-#: Pool capacity (entries) that analyze_program configures for
-#: incremental runs.
+#: Pool capacity (entries) that analyze_program configures for every
+#: run except a traced one (the reference engine).
 POOL_CAPACITY = 65536
 
 # value -> canonical representative.  Keys and values are the same

@@ -22,7 +22,6 @@ The analyzed programs themselves compute in binary32 or binary64
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 __all__ = [
@@ -272,8 +271,3 @@ def ulp_error_bound(fmt: FloatFormat, magnitude: float) -> float:
     if math.isinf(magnitude):
         return _INF
     return add_up(mul_up(fmt.rel_err, abs(magnitude)), fmt.abs_err)
-
-
-def float_to_bits(x: float) -> int:
-    """Raw binary64 bit pattern (testing helper)."""
-    return struct.unpack("<Q", struct.pack("<d", x))[0]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Tuple
 
 from .float_utils import FloatFormat, add_up, mul_up
 from .intervals import FloatInterval
@@ -61,9 +61,6 @@ class LinearForm:
             )
         )
         return LinearForm(items, const)
-
-    def coeff_map(self) -> Dict[VarId, FloatInterval]:
-        return dict(self.coeffs)
 
     @property
     def is_constant(self) -> bool:

@@ -24,9 +24,8 @@ def render_markdown(result: AnalysisResult, title: str = "Analysis report") -> s
     lines.append(f"* widening iterations: {result.widening_iterations}")
     total_stmts = result.stmts_executed + result.stmts_skipped
     if total_stmts:
-        mode = "incremental" if result.incremental else "full"
         pct = 100.0 * result.stmts_skipped / total_stmts
-        lines.append(f"* statements ({mode}): {result.stmts_executed} "
+        lines.append(f"* statements: {result.stmts_executed} "
                      f"executed, {result.stmts_skipped} skipped "
                      f"({pct:.1f}%)")
     lines.append(f"* octagon packs: {result.octagon_pack_count} "
@@ -101,7 +100,6 @@ def render_json(result: AnalysisResult) -> str:
         "analysis_time_s": result.analysis_time,
         "widening_iterations": result.widening_iterations,
         "incremental": {
-            "enabled": result.incremental,
             "stmts_executed": result.stmts_executed,
             "stmts_skipped": result.stmts_skipped,
             "cross_run_seeded": result.cross_run_seeded,

@@ -37,9 +37,9 @@ import pickle
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+from ..frontend.ir import stable_ordinals
 from .fingerprints import (compat_fingerprint, function_hashes,
-                           stable_ordinals, stmt_content_hash,
-                           stmt_record_key)
+                           stmt_content_hash, stmt_record_key)
 
 __all__ = ["CrossRunCache", "FrontendCache"]
 

@@ -29,7 +29,7 @@ Three layers of keys, from coarse to fine:
 
 The configuration fingerprint (:func:`repro.config.config_fingerprint`)
 covers every knob that can change the verdict and excludes the
-performance knob and the resource budgets: degraded runs are never
+observation knobs and the resource budgets: degraded runs are never
 cached (see repro.serve.cache), so budget settings must not fragment
 the key space.
 """
@@ -38,14 +38,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..config import config_fingerprint
+from ..frontend.ir import stable_ordinals
 
 __all__ = ["compat_fingerprint", "function_hashes",
            "request_key", "result_digest", "result_payload",
-           "source_digest", "stable_ordinals", "stmt_content_hash",
-           "stmt_record_key"]
+           "stmt_content_hash", "stmt_record_key"]
 
 
 def _sha(*chunks: str) -> str:
@@ -54,35 +54,6 @@ def _sha(*chunks: str) -> str:
         h.update(c.encode())
         h.update(b"\x00")
     return h.hexdigest()
-
-
-def source_digest(sources: Sequence[Tuple[str, str]]) -> str:
-    """Digest of a list of (filename, text) translation units."""
-    h = hashlib.sha256()
-    for name, text in sources:
-        h.update(name.encode())
-        h.update(b"\x00")
-        h.update(text.encode())
-        h.update(b"\x00")
-    return h.hexdigest()
-
-
-def stable_ordinals(prog) -> Dict[int, int]:
-    """sid -> deterministic per-program ordinal (depth-first over
-    functions in sorted name order).  Stable across compilations of the
-    same source in any process, unlike the process-global sid counter."""
-    from ..frontend import ir as I
-
-    out: Dict[int, int] = {}
-    n = 0
-    for name in sorted(prog.functions):
-        fn = prog.functions[name]
-        if not fn.body:
-            continue
-        for s in I.iter_stmts(fn.body):
-            out[s.sid] = n
-            n += 1
-    return out
 
 
 def function_hashes(prog) -> Dict[str, str]:

@@ -31,11 +31,13 @@ __all__ = ["CLIENT_FIELDS", "Job", "JobQueue", "QueueFull",
 
 # Configuration fields a request may override.  Everything else is the
 # daemon operator's call; rejecting unknown keys early gives clients a
-# real error instead of a silently ignored knob.
+# real error instead of a silently ignored knob.  ``trace`` is not
+# settable: the reply carries no visit counts, so over serve it would
+# only select the slow reference engine.
 CLIENT_FIELDS = frozenset({
     "input_ranges", "max_clock", "default_unroll", "partition_functions",
     "enable_octagons", "enable_ellipsoids", "enable_decision_trees",
-    "enable_clock", "collect_invariants", "trace", "incremental",
+    "enable_clock", "collect_invariants",
     "wall_deadline_s", "rss_limit_kib", "stmt_timeout_s",
 })
 

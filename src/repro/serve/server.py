@@ -64,7 +64,8 @@ from typing import Dict, List, Optional
 
 from ..config import AnalyzerConfig
 from ..errors import ServeError
-from .fingerprints import request_key, source_digest
+from ..frontend import source_digest
+from .fingerprints import request_key
 from .jobs import (Job, JobQueue, QueueFull, decode_overrides,
                    effective_config)
 from .protocol import ProtocolError, error_response, recv_message, send_message

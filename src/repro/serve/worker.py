@@ -43,10 +43,11 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..config import AnalyzerConfig
+from ..frontend import source_digest
 from ..ipc.frames import ProtocolError, encode_frame, recv_frame, send_frame
 from ..ipc.process import claim_frame_channel
 from .cache import CrossRunCache, FrontendCache
-from .fingerprints import result_digest, result_payload, source_digest
+from .fingerprints import result_digest, result_payload
 from .jobs import effective_config
 from .store import JournalStore
 
@@ -119,9 +120,8 @@ class JobExecutor:
             # cached or returned (certify is a non-semantic field:
             # request keys and journal compatibility are unchanged).
             cfg = cfg.with_overrides(certify=True)
-        cross_run = None
-        if cfg.incremental and not cfg.trace and not bypass:
-            cross_run = CrossRunCache(journal_store=self.journals)
+        cross_run = (None if bypass
+                     else CrossRunCache(journal_store=self.journals))
         result = analyze_program(prog, cfg, parse_seconds=parse_s,
                                  cross_run=cross_run)
 

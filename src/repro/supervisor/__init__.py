@@ -4,8 +4,8 @@ The paper's promise is that the analyzer *always terminates with a sound
 verdict* on hour-scale runs.  This package supplies the machinery:
 
 * :mod:`.budget` — per-run resource budgets (wall-clock deadline,
-  peak-RSS ceiling sampled by a watchdog thread, per-statement soft
-  timeout);
+  peak-RSS ceiling, per-statement soft timeout), checked at the
+  iterator's polls;
 * :mod:`.degradation` — the soundness-preserving degradation ladder that
   trades precision for termination when a budget trips;
 * :mod:`.incidents` — the structured incident log attached to every

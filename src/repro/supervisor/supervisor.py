@@ -4,22 +4,25 @@ One :class:`Supervisor` instance wraps one analysis run.  It owns
 
 * the run's *mutable copy* of the configuration (degradation rungs
   mutate it in place; the caller's config is never touched),
-* the resource budgets and their watchdog thread,
+* the resource budgets,
 * the degradation ladder,
 * the incident log, and
 * the checkpoint/resume machinery.
 
 The iterator polls it at two kinds of boundaries:
 
-* ``poll_stmt`` at every statement — consumes budget trips raised by the
-  watchdog and samples the per-statement soft timeout;
+* ``poll_stmt`` at every statement — checks the deadline (and, every
+  32nd statement, peak RSS) and samples the per-statement soft timeout;
 * ``on_fixpoint_iteration`` at every widening-iteration boundary —
-  consumes trips and, for *outermost* fixpoints, writes checkpoints.
+  checks the deadline and peak RSS and, for *outermost* fixpoints,
+  writes checkpoints.
 
-Budget handling is strictly cooperative: the watchdog thread only sets a
-flag, and all config mutation happens on the analysis thread inside the
-poll calls, so the iterator never observes a configuration change within
-a single statement's transfer function.
+Budget handling is strictly cooperative: budgets are only checked, and
+the config only mutated, inside the poll calls, so the iterator never
+observes a configuration change within a single statement's transfer
+function.  Budgets need no background thread, since a trip can only be
+acted on at a poll.  Peak RSS is monotone, so a sampled check loses no
+trip; it lands at most 31 statements later.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import List, Optional, Tuple
 
 from ..config import AnalyzerConfig
 from ..errors import CheckpointError, SupervisorHalt
-from .budget import BudgetWatchdog, ResourceBudget, peak_rss_self_kib
+from .budget import ResourceBudget, peak_rss_self_kib
 from .checkpoint import (Checkpoint, context_fingerprint, load_checkpoint,
                          write_checkpoint)
 from .degradation import DegradationLadder
@@ -38,9 +41,8 @@ from .incidents import IncidentLog
 
 __all__ = ["Supervisor"]
 
-# Environment knob: simulate a kill after N checkpoints have been
-# written (used by CI fault-injection; config.checkpoint_halt_after
-# takes precedence when set).
+# Fault-injection knob (tests/CI): simulate a kill by raising
+# SupervisorHalt after N checkpoints have been written.
 HALT_ENV = "REPRO_FAULT_HALT_AFTER_CHECKPOINTS"
 
 # Cap on recorded stmt-timeout incidents: a tiny limit on a large
@@ -67,10 +69,6 @@ class Supervisor:
         # caches when a degradation rung mutates the config mid-run.
         self.ctx = None
         self._t0 = time.perf_counter()
-        self._watchdog = BudgetWatchdog(self.budget, self._t0,
-                                        self._trip,
-                                        config.watchdog_interval_s)
-        self._tripped: Optional[str] = None  # set by watchdog thread
         self._exhausted_reported = False
         self._stmt_timeout_incidents = 0
         self._last_stmt: Optional[Tuple[float, int]] = None
@@ -78,12 +76,12 @@ class Supervisor:
         # Checkpointing.
         self._fingerprint: Optional[str] = None
         self._checkpoints_written = 0
-        halt = config.checkpoint_halt_after
-        if halt is None and os.environ.get(HALT_ENV):
+        halt = None
+        if os.environ.get(HALT_ENV):
             try:
                 halt = int(os.environ[HALT_ENV])
             except ValueError:
-                halt = None
+                pass
         self._halt_after = halt
         # Resume.
         self._resume_cp: Optional[Checkpoint] = None
@@ -116,42 +114,15 @@ class Supervisor:
             detail=(f"checkpoint {path}: fixpoint ordinal {cp.ordinal}, "
                     f"loop {cp.loop_id}, iteration {cp.next_iteration}"))
 
-    def start(self) -> None:
-        self._watchdog.start()
-
-    def stop(self) -> None:
-        self._watchdog.stop()
-
     # -- budget trips ----------------------------------------------------------
 
-    def _trip(self, reason: str) -> None:
-        """Watchdog-thread callback: flag only, handled at the next poll."""
-        if self._tripped is None:
-            self._tripped = reason
-
-    def _consume_trip(self) -> None:
-        reason = self._tripped
-        if reason is None:
-            return
-        self._tripped = None
-        self._degrade(reason, self._budget_detail(reason))
-
-    def _check_budgets_inline(self, sample_rss: bool) -> None:
-        """Synchronous budget check on the analysis thread.  The watchdog
-        alone is not enough: a CPU-bound analysis can hold the GIL for
-        whole scheduler quanta, so short overruns would be noticed only
-        after the run finished.  The deadline compare is free and runs on
-        every poll; the RSS syscall is sampled."""
-        if self._tripped is not None:
-            return
-        b = self.budget
-        if (b.wall_deadline_s is not None
-                and time.perf_counter() - self._t0 > b.wall_deadline_s):
-            self._tripped = "deadline"
-            return
-        if (b.rss_limit_kib is not None and sample_rss
-                and peak_rss_self_kib() > b.rss_limit_kib):
-            self._tripped = "rss"
+    def _check_budgets(self, sample_rss: bool) -> None:
+        """Check the budgets at a poll and degrade on a trip.  The
+        deadline compare is free and runs on every poll; the RSS syscall
+        is sampled."""
+        reason = self.budget.check(self._t0, sample_rss)
+        if reason is not None:
+            self._degrade(reason, self._budget_detail(reason))
 
     def _budget_detail(self, reason: str) -> str:
         if reason == "deadline":
@@ -176,8 +147,8 @@ class Supervisor:
         self.degraded = True
         if self.ctx is not None:
             # The rung mutated the config in place: every cache whose
-            # keys or results depend on it (lattice memo, incremental
-            # executors' footprints and records) is now stale.
+            # keys or results depend on it (the incremental executors'
+            # footprints and records) is now stale.
             self.ctx.invalidate_derived_caches()
         self.incidents.record(reason, action=f"degrade:{name}",
                               detail=f"{detail}; {rung_detail}")
@@ -187,9 +158,7 @@ class Supervisor:
     def poll_stmt(self, it, s) -> None:
         """Called by the iterator at every statement entry."""
         self._polls += 1
-        self._check_budgets_inline(sample_rss=self._polls % 32 == 0)
-        if self._tripped is not None:
-            self._consume_trip()
+        self._check_budgets(sample_rss=self._polls % 32 == 0)
         lim = self.budget.stmt_timeout_s
         if lim is None:
             return
@@ -210,9 +179,7 @@ class Supervisor:
     def on_fixpoint_iteration(self, it, loop_id: int, ordinal: int, k: int,
                               inv, prev_unstable, fairness_left: int) -> None:
         """Called at the top of every widening iteration (any depth)."""
-        self._check_budgets_inline(sample_rss=True)
-        if self._tripped is not None:
-            self._consume_trip()
+        self._check_budgets(sample_rss=True)
         if it._fixpoint_depth != 1 or not self.config.checkpoint_path:
             return
         every = max(1, self.config.checkpoint_every)

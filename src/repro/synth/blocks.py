@@ -43,8 +43,6 @@ class BlockContext:
     index: int
     # name -> (lo, hi) collected volatile input ranges
     input_ranges: Dict[str, Tuple[float, float]] = field(default_factory=dict)
-    # (expr, lo, hi) pool of bounded float signals available as inputs
-    float_signals: List[Tuple[str, float, float]] = field(default_factory=list)
     # expr pool of boolean signals
     bool_signals: List[str] = field(default_factory=list)
 
@@ -57,14 +55,6 @@ class BlockContext:
         name = f"{prefix}_{self.index}"
         self.input_ranges[name] = (0, 1)
         return name
-
-    def pick_float(self, rng, lo: float, hi: float) -> Tuple[str, float, float]:
-        """A bounded float signal: either an existing one or a new input."""
-        candidates = [s for s in self.float_signals if s[1] >= lo and s[2] <= hi]
-        if candidates and rng.random() < 0.5:
-            return rng.choice(candidates)
-        name = self.fresh_float_input("f_in", lo, hi)
-        return name, lo, hi
 
 
 class Block:
@@ -109,7 +99,6 @@ class SecondOrderFilter(Block):
     def step_body(self, ctx: BlockContext, rng) -> List[str]:
         a, b = rng.choice(self.COEFFS)
         # Output bound used for downstream wiring: generous post-hoc bound.
-        ctx.float_signals.append((f"{self.n}_X", -60.0, 60.0))
         return [
             f"float {self.n}_t;",
             f"float {self.n}_Xp;",
@@ -140,7 +129,6 @@ class FirstOrderLag(Block):
 
     def step_body(self, ctx: BlockContext, rng) -> List[str]:
         a = rng.choice([0.5, 0.25, 0.75, 0.9])
-        ctx.float_signals.append((f"{self.n}_S", -45.0, 45.0))
         return [f"{self.n}_S = {a}f * {self.n}_S + {round(1.0 - a, 4)}f * {self.input};"]
 
 
@@ -181,7 +169,6 @@ class RateLimiter(Block):
         return [f"float {self.n}_L;"]
 
     def step_body(self, ctx: BlockContext, rng) -> List[str]:
-        ctx.float_signals.append((f"{self.n}_L", -60.0, 60.0))
         return [
             f"float {self.n}_X;",
             f"float {self.n}_R;",
@@ -212,7 +199,6 @@ class SwitchedDivider(Block):
         return [f"int {self.n}_raw;", f"BOOL {self.n}_B;", f"float {self.n}_q;"]
 
     def step_body(self, ctx: BlockContext, rng) -> List[str]:
-        ctx.float_signals.append((f"{self.n}_q", -1000.0, 1000.0))
         ctx.bool_signals.append(f"{self.n}_B")
         return [
             f"{self.n}_raw = (int){self.input};",
@@ -237,7 +223,6 @@ class Saturator(Block):
 
     def step_body(self, ctx: BlockContext, rng) -> List[str]:
         lim = rng.choice([10.0, 25.0, 50.0, 100.0])
-        ctx.float_signals.append((f"{self.n}_out", -lim, lim))
         return [
             f"{self.n}_out = {self.input};",
             f"clamp_ref(&{self.n}_out, -{lim}f, {lim}f);",
@@ -264,7 +249,6 @@ class InterpolationTable(Block):
         ]
 
     def step_body(self, ctx: BlockContext, rng) -> List[str]:
-        ctx.float_signals.append((f"{self.n}_y", 0.0, 8.0))
         return [
             f"{self.n}_i = (int)({self.idx_in} * 0.07f);",
             f"if ({self.n}_i < 0) {{ {self.n}_i = 0; }}",
@@ -287,7 +271,6 @@ class Hysteresis(Block):
 
     def step_body(self, ctx: BlockContext, rng) -> List[str]:
         ctx.bool_signals.append(f"{self.n}_on")
-        ctx.float_signals.append((f"{self.n}_cmd", 0.0, 1.0))
         return [
             f"if ({self.input} > 50.0f) {{ {self.n}_on = 1; }}",
             f"if ({self.input} < -50.0f) {{ {self.n}_on = 0; }}",
@@ -310,7 +293,6 @@ class Accumulator(Block):
 
     def step_body(self, ctx: BlockContext, rng) -> List[str]:
         k = rng.choice([0.125, 0.25, 0.5])
-        ctx.float_signals.append((f"{self.n}_S", -100.0, 100.0))
         return [
             f"{self.n}_S = {self.n}_S + {k}f * {self.input};",
             f"if ({self.n}_S > 100.0f) {{ {self.n}_S = 100.0f; }}",
@@ -334,7 +316,6 @@ class BooleanCombiner(Block):
 
     def step_body(self, ctx: BlockContext, rng) -> List[str]:
         ctx.bool_signals.append(f"{self.n}_r")
-        ctx.float_signals.append((f"{self.n}_o", 0.0, 10.0))
         other = rng.choice(ctx.bool_signals) if ctx.bool_signals else f"{self.n}_p"
         return [
             f"{self.n}_p = ({self.input} > 0.0f);",
@@ -359,7 +340,6 @@ class ModeSelector(Block):
         return [f"int {self.n}_m;", f"float {self.n}_gain;"]
 
     def step_body(self, ctx: BlockContext, rng) -> List[str]:
-        ctx.float_signals.append((f"{self.n}_gain", 0.0, 4.0))
         return [
             f"{self.n}_m = {self.mode};",
             f"switch ({self.n}_m) {{",
@@ -414,7 +394,6 @@ class PIController(Block):
     def step_body(self, ctx: BlockContext, rng) -> List[str]:
         kp = rng.choice([0.5, 1.0, 2.0])
         ki = rng.choice([0.0625, 0.125])
-        ctx.float_signals.append((f"{self.n}_u", -100.0, 100.0))
         return [
             f"float {self.n}_e;",
             f"{self.n}_e = {self.sp} - {self.pv};",
@@ -445,7 +424,6 @@ class DeltaIndexer(Block):
                 f"int {self.n}_i;"]
 
     def step_body(self, ctx: BlockContext, rng) -> List[str]:
-        ctx.float_signals.append((f"{self.n}_y", -1.0, 1.0))
         return [
             f"float {self.n}_o;",
             "{",

@@ -1,6 +1,6 @@
 """Invariant-certificate tests: emission, independent checking,
-mutation rejection, the CLI contract, and the full-vs-incremental
-divergence witness.
+mutation rejection, the CLI contract, and the default-vs-reference
+engine divergence witness.
 
 The mutation suite is the teeth of the feature: a certificate whose
 invariants were widened away, whose alarms were dropped, whose posts
@@ -14,7 +14,10 @@ import base64
 import contextlib
 import copy
 import json
+import os
 import pickle
+import subprocess
+import sys
 import zlib
 
 import pytest
@@ -406,7 +409,7 @@ class TestCheckCertificateCLI:
         c.write_text(WITNESS_SRC)
         rc = main(["analyze", str(c), "--input-range", "in1=-10:10",
                    "--max-clock", "1000", "--certify",
-                   "--profile-phases"])
+                   "--stats"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "certify" in out
@@ -424,26 +427,29 @@ class TestCheckCertificateCLI:
 
 
 class TestDivergenceWitness:
-    """ROADMAP satellite: full and incremental fixpoints on the
-    clock-tracked saturating-counter witness are BOTH independently
-    certified post-fixpoints, and the incremental verdict never claims
-    alarms the full engine misses — so a journal-warmed serve hit that
-    returns the (potentially tighter) incremental result is sound, and
+    """ROADMAP satellite: the default engine's fixpoint (statement
+    skipping) and the reference engine's (``trace=True``: full
+    re-execution, no sharing caches) on the clock-tracked
+    saturating-counter witness are BOTH independently certified
+    post-fixpoints, and the default verdict never claims alarms the
+    reference engine misses — so a journal-warmed serve hit that
+    returns the (potentially tighter) skipping result is sound, and
     with ``--certify-serve`` is machine-checked per result."""
 
     @pytest.fixture(scope="class")
     def runs(self):
+        # Keyed by "statement skipping on".
         out = {}
         for inc in (True, False):
             out[inc] = analyze(WITNESS_SRC, "witness.c",
-                               config=_cfg(incremental=inc))
+                               config=_cfg(trace=not inc))
         return out
 
     def test_both_fixpoints_certify(self, runs):
         for inc, result in runs.items():
             cert = build_certificate(result, WITNESS_SRC, "witness.c")
             chk = check_certificate(cert)
-            assert chk.exit_code in (0, 1), f"incremental={inc}"
+            assert chk.exit_code in (0, 1), f"skipping={inc}"
 
     def test_incremental_alarms_subset_of_full(self, runs):
         inc_alarms = {(a.kind, a.loc.line) for a in runs[True].alarms}
@@ -452,7 +458,7 @@ class TestDivergenceWitness:
 
     def test_cross_engine_certificates_interchangeable(self, runs):
         # The plain checker normalizes the engine away: a certificate
-        # emitted from the incremental run and one from the full run
+        # emitted from the default run and one from the reference run
         # certify the same claims under the same plain configuration.
         certs = {inc: build_certificate(r, WITNESS_SRC, "witness.c")
                  for inc, r in runs.items()}
@@ -545,3 +551,21 @@ class TestSharingDifferential:
             # ... and the recorded states do share subtrees.
             assert len(_nodes(decoded)) < sum(
                 len(_nodes([st])) for st in decoded)
+
+
+class TestTrustedBase:
+    def test_checker_loads_no_serving_code(self):
+        # The checker's trusted base stays small: importing it must not
+        # pull in the daemon, its worker supervisor or the process
+        # layer (statement ordinals and the source digest live in the
+        # frontend, not in repro.serve).
+        code = ("import sys\n"
+                "import repro.certify\n"
+                "print(sorted(m for m in sys.modules if m.startswith("
+                "('repro.serve', 'repro.ipc'))))\n")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

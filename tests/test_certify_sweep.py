@@ -1,9 +1,11 @@
 """Certification across the engine matrix and the serving layer.
 
-A 20-seed sweep asserts that both engine paths — incremental and full
-re-execution, cycled per seed — produce results whose certificates the
-independent checker validates: the certification layer must not depend
-on *how* the fixpoint was computed.  The serve tests
+A 20-seed sweep asserts that both engine paths — the default engine
+(statement skipping, sharing caches) and the reference engine
+(``trace=True``: full re-execution, no sharing caches), cycled per
+seed — produce results whose certificates the independent checker
+validates: the certification layer must not depend on *how* the
+fixpoint was computed.  The serve tests
 then pin the warm path: journal-warmed results (including after a
 daemon restart) are certified before they are returned, and a warm
 result that fails certification is discarded and re-run cold with a
@@ -74,14 +76,14 @@ def _case(seed, **overrides):
     return src, compile_source(src, f"fam_{seed}.c"), cfg
 
 
-# Cycle the engine across 20 seeds (incremental on a 2-cycle).
+# Cycle the engine across 20 seeds (the reference engine on a 2-cycle).
 SWEEP = [(s, (s // 2) % 2 == 0) for s in range(20)]
 
 
 class TestCertifySweep:
-    @pytest.mark.parametrize("seed,incremental", SWEEP)
-    def test_every_engine_path_certifies(self, seed, incremental):
-        src, prog, cfg = _case(seed, incremental=incremental)
+    @pytest.mark.parametrize("seed,trace", SWEEP)
+    def test_every_engine_path_certifies(self, seed, trace):
+        src, prog, cfg = _case(seed, trace=trace)
         result = analyze_program(prog, cfg)
         assert result.cert_invariants, "engine recorded no loop records"
         cert = build_certificate(result, src, f"fam_{seed}.c")

@@ -57,11 +57,6 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert "division-by-zero" in out
 
-    def test_strict_exit_code(self, buggy_file):
-        rc = main(["analyze", buggy_file, "--strict",
-                   "--input-range", "sensor=0:100"])
-        assert rc == 1
-
     def test_json_output(self, buggy_file, capsys):
         main(["analyze", buggy_file, "--json",
               "--input-range", "sensor=0:100"])

@@ -6,8 +6,9 @@ end-to-end engine sweep.
   every boundary case.
 * The numpy octagon closure kernel is pinned bit for bit against a
   pure-Python mirror kept here as its oracle.
-* A 20-seed sweep of generated family programs holds the incremental
-  engine bit-identical to full re-execution (``incremental=False``).
+* A 20-seed sweep of generated family programs holds the default
+  engine bit-identical to the reference engine (``trace=True``: full
+  re-execution, no sharing caches).
 """
 
 import dataclasses
@@ -207,8 +208,7 @@ class TestDifferentialMatrix:
     def test_sweep(self, kloc, seed):
         prog, cfg = _family(kloc, seed)
         base = analyze_program(prog, cfg)
-        full = analyze_program(prog, dataclasses.replace(cfg,
-                                                         incremental=False))
+        full = analyze_program(prog, dataclasses.replace(cfg, trace=True))
         assert _snapshot(base) == _snapshot(full)
 
     def test_fallback_widening_attributed_to_lattice(self):

@@ -213,12 +213,14 @@ class TestWorkerAndRunner:
         assert out.outcome in ("sound", "rejected")
 
     def test_removed_override_is_refused(self):
-        # Old corpus files that ran the scalar-kernel mode must fail
-        # loudly, not silently replay under a different mode.
-        spec = spec_with(analyzer={"vectorize": False})
-        with pytest.raises(ValueError, match=r"unknown analyzer "
-                                             r"overrides: \['vectorize'\]"):
-            _analyzer_config(spec, build_case(spec))
+        # Old corpus files that ran a removed mode (the scalar kernels,
+        # full re-execution) must fail loudly, not silently replay
+        # under a different mode.
+        for knob in ("vectorize", "incremental"):
+            spec = spec_with(analyzer={knob: False})
+            with pytest.raises(ValueError, match=r"unknown analyzer "
+                                                 rf"overrides: \['{knob}'\]"):
+                _analyzer_config(spec, build_case(spec))
 
 
 class TestTriage:

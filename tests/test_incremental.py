@@ -5,11 +5,12 @@ whose footprint slice of the state is unchanged since their last
 execution and splices the memoized post-states; interning and the
 closure memo make the identity fast paths it relies on hot.
 All of it is claimed to be *bit-identical* to full re-execution — these
-tests hold that claim against ``--no-incremental`` across a seeded
+tests hold that claim against the reference engine (``trace=True``:
+every statement executed, both sharing caches off) across a seeded
 sweep of generated family programs (mixed nested loops, branches, calls
 and filter blocks) and across a checkpoint→kill→resume cycle.
 
-Programs are compiled once and analyzed in both modes: statement ids
+Programs are compiled once and analyzed by both engines: statement ids
 come from a global counter, so recompiling between runs would shift
 alarm/visit keys without any semantic difference.
 """
@@ -26,6 +27,7 @@ from repro.domains.octagon import (Octagon, closure_memo_stats,
 from repro.errors import SupervisorHalt
 from repro.frontend import compile_source
 from repro.memory import interning
+from repro.supervisor.supervisor import HALT_ENV
 from repro.synth import FamilySpec, generate_program
 
 # ≥20 seeds, sizes chosen so every generator block type (filter chains,
@@ -59,10 +61,8 @@ def _snapshot(result) -> dict:
 
 
 def _both_modes(prog, cfg, **kw):
-    full = analyze_program(
-        prog, dataclasses.replace(cfg, incremental=False), **kw)
-    incr = analyze_program(
-        prog, dataclasses.replace(cfg, incremental=True), **kw)
+    full = analyze_program(prog, dataclasses.replace(cfg, trace=True), **kw)
+    incr = analyze_program(prog, cfg, **kw)
     assert _snapshot(full) == _snapshot(incr)
     return full, incr
 
@@ -128,17 +128,19 @@ class TestDifferentialSweep:
 
     def test_result_counters_reported(self):
         prog, cfg = _family(0.08, 3)
-        incr = analyze_program(prog, cfg)
-        assert incr.incremental
+        incr = analyze_program(prog, cfg)  # also warms both caches
         assert incr.stmts_executed > 0
         pt = incr.phase_times
         assert "iteration-lattice" in pt and "iteration-transfer" in pt
         assert pt["iteration-lattice"] >= 0.0
         assert abs(pt["iteration-lattice"] + pt["iteration-transfer"]
                    - pt["iteration"]) < 1e-6
-        full = analyze_program(
-            prog, dataclasses.replace(cfg, incremental=False))
-        assert not full.incremental and full.stmts_skipped == 0
+        # The reference engine skips nothing and uses no sharing cache.
+        pool_hits = interning.intern_stats()[0]
+        full = analyze_program(prog, dataclasses.replace(cfg, trace=True))
+        assert full.stmts_skipped == 0
+        assert interning.intern_stats()[0] == pool_hits
+        assert closure_memo_stats()[:2] == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -147,39 +149,16 @@ class TestDifferentialSweep:
 
 
 class TestCheckpointKillResume:
-    def test_resume_bit_identical_both_modes(self, tmp_path):
+    def test_resume_bit_identical_both_modes(self, tmp_path, monkeypatch):
         prog, cfg = _family(0.08, 17)
-        reference = analyze_program(
-            prog, dataclasses.replace(cfg, incremental=False))
-        for incremental in (False, True):
-            cp = str(tmp_path / f"cp_{incremental}.pkl")
-            cfg_cp = dataclasses.replace(
-                cfg, incremental=incremental, checkpoint_path=cp,
-                checkpoint_halt_after=2)
-            with pytest.raises(SupervisorHalt):
-                analyze_program(prog, cfg_cp)
-            assert os.path.exists(cp)
-            resumed = analyze_program(
-                prog, dataclasses.replace(cfg, incremental=incremental,
-                                          resume_path=cp))
-            assert resumed.resumed
-            assert _snapshot(resumed) == _snapshot(reference)
-
-    def test_checkpoint_crosses_modes(self, tmp_path):
-        # The fingerprint excludes the sharing knobs: a checkpoint
-        # written incrementally must resume under --no-incremental
-        # (and vice versa) to the same result.
-        prog, cfg = _family(0.08, 23)
-        reference = analyze_program(prog, cfg)
+        reference = analyze_program(prog, dataclasses.replace(cfg, trace=True))
         cp = str(tmp_path / "cp.pkl")
-        cfg_cp = dataclasses.replace(cfg, incremental=True,
-                                     checkpoint_path=cp,
-                                     checkpoint_halt_after=2)
+        monkeypatch.setenv(HALT_ENV, "2")
         with pytest.raises(SupervisorHalt):
-            analyze_program(prog, cfg_cp)
+            analyze_program(prog, dataclasses.replace(cfg, checkpoint_path=cp))
+        assert os.path.exists(cp)
         resumed = analyze_program(
-            prog, dataclasses.replace(cfg, incremental=False,
-                                      resume_path=cp))
+            prog, dataclasses.replace(cfg, resume_path=cp))
         assert resumed.resumed
         assert _snapshot(resumed) == _snapshot(reference)
 

@@ -19,11 +19,11 @@ import pytest
 
 from repro.analysis import analyze
 from repro.config import AnalyzerConfig, config_fingerprint
+from repro.frontend import source_digest
 from repro.serve.cache import CrossRunCache, FrontendCache
 from repro.serve.client import wait_until_ready
 from repro.serve.fingerprints import (compat_fingerprint, request_key,
-                                      result_digest, result_payload,
-                                      source_digest)
+                                      result_digest, result_payload)
 from repro.serve.jobs import Job, JobQueue, QueueFull
 from repro.serve.protocol import (ProtocolError, recv_message, send_message)
 from repro.serve.server import AnalysisServer, ServeConfig
@@ -62,7 +62,7 @@ class TestFingerprints:
         assert fp == config_fingerprint(
             dataclasses.replace(cfg, certify=True))
         assert fp == config_fingerprint(
-            dataclasses.replace(cfg, incremental=False))
+            dataclasses.replace(cfg, stmt_timeout_s=0.5))
         assert fp == config_fingerprint(
             dataclasses.replace(cfg, wall_deadline_s=1.0,
                                 checkpoint_every=3))
@@ -480,9 +480,12 @@ class TestDaemon:
         bad2 = c.submit([("a.c", "void main(){}")],
                         config={"checkpoint_path": "/tmp/x"})
         assert not bad2["ok"] and "not settable" in bad2["error"]
-        # The removed parallel engine's knob is refused, not ignored.
-        removed = c.submit([("a.c", "void main(){}")], config={"jobs": 2})
-        assert not removed["ok"] and "not settable" in removed["error"]
+        # Removed engine knobs are refused, not ignored: the parallel
+        # engine's, full re-execution's, and tracing (the reply carries
+        # no visit counts, so it would only select the slow engine).
+        for knob in ({"jobs": 2}, {"incremental": False}, {"trace": True}):
+            removed = c.submit([("a.c", "void main(){}")], config=knob)
+            assert not removed["ok"] and "not settable" in removed["error"]
         unknown = c.request({"op": "frobnicate"})
         assert not unknown["ok"]
 

@@ -28,6 +28,7 @@ from repro.errors import CheckpointError, ExitCode, SupervisorHalt
 from repro.frontend import compile_source
 from repro.supervisor import DEGRADATION_RUNGS, DegradationLadder, IncidentLog
 from repro.supervisor.checkpoint import context_fingerprint
+from repro.supervisor.supervisor import HALT_ENV
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -143,6 +144,25 @@ class TestBudgets:
         degraded_keys = {(a.kind, a.sid) for a in degraded.alarms}
         assert full_keys <= degraded_keys
 
+    def test_budgets_start_no_thread(self, loop_prog, loop_cfg,
+                                     monkeypatch):
+        # Budgets are checked at the iterator's polls only: a budgeted
+        # run starts no watchdog thread.
+        import threading
+
+        started = []
+        real_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            return real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        cfg = dataclasses.replace(loop_cfg, wall_deadline_s=1000.0)
+        result = analyze_program(loop_prog, cfg)
+        assert not result.degraded
+        assert started == []
+
     def test_no_budgets_no_supervisor(self, loop_prog, loop_cfg):
         result = analyze_program(loop_prog, loop_cfg)
         assert not result.degraded
@@ -230,19 +250,20 @@ class TestDegradationLadder:
 
 class TestCheckpointResume:
     def test_halt_leaves_resumable_checkpoint(self, loop_prog, loop_cfg,
-                                              tmp_path):
+                                              tmp_path, monkeypatch):
         cp = str(tmp_path / "cp.pkl")
-        cfg = dataclasses.replace(loop_cfg, checkpoint_path=cp,
-                                  checkpoint_halt_after=2)
+        cfg = dataclasses.replace(loop_cfg, checkpoint_path=cp)
+        monkeypatch.setenv(HALT_ENV, "2")
         with pytest.raises(SupervisorHalt):
             analyze_program(loop_prog, cfg)
         assert os.path.exists(cp)
 
-    def test_resume_is_bit_identical(self, loop_prog, loop_cfg, tmp_path):
+    def test_resume_is_bit_identical(self, loop_prog, loop_cfg, tmp_path,
+                                     monkeypatch):
         reference = analyze_program(loop_prog, loop_cfg)
         cp = str(tmp_path / "cp.pkl")
-        cfg_cp = dataclasses.replace(loop_cfg, checkpoint_path=cp,
-                                     checkpoint_halt_after=2)
+        cfg_cp = dataclasses.replace(loop_cfg, checkpoint_path=cp)
+        monkeypatch.setenv(HALT_ENV, "2")
         with pytest.raises(SupervisorHalt):
             analyze_program(loop_prog, cfg_cp)
         cfg_rs = dataclasses.replace(loop_cfg, resume_path=cp)
@@ -269,10 +290,11 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="corrupt"):
             analyze_program(loop_prog, cfg)
 
-    def test_config_drift_is_rejected(self, loop_prog, loop_cfg, tmp_path):
+    def test_config_drift_is_rejected(self, loop_prog, loop_cfg, tmp_path,
+                                      monkeypatch):
         cp = str(tmp_path / "cp.pkl")
-        cfg_cp = dataclasses.replace(loop_cfg, checkpoint_path=cp,
-                                     checkpoint_halt_after=1)
+        cfg_cp = dataclasses.replace(loop_cfg, checkpoint_path=cp)
+        monkeypatch.setenv(HALT_ENV, "1")
         with pytest.raises(SupervisorHalt):
             analyze_program(loop_prog, cfg_cp)
         # Same program, different widening schedule: the fingerprint
@@ -381,12 +403,18 @@ class TestExitCodeContract:
         ["analyze", "loop.c", "--jobs", "2"],
         ["analyze", "loop.c", "--no-vectorize"],
         ["analyze", "loop.c", "--vectorize-min-cells", "4"],
+        ["analyze", "loop.c", "--no-incremental"],
+        ["analyze", "loop.c", "--incremental"],
+        ["analyze", "loop.c", "--strict"],
+        ["analyze", "loop.c", "--profile-phases"],
         ["analyze", "loop.c", "--no-such-flag"],
         ["analyze", "loop.c", "--max-clock", "abc"],
         ["serve", "--no-isolate-jobs"],
         ["client", "loop.c", "--edit-loop", "3"],
     ], ids=["removed-jobs-flag", "removed-no-vectorize-flag",
-            "removed-vectorize-min-cells-flag", "unknown-flag",
+            "removed-vectorize-min-cells-flag", "removed-no-incremental-flag",
+            "removed-incremental-flag", "removed-strict-flag",
+            "removed-profile-phases-flag", "unknown-flag",
             "bad-int-value", "removed-no-isolate-jobs-flag",
             "removed-edit-loop-flag"])
     def test_usage_error_is_3(self, tmp_path, argv):

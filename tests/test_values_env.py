@@ -229,13 +229,6 @@ class TestMemoryEnv:
         b = MemoryEnv.initial().set(0, self.v(5, 6))
         assert a.meet(b).is_bottom
 
-    def test_widen_with_frozen_cells(self):
-        a = MemoryEnv.initial().set(0, self.v(0, 10)).set(1, self.v(0, 10))
-        b = MemoryEnv.initial().set(0, self.v(0, 20)).set(1, self.v(0, 20))
-        w = a.widen(b, frozen_cids={1})
-        assert w.get(0).itv.hi is None          # widened
-        assert w.get(1).itv == IntInterval.of(0, 20)  # delayed: joined
-
     def test_includes(self):
         a = MemoryEnv.initial().set(0, self.v(0, 10))
         b = MemoryEnv.initial().set(0, self.v(2, 3))
