@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .config import AnalyzerConfig
 from .frontend import compile_source, link_sources
@@ -22,7 +22,7 @@ from .iterator.alarms import Alarm, AlarmCollector
 from .iterator.iterator import Iterator
 from .iterator.state import AbstractState, AnalysisContext
 from .memory.cells import CellTable
-from .numeric import FloatInterval, IntInterval
+from .numeric import IntInterval
 from .packing.boolean_packs import compute_bool_packs
 from .packing.ellipsoid_sites import find_filter_sites
 from .packing.octagon_packs import compute_octagon_packs
@@ -176,6 +176,49 @@ class AnalysisResult:
             if not math.isinf(k):
                 stats.ellipsoidal_assertions += 1
         return stats
+
+    def to_json(self) -> Dict[str, object]:
+        """The result record, the one JSON-safe form of a result: printed
+        by ``analyze --json``, returned by the serve daemon, written by
+        :func:`repro.report.write_report`, rendered by
+        :func:`repro.report.render_text`.  Alarms carry no statement ids
+        (sids are process-local), so records compare across runs."""
+        record: Dict[str, object] = {
+            "alarms": [
+                {"kind": a.kind, "file": a.loc.filename, "line": a.loc.line,
+                 "col": a.loc.col, "message": a.message}
+                for a in self.alarms
+            ],
+            "alarm_count": self.alarm_count,
+            "exit_code": self.exit_code,
+            "degraded": self.degraded,
+            "degradation_steps": list(self.degradation_steps),
+            "resumed": self.resumed,
+            "incidents": [asdict(i) for i in self.incidents],
+            "widening_iterations": self.widening_iterations,
+            "invariant_stats": asdict(self.invariant_stats()),
+            # Work counters and timings: a warm serve run legitimately
+            # executes fewer statements, so these stay out of the serve
+            # determinism digest.
+            "analysis_time_s": self.analysis_time,
+            "phase_times_s": dict(self.phase_times),
+            "peak_rss_kib": self.peak_rss_kib,
+            "stmts_executed": self.stmts_executed,
+            "stmts_skipped": self.stmts_skipped,
+            "cross_run_seeded": self.cross_run_seeded,
+            "cross_run_hits": self.cross_run_hits,
+            "cross_run_spliced": self.cross_run_spliced,
+            # Packing feedback (Sect. 7.2.2); the useful pack keys stay
+            # on useful_octagon_packs for restrict_octagon_packs.
+            "octagon_packs": self.octagon_pack_count,
+            "useful_octagon_packs": len(self.useful_octagon_packs),
+            "octagon_pack_avg_size": self.octagon_pack_avg_size,
+            "bool_packs": self.bool_pack_count,
+            "filter_sites": self.filter_site_count,
+        }
+        if self.loop_invariants:
+            record["invariant_dump"] = self.dump_invariant_text()
+        return record
 
     def dump_invariant_text(self) -> str:
         """Textual dump of the main loop invariant (tracing, Sect. 5.3)."""

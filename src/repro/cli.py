@@ -65,7 +65,7 @@ def _build_config(args) -> AnalyzerConfig:
         overrides["enable_ellipsoids"] = False
     if args.no_trees:
         overrides["enable_decision_trees"] = False
-    if args.invariants:
+    if getattr(args, "invariants", False):
         overrides["collect_invariants"] = True
     if getattr(args, "deadline", None) is not None:
         overrides["wall_deadline_s"] = args.deadline
@@ -75,8 +75,6 @@ def _build_config(args) -> AnalyzerConfig:
         overrides["stmt_timeout_s"] = args.stmt_timeout
     if getattr(args, "checkpoint", None) is not None:
         overrides["checkpoint_path"] = args.checkpoint
-    if getattr(args, "checkpoint_every", None) is not None:
-        overrides["checkpoint_every"] = args.checkpoint_every
     if getattr(args, "resume", None) is not None:
         overrides["resume_path"] = args.resume
     if getattr(args, "certify", False) or \
@@ -85,36 +83,9 @@ def _build_config(args) -> AnalyzerConfig:
     return base.with_overrides(**overrides)
 
 
-def _print_stats(result) -> None:
-    pt = result.phase_times
-    print("-- stats --")
-    phases = ["parse", "packing", "iteration", "checking"]
-    if "certify" in pt:
-        phases.append("certify")
-    for phase in phases:
-        print(f"  {phase:<10} {pt.get(phase, 0.0):8.3f}s")
-        if phase == "iteration" and "iteration-transfer" in pt:
-            print(f"    transfer {pt['iteration-transfer']:8.3f}s")
-            print(f"    lattice  {pt['iteration-lattice']:8.3f}s")
-    print(f"  total      {result.analysis_time:8.3f}s")
-    print(f"  peak RSS   {result.peak_rss_kib / 1024.0:8.1f} MiB")
-    print(f"  widening iterations: {result.widening_iterations}")
-    total = result.stmts_executed + result.stmts_skipped
-    pct = 100.0 * result.stmts_skipped / total if total else 0.0
-    print(f"  statements: executed={result.stmts_executed} "
-          f"skipped={result.stmts_skipped} ({pct:.1f}% skipped)")
-    if result.cross_run_seeded or result.cross_run_hits:
-        print(f"  cross-run cache: seeded={result.cross_run_seeded} "
-              f"hits={result.cross_run_hits} "
-              f"spliced={result.cross_run_spliced}")
-    if result.incidents:
-        print(f"  incidents ({len(result.incidents)}):")
-        for inc in result.incidents:
-            print(f"    [{inc.at_s:8.3f}s] {inc.kind}: {inc.action} "
-                  f"— {inc.detail}")
-
-
 def cmd_analyze(args) -> int:
+    from .report import render_text
+
     # read_source_file rejects BOMs, CRLF line endings and non-UTF-8
     # bytes with a located PreprocessorError (exit 3) instead of letting
     # a UnicodeDecodeError escape.
@@ -150,69 +121,14 @@ def cmd_analyze(args) -> int:
                 "claimed_alarms": summ.claimed_alarms,
             }
         result.phase_times["certify"] = _time.perf_counter() - t0
+    record = result.to_json()
+    if certification is not None:
+        record["certification"] = certification
     if args.json:
-        payload = {
-            "alarms": [
-                {"kind": a.kind, "file": a.loc.filename, "line": a.loc.line,
-                 "col": a.loc.col, "message": a.message}
-                for a in result.alarms
-            ],
-            "alarm_count": result.alarm_count,
-            "analysis_time_s": result.analysis_time,
-            "octagon_packs": result.octagon_pack_count,
-            "useful_octagon_packs": len(result.useful_octagon_packs),
-            "bool_packs": result.bool_pack_count,
-            "filter_sites": result.filter_site_count,
-            "degraded": result.degraded,
-            "degradation_steps": result.degradation_steps,
-            "resumed": result.resumed,
-            "incidents": [
-                {"kind": i.kind, "action": i.action, "detail": i.detail,
-                 "at_s": i.at_s}
-                for i in result.incidents
-            ],
-            "exit_code": result.exit_code,
-        }
-        if certification is not None:
-            payload["certification"] = certification
-        if args.stats:
-            payload["phase_times_s"] = result.phase_times
-            payload["peak_rss_kib"] = result.peak_rss_kib
-            payload["widening_iterations"] = result.widening_iterations
-            payload["stmts_executed"] = result.stmts_executed
-            payload["stmts_skipped"] = result.stmts_skipped
-            payload["cross_run_seeded"] = result.cross_run_seeded
-            payload["cross_run_hits"] = result.cross_run_hits
-            payload["cross_run_spliced"] = result.cross_run_spliced
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(record, indent=2))
     else:
-        for a in result.alarms:
-            print(a)
-        print(f"-- {result.alarm_count} alarm(s) in "
-              f"{result.analysis_time:.2f}s "
-              f"({result.octagon_pack_count} octagon packs, "
-              f"{len(result.useful_octagon_packs)} useful; "
-              f"{result.bool_pack_count} boolean packs; "
-              f"{result.filter_site_count} filter sites)")
-        if certification is not None:
-            where = (f", written to {certification['path']}"
-                     if "path" in certification else "")
-            print(f"-- certified: {certification['stmt_records']} "
-                  f"statement record(s), "
-                  f"{certification['loop_records']} loop invariant(s), "
-                  f"{certification['substitutions']} narrowing "
-                  f"substitution(s){where}")
-        if result.degraded:
-            print("-- DEGRADED: a resource budget tripped; the verdict is "
-                  "sound but coarser than the configured precision "
-                  f"(rungs applied: {', '.join(result.degradation_steps)})")
-        if result.resumed:
-            print("-- resumed from checkpoint")
-        if args.stats:
-            _print_stats(result)
-        if args.invariants:
-            print("-- main loop invariant --")
-            print(result.dump_invariant_text())
+        print(render_text(record, stats=args.stats,
+                          invariants=args.invariants), end="")
     return result.exit_code
 
 
@@ -352,8 +268,7 @@ def cmd_serve(args) -> int:
         for sig in (signal.SIGTERM, signal.SIGINT):
             previous[sig] = signal.signal(
                 sig, lambda signum, frame: server.stop())
-    print(f"astree-repro serve: listening on {args.socket} "
-          "(isolated worker)"
+    print(f"astree-repro serve: listening on {args.socket}"
           + (f", cache at {args.cache_dir}" if args.cache_dir else
              ", in-memory caches"), flush=True)
     try:
@@ -366,7 +281,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_client(args) -> int:
-    from .report import render_serve_stats
+    from .report import render_serve_stats, render_text
     from .serve.client import ServeClient
 
     with ServeClient(args.socket, timeout=args.timeout) as client:
@@ -424,16 +339,11 @@ def cmd_client(args) -> int:
             out["queue_depth"] = reply.get("queue_depth", 0)
             print(json.dumps(out, indent=2))
         else:
-            for a in result["alarms"]:
-                print(f"{a['file']}:{a['line']}:{a['col']}: "
-                      f"[{a['kind']}] {a['message']}")
+            print(render_text(result, stats=args.stats), end="")
             disposition = "cached" if reply["cached"] else "analyzed"
-            print(f"-- {result['alarm_count']} alarm(s), {disposition} in "
-                  f"{reply['wall_s']:.3f}s (digest {reply['digest'][:12]})")
+            print(f"-- {disposition} in {reply['wall_s']:.3f}s "
+                  f"(digest {reply['digest'][:12]})")
             if args.stats:
-                print(f"   cross-run: seeded={result['cross_run_seeded']} "
-                      f"hits={result['cross_run_hits']} "
-                      f"spliced={result['cross_run_spliced']}")
                 print(f"   queue depth at submit: "
                       f"{reply.get('queue_depth', 0)}")
         return int(result["exit_code"])
@@ -456,20 +366,25 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "synchronous C programs (PLDI 2003 reproduction)")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    pa = sub.add_parser("analyze", help="analyze C source files")
+    # The analysis flags analyze and slice share.
+    common = _ArgumentParser(add_help=False)
+    common.add_argument("--entry", default="main")
+    common.add_argument("--input-range", action="append",
+                        metavar="NAME=LO:HI",
+                        help="volatile input range (repeatable)")
+    common.add_argument("--max-clock", type=int, default=None)
+    common.add_argument("--unroll", type=int, default=None)
+    common.add_argument("--partition", action="append", metavar="FUNC",
+                        help="enable trace partitioning in a function")
+    common.add_argument("--baseline", action="store_true",
+                        help="use the interval-only baseline analyzer")
+    common.add_argument("--no-octagons", action="store_true")
+    common.add_argument("--no-ellipsoids", action="store_true")
+    common.add_argument("--no-trees", action="store_true")
+
+    pa = sub.add_parser("analyze", parents=[common],
+                        help="analyze C source files")
     pa.add_argument("files", nargs="+")
-    pa.add_argument("--entry", default="main")
-    pa.add_argument("--input-range", action="append", metavar="NAME=LO:HI",
-                    help="volatile input range (repeatable)")
-    pa.add_argument("--max-clock", type=int, default=None)
-    pa.add_argument("--unroll", type=int, default=None)
-    pa.add_argument("--partition", action="append", metavar="FUNC",
-                    help="enable trace partitioning in a function")
-    pa.add_argument("--baseline", action="store_true",
-                    help="use the interval-only baseline analyzer")
-    pa.add_argument("--no-octagons", action="store_true")
-    pa.add_argument("--no-ellipsoids", action="store_true")
-    pa.add_argument("--no-trees", action="store_true")
     pa.add_argument("--invariants", action="store_true",
                     help="dump the main loop invariant")
     pa.add_argument("--certify", action="store_true",
@@ -486,7 +401,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                          "'astree-repro check-certificate PATH')")
     pa.add_argument("--stats", action="store_true",
                     help="report per-phase wall time and peak RSS")
-    pa.add_argument("--json", action="store_true")
+    pa.add_argument("--json", action="store_true",
+                    help="print the whole result record as JSON")
     pa.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                     help="wall-clock budget; on overrun the analysis "
                          "degrades to a sound coarser verdict (exit 2)")
@@ -499,8 +415,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     pa.add_argument("--checkpoint", default=None, metavar="PATH",
                     help="serialize resumable checkpoints to PATH at "
                          "outermost fixpoint-iteration boundaries")
-    pa.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
-                    help="write every Nth iteration checkpoint (default 1)")
     pa.add_argument("--resume", default=None, metavar="PATH",
                     help="resume from a checkpoint written by --checkpoint "
                          "(bit-identical to an uninterrupted run)")
@@ -513,19 +427,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="write input-range spec JSON to this path")
     pg.set_defaults(func=cmd_generate)
 
-    ps = sub.add_parser("slice", help="slice from an alarm point")
+    ps = sub.add_parser("slice", parents=[common],
+                        help="slice from an alarm point")
     ps.add_argument("file")
     ps.add_argument("--line", type=int, default=None)
-    ps.add_argument("--entry", default="main")
-    ps.add_argument("--input-range", action="append", metavar="NAME=LO:HI")
-    ps.add_argument("--max-clock", type=int, default=None)
-    ps.add_argument("--unroll", type=int, default=None)
-    ps.add_argument("--partition", action="append")
-    ps.add_argument("--baseline", action="store_true")
-    ps.add_argument("--no-octagons", action="store_true")
-    ps.add_argument("--no-ellipsoids", action="store_true")
-    ps.add_argument("--no-trees", action="store_true")
-    ps.add_argument("--invariants", action="store_true")
     ps.set_defaults(func=cmd_slice)
 
     pf = sub.add_parser("fuzz", help="run a soundness fuzzing campaign")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .domains.thresholds import ThresholdSet, default_thresholds
 
@@ -109,7 +109,6 @@ class AnalyzerConfig:
     # to this path (atomic overwrite); resume_path restores such a file
     # and continues bit-identically to an uninterrupted run.
     checkpoint_path: Optional[str] = None
-    checkpoint_every: int = 1
     resume_path: Optional[str] = None
 
     # -- result certification (repro.certify) -----------------------------------
@@ -147,7 +146,7 @@ class AnalyzerConfig:
 #: configuration fingerprints differently anyway.
 _NON_SEMANTIC_FIELDS = frozenset({
     "wall_deadline_s", "rss_limit_kib", "stmt_timeout_s",
-    "checkpoint_path", "checkpoint_every", "resume_path", "certify",
+    "checkpoint_path", "resume_path", "certify",
 })
 
 

@@ -1,6 +1,6 @@
 """C frontend: preprocessing, parsing, type checking, lowering, linking."""
 
-from .linker import compile_files, compile_source, link_sources, source_digest
+from .linker import compile_source, link_sources, source_digest
 from .parser import parse
 from .preprocessor import (
     check_source_text, decode_source, preprocess, read_source_file,
@@ -8,7 +8,6 @@ from .preprocessor import (
 
 __all__ = [
     "check_source_text",
-    "compile_files",
     "compile_source",
     "decode_source",
     "link_sources",

@@ -16,7 +16,7 @@ from ..errors import LinkError, TypeError_, UnsupportedConstructError
 from .ir import IRProgram
 from .lowering import Lowerer
 from .parser import parse
-from .preprocessor import preprocess, read_source_file
+from .preprocessor import preprocess
 
 __all__ = ["link_sources", "compile_source", "source_digest"]
 
@@ -74,17 +74,3 @@ def source_digest(sources: Sequence[Tuple[str, str]]) -> str:
         h.update(text.encode())
         h.update(b"\x00")
     return h.hexdigest()
-
-
-def compile_files(
-    paths: Sequence[str],
-    entry: str = "main",
-    include_dirs: Sequence[str] = (),
-    predefined: Optional[Dict[str, str]] = None,
-) -> IRProgram:
-    """Compile and link source files from disk."""
-    sources = []
-    for path in paths:
-        sources.append((path, read_source_file(path)))
-    return link_sources(sources, entry=entry, include_dirs=include_dirs,
-                        predefined=predefined)

@@ -1,133 +1,95 @@
-"""Analysis report generation (the end-user facing output of Sect. 3.3).
+"""Analysis report rendering (the end-user facing output of Sect. 3.3).
 
-Produces human-readable (markdown) and machine-readable (JSON) reports
-from an :class:`~repro.analysis.AnalysisResult`: alarms grouped by kind
-and location, invariant statistics, packing feedback for the next run,
-and the analyzer configuration fingerprint.
+An analysis result has one record,
+:meth:`repro.analysis.AnalysisResult.to_json`; :func:`render_text`
+renders it for ``analyze`` and ``client`` alike, and
+:func:`write_report` writes it to a file.  The daemon's ``stats`` reply
+and fuzz campaign reports have their own renderers here.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from .analysis import AnalysisResult
-
-__all__ = ["render_campaign_markdown", "render_markdown", "render_json",
-           "render_serve_stats", "write_report"]
+__all__ = ["render_campaign_markdown", "render_serve_stats", "render_text",
+           "write_report"]
 
 
-def render_markdown(result: AnalysisResult, title: str = "Analysis report") -> str:
-    lines: List[str] = [f"# {title}", ""]
-    lines.append(f"* analysis time: **{result.analysis_time:.2f} s**")
-    lines.append(f"* widening iterations: {result.widening_iterations}")
-    total_stmts = result.stmts_executed + result.stmts_skipped
-    if total_stmts:
-        pct = 100.0 * result.stmts_skipped / total_stmts
-        lines.append(f"* statements: {result.stmts_executed} "
-                     f"executed, {result.stmts_skipped} skipped "
-                     f"({pct:.1f}%)")
-    lines.append(f"* octagon packs: {result.octagon_pack_count} "
-                 f"({len(result.useful_octagon_packs)} useful, "
-                 f"avg size {result.octagon_pack_avg_size:.1f})")
-    lines.append(f"* boolean packs: {result.bool_pack_count}")
-    lines.append(f"* filter sites: {result.filter_site_count}")
-    lines.append("")
-    lines.append(f"## Alarms ({result.alarm_count})")
-    lines.append("")
-    if not result.alarms:
-        lines.append("No alarms: the analyzed properties are **proved**.")
-    else:
-        by_kind = result.alarms_by_kind()
-        lines.append("| kind | count |")
-        lines.append("|---|---|")
-        for kind, count in sorted(by_kind.items()):
-            lines.append(f"| {kind} | {count} |")
-        lines.append("")
-        for alarm in result.alarms:
-            lines.append(f"* `{alarm.loc}` — **{alarm.kind}**: {alarm.message}")
-    if result.degraded or result.incidents or result.resumed:
-        lines.append("")
-        lines.append("## Robustness")
-        lines.append("")
-        if result.degraded:
-            lines.append("**DEGRADED** — a resource budget tripped and the "
-                         "supervisor stepped down the degradation ladder; "
-                         "the verdict is sound but coarser than the "
-                         "configured precision.")
-            lines.append("")
-            lines.append("Rungs applied: "
-                         + ", ".join(f"`{s}`" for s in
-                                     result.degradation_steps))
-        if result.resumed:
-            lines.append("")
-            lines.append("Resumed from a checkpoint (bit-identical to an "
-                         "uninterrupted run).")
-        if result.incidents:
-            lines.append("")
-            lines.append("| t (s) | kind | action | detail |")
-            lines.append("|---|---|---|---|")
-            for inc in result.incidents:
-                lines.append(f"| {inc.at_s:.3f} | {inc.kind} | {inc.action} "
-                             f"| {inc.detail} |")
-    stats = result.invariant_stats()
-    if stats.total():
-        lines.append("")
-        lines.append("## Main loop invariant")
-        lines.append("")
-        lines.append("| assertion kind | count |")
-        lines.append("|---|---|")
-        lines.append(f"| boolean interval | {stats.boolean_interval_assertions} |")
-        lines.append(f"| interval | {stats.interval_assertions} |")
-        lines.append(f"| clock | {stats.clock_assertions} |")
-        lines.append(f"| octagonal (additive) | {stats.octagonal_additive_assertions} |")
-        lines.append(f"| octagonal (subtractive) | {stats.octagonal_subtractive_assertions} |")
-        lines.append(f"| decision trees | {stats.decision_trees} |")
-        lines.append(f"| ellipsoidal | {stats.ellipsoidal_assertions} |")
+def render_text(record: Dict, stats: bool = False,
+                invariants: bool = False) -> str:
+    """The human-readable answer of ``analyze`` and ``client``, rendered
+    from a result record (:meth:`repro.analysis.AnalysisResult.to_json`,
+    plus the CLI's optional ``certification`` block): alarms, the
+    summary line, then the per-phase statistics under ``stats`` and the
+    main loop invariant dump under ``invariants``.
+
+    Keys a record stored by an older daemon lacks (``resumed``,
+    ``incidents``, ``peak_rss_kib``, ``useful_octagon_packs``) render
+    as absent or zero."""
+    lines: List[str] = [
+        f"{a['file']}:{a['line']}:{a['col']}: [{a['kind']}] {a['message']}"
+        for a in record["alarms"]]
+    lines.append(f"-- {record['alarm_count']} alarm(s) in "
+                 f"{record['analysis_time_s']:.2f}s "
+                 f"({record['octagon_packs']} octagon packs, "
+                 f"{record.get('useful_octagon_packs', 0)} useful; "
+                 f"{record['bool_packs']} boolean packs; "
+                 f"{record['filter_sites']} filter sites)")
+    cert = record.get("certification")
+    if cert is not None:
+        where = f", written to {cert['path']}" if "path" in cert else ""
+        lines.append(f"-- certified: {cert['stmt_records']} statement "
+                     f"record(s), {cert['loop_records']} loop "
+                     f"invariant(s), {cert['substitutions']} narrowing "
+                     f"substitution(s){where}")
+    if record["degraded"]:
+        lines.append("-- DEGRADED: a resource budget tripped; the verdict "
+                     "is sound but coarser than the configured precision "
+                     "(rungs applied: "
+                     f"{', '.join(record['degradation_steps'])})")
+    if record.get("resumed"):
+        lines.append("-- resumed from checkpoint")
+    if stats:
+        lines.extend(_stats_lines(record))
+    if invariants:
+        lines.append("-- main loop invariant --")
+        lines.append(record.get("invariant_dump",
+                                "(no loop invariants collected)"))
     return "\n".join(lines) + "\n"
 
 
-def render_json(result: AnalysisResult) -> str:
-    stats = result.invariant_stats()
-    payload: Dict[str, object] = {
-        "alarm_count": result.alarm_count,
-        "alarms": [
-            {"kind": a.kind, "file": a.loc.filename, "line": a.loc.line,
-             "col": a.loc.col, "message": a.message, "sid": a.sid}
-            for a in result.alarms
-        ],
-        "analysis_time_s": result.analysis_time,
-        "widening_iterations": result.widening_iterations,
-        "incremental": {
-            "stmts_executed": result.stmts_executed,
-            "stmts_skipped": result.stmts_skipped,
-            "cross_run_seeded": result.cross_run_seeded,
-            "cross_run_hits": result.cross_run_hits,
-            "cross_run_spliced": result.cross_run_spliced,
-        },
-        "packing": {
-            "octagon_packs": result.octagon_pack_count,
-            "octagon_pack_avg_size": result.octagon_pack_avg_size,
-            "useful_octagon_packs": [list(k) for k in
-                                     sorted(result.useful_octagon_packs)],
-            "bool_packs": result.bool_pack_count,
-            "filter_sites": result.filter_site_count,
-        },
-        "invariant_stats": asdict(stats),
-        "robustness": {
-            "degraded": result.degraded,
-            "degradation_steps": result.degradation_steps,
-            "resumed": result.resumed,
-            "exit_code": result.exit_code,
-            "incidents": [
-                {"kind": i.kind, "action": i.action, "detail": i.detail,
-                 "at_s": i.at_s}
-                for i in result.incidents
-            ],
-        },
-    }
-    return json.dumps(payload, indent=2)
+def _stats_lines(record: Dict) -> List[str]:
+    pt = record["phase_times_s"]
+    lines = ["-- stats --"]
+    phases = ["parse", "packing", "iteration", "checking"]
+    if "certify" in pt:
+        phases.append("certify")
+    for phase in phases:
+        lines.append(f"  {phase:<10} {pt.get(phase, 0.0):8.3f}s")
+        if phase == "iteration" and "iteration-transfer" in pt:
+            lines.append(f"    transfer {pt['iteration-transfer']:8.3f}s")
+            lines.append(f"    lattice  {pt['iteration-lattice']:8.3f}s")
+    lines.append(f"  total      {record['analysis_time_s']:8.3f}s")
+    lines.append(f"  peak RSS   "
+                 f"{record.get('peak_rss_kib', 0) / 1024.0:8.1f} MiB")
+    lines.append(f"  widening iterations: {record['widening_iterations']}")
+    executed, skipped = record["stmts_executed"], record["stmts_skipped"]
+    total = executed + skipped
+    pct = 100.0 * skipped / total if total else 0.0
+    lines.append(f"  statements: executed={executed} skipped={skipped} "
+                 f"({pct:.1f}% skipped)")
+    if record["cross_run_seeded"] or record["cross_run_hits"]:
+        lines.append(f"  cross-run cache: seeded={record['cross_run_seeded']} "
+                     f"hits={record['cross_run_hits']} "
+                     f"spliced={record['cross_run_spliced']}")
+    incidents = record.get("incidents", [])
+    if incidents:
+        lines.append(f"  incidents ({len(incidents)}):")
+        for inc in incidents:
+            lines.append(f"    [{inc['at_s']:8.3f}s] {inc['kind']}: "
+                         f"{inc['action']} — {inc['detail']}")
+    return lines
 
 
 def render_serve_stats(stats: Dict, title: str = "Serve stats") -> str:
@@ -153,8 +115,7 @@ def render_serve_stats(stats: Dict, title: str = "Serve stats") -> str:
     if worker:
         alive = "alive" if worker.get("alive") else "down"
         lines.append(
-            f"* worker: {worker.get('mode', '?')} "
-            f"(pid {worker.get('pid')}, {alive}), "
+            f"* worker: pid {worker.get('pid')} ({alive}), "
             f"{worker.get('spawns', 0)} spawn(s), "
             f"{worker.get('restarts', 0)} restart(s)"
             + (f", last exit {worker['last_exit']}"
@@ -236,11 +197,14 @@ def render_campaign_markdown(report, title: str = "Fuzz campaign") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(result: AnalysisResult, path: str,
-                 fmt: Optional[str] = None) -> None:
-    """Write a report; format inferred from the extension when omitted."""
-    if fmt is None:
-        fmt = "json" if path.endswith(".json") else "markdown"
-    text = render_json(result) if fmt == "json" else render_markdown(result)
+def write_report(result, path: str) -> None:
+    """Write an :class:`~repro.analysis.AnalysisResult`'s record: as JSON
+    when ``path`` ends in ``.json``, otherwise as :func:`render_text`
+    with statistics and the invariant dump."""
+    record = result.to_json()
+    if path.endswith(".json"):
+        text = json.dumps(record, indent=2) + "\n"
+    else:
+        text = render_text(record, stats=True, invariants=True)
     with open(path, "w") as f:
         f.write(text)

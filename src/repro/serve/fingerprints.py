@@ -44,8 +44,8 @@ from ..config import config_fingerprint
 from ..frontend.ir import stable_ordinals
 
 __all__ = ["compat_fingerprint", "function_hashes",
-           "request_key", "result_digest", "result_payload",
-           "stmt_content_hash", "stmt_record_key"]
+           "request_key", "result_digest", "stmt_content_hash",
+           "stmt_record_key"]
 
 
 def _sha(*chunks: str) -> str:
@@ -154,62 +154,22 @@ def request_key(src_digest: str, entry: str, cfg) -> str:
     return _sha(src_digest, entry, config_fingerprint(cfg))
 
 
-# -- result payloads and the determinism digest ------------------------------
+# -- the determinism digest ---------------------------------------------------
 
 
-def result_payload(result) -> Dict[str, object]:
-    """The JSON-safe result of one analysis request, as stored in the
-    exact-result cache and returned to clients.
-
-    Alarms are reported without their per-compile statement ids (sids
-    are process-local; everything else about an alarm is stable), so
-    the payload — and therefore the digest below — is comparable across
-    runs and daemon restarts."""
-    import dataclasses
-
-    stats = result.invariant_stats()
-    payload: Dict[str, object] = {
-        "alarms": [
-            {"kind": a.kind, "file": a.loc.filename, "line": a.loc.line,
-             "col": a.loc.col, "message": a.message}
-            for a in result.alarms
-        ],
-        "alarm_count": result.alarm_count,
-        "exit_code": result.exit_code,
-        "degraded": result.degraded,
-        "degradation_steps": list(result.degradation_steps),
-        "widening_iterations": result.widening_iterations,
-        "invariant_stats": dataclasses.asdict(stats),
-        # Performance counters: informative, excluded from the digest
-        # (a warm run legitimately executes fewer statements).
-        "analysis_time_s": result.analysis_time,
-        "phase_times_s": dict(result.phase_times),
-        "stmts_executed": result.stmts_executed,
-        "stmts_skipped": result.stmts_skipped,
-        "cross_run_seeded": result.cross_run_seeded,
-        "cross_run_hits": result.cross_run_hits,
-        "cross_run_spliced": result.cross_run_spliced,
-        "octagon_packs": result.octagon_pack_count,
-        "bool_packs": result.bool_pack_count,
-        "filter_sites": result.filter_site_count,
-    }
-    if result.loop_invariants:
-        payload["invariant_dump"] = result.dump_invariant_text()
-    return payload
-
-
-# The semantic slice of a result payload: what the determinism contract
-# promises to be bit-identical between a cache-served and a cold run.
+# The semantic slice of a result record (AnalysisResult.to_json()): what
+# the determinism contract promises to be bit-identical between a
+# cache-served and a cold run.
 _DIGEST_FIELDS = ("alarms", "alarm_count", "exit_code", "degraded",
                   "degradation_steps", "widening_iterations",
                   "invariant_stats", "invariant_dump")
 
 
-def result_digest(payload: Dict[str, object]) -> str:
+def result_digest(record: Dict[str, object]) -> str:
     """Canonical digest of the semantic result fields (alarms, exit
     code, invariant statistics, widening iterations — never timings or
     execution counters)."""
-    sem = {k: payload[k] for k in _DIGEST_FIELDS if k in payload}
+    sem = {k: record[k] for k in _DIGEST_FIELDS if k in record}
     return hashlib.sha256(
         json.dumps(sem, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()

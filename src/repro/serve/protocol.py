@@ -31,7 +31,8 @@ Ops:
 Result envelope (also what the exact-result store persists)::
 
     {ok: true, job_id, cached: bool, digest: <sha256 of the semantic
-     result fields>, wall_s: <serving time>, result: <result_payload>}
+     result fields>, wall_s: <serving time>,
+     result: <AnalysisResult.to_json() record>}
 
 The digest covers alarms/exit code/invariants only (see
 repro.serve.fingerprints.result_digest) — the determinism contract is

@@ -206,7 +206,6 @@ class WorkerSupervisor:
     def health(self) -> Dict:
         worker = self._worker
         return {
-            "mode": "subprocess",
             "alive": bool(worker is not None and worker.alive()),
             "pid": worker.pid if worker is not None else None,
             "spawns": self.spawns,
@@ -298,10 +297,14 @@ class PoisonRegistry:
             return dict(entry)
 
     def clear(self, request_key: str) -> None:
+        """Forget the key's crashes and quarantine entry.  Called after
+        every successful job, so the file is rewritten only when the key
+        had an entry."""
         with self._lock:
-            self._crashes.pop(request_key, None)
-            self._poisoned.pop(request_key, None)
-            self._flush_locked()
+            crashes = self._crashes.pop(request_key, None)
+            poisoned = self._poisoned.pop(request_key, None)
+            if crashes is not None or poisoned is not None:
+                self._flush_locked()
 
     def size(self) -> int:
         with self._lock:

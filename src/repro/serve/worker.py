@@ -47,7 +47,7 @@ from ..frontend import source_digest
 from ..ipc.frames import ProtocolError, encode_frame, recv_frame, send_frame
 from ..ipc.process import claim_frame_channel
 from .cache import CrossRunCache, FrontendCache
-from .fingerprints import result_digest, result_payload
+from .fingerprints import result_digest
 from .jobs import effective_config
 from .store import JournalStore
 
@@ -158,14 +158,14 @@ class JobExecutor:
         if certified:
             self.certified_runs += 1
 
-        payload = result_payload(result)
+        record = result.to_json()
         harvested = (cross_run is not None
                      and cross_run.store_harvest(result))
         if harvested:
             self.journal_harvests += 1
         return {
             "ok": True, "job_id": job_id, "cached": False,
-            "digest": result_digest(payload), "result": payload,
+            "digest": result_digest(record), "result": record,
             "wall_s": time.perf_counter() - t0,
             "degraded": bool(result.degraded), "harvested": harvested,
             "certified": certified, "certify_rejected": rejected,

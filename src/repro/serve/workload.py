@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import random
 import re
-from typing import List, Optional, Tuple
 
-__all__ = ["base_program", "edit_sweep", "make_variant"]
+__all__ = ["base_program", "make_variant"]
 
 # Float literals inside expressions (not array sizes / version macros).
 _FLOAT_LIT = re.compile(r"(?<![\w.])(\d+\.\d+)f\b")
@@ -56,8 +55,3 @@ def make_variant(source: str, edit_seed: int) -> str:
     if float(new) == 0.0 and float(text) != 0.0:
         new = text[:-1] + "1"  # keep divisors/gains nonzero
     return source[:m.start(1)] + new + source[m.end(1):]
-
-
-def edit_sweep(source: str, seeds: List[int]) -> List[Tuple[int, str]]:
-    """The (seed, variant source) list of one edit sweep."""
-    return [(s, make_variant(source, s)) for s in seeds]

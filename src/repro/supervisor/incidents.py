@@ -12,20 +12,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 __all__ = ["Incident", "IncidentLog"]
-
-
-class IncidentKind:
-    """Well-known incident kinds (free-form strings are also accepted)."""
-
-    DEADLINE = "deadline"
-    RSS = "rss"
-    STMT_TIMEOUT = "stmt-timeout"
-    DEGRADED = "degraded"
-    CHECKPOINT = "checkpoint"
-    RESUME = "resume"
 
 
 @dataclass(frozen=True)
@@ -69,15 +58,6 @@ class IncidentLog:
     @property
     def incidents(self) -> List[Incident]:
         return list(self._incidents)
-
-    def count(self, kind: str) -> int:
-        return sum(1 for i in self._incidents if i.kind == kind)
-
-    def kinds(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for i in self._incidents:
-            out[i.kind] = out.get(i.kind, 0) + 1
-        return out
 
     def restore(self, incidents: Sequence[Incident], dropped: int = 0) -> None:
         """Replace the log's contents (checkpoint resume)."""

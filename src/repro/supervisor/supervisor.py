@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..config import AnalyzerConfig
 from ..errors import CheckpointError, SupervisorHalt
@@ -181,9 +181,6 @@ class Supervisor:
         """Called at the top of every widening iteration (any depth)."""
         self._check_budgets(sample_rss=True)
         if it._fixpoint_depth != 1 or not self.config.checkpoint_path:
-            return
-        every = max(1, self.config.checkpoint_every)
-        if k % every != 0:
             return
         self._write_checkpoint(it, loop_id, ordinal, k, inv, prev_unstable,
                                fairness_left)

@@ -63,6 +63,9 @@ class TestAnalyzeCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["alarm_count"] == 1
         assert payload["alarms"][0]["kind"] == "division-by-zero"
+        # The whole record, counters included, without --stats.
+        assert {"stmts_executed", "widening_iterations", "phase_times_s",
+                "invariant_stats", "incidents"} <= set(payload)
 
     def test_baseline_flag(self, clean_file, capsys):
         rc = main(["analyze", clean_file, "--baseline",

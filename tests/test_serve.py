@@ -23,7 +23,7 @@ from repro.frontend import source_digest
 from repro.serve.cache import CrossRunCache, FrontendCache
 from repro.serve.client import wait_until_ready
 from repro.serve.fingerprints import (compat_fingerprint, request_key,
-                                      result_digest, result_payload)
+                                      result_digest)
 from repro.serve.jobs import Job, JobQueue, QueueFull
 from repro.serve.protocol import (ProtocolError, recv_message, send_message)
 from repro.serve.server import AnalysisServer, ServeConfig
@@ -40,7 +40,7 @@ def family():
 
 
 def _digest_of(result):
-    return result_digest(result_payload(result))
+    return result_digest(result.to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ class TestFingerprints:
             dataclasses.replace(cfg, stmt_timeout_s=0.5))
         assert fp == config_fingerprint(
             dataclasses.replace(cfg, wall_deadline_s=1.0,
-                                checkpoint_every=3))
+                                checkpoint_path="cp.pkl"))
 
     def test_config_fingerprint_pinned(self, monkeypatch):
         # Deleting a non-semantic config field must not move any serve
@@ -152,7 +152,7 @@ class TestFingerprints:
     def test_result_digest_ignores_timing_counters(self, family):
         cfg = family.analyzer_config()
         r = analyze(family.source, config=cfg)
-        p1, p2 = result_payload(r), result_payload(r)
+        p1, p2 = r.to_json(), r.to_json()
         p2["analysis_time_s"] = 999.0
         p2["stmts_executed"] = 0
         p2["cross_run_hits"] = 12345
@@ -433,6 +433,40 @@ class TestDaemon:
         assert stats["result_cache"]["hits"] == 1
         assert stats["journal_store"]["harvests"] >= 1
         assert stats["queue"]["completed"] == 4
+
+    def test_client_prints_what_analyze_prints(self, daemon, family,
+                                                tmp_path, capsys):
+        import re
+
+        from repro.cli import main
+
+        path = tmp_path / "fam.c"
+        path.write_text(family.source)
+        args = [str(path), "--max-clock", str(family.max_clock)]
+        for name, (lo, hi) in family.input_ranges.items():
+            args += ["--input-range", f"{name}={lo}:{hi}"]
+
+        def run(*argv):
+            code = main(list(argv))
+            return code, capsys.readouterr().out
+
+        sock = ["--socket", daemon["socket"]]
+        code, local = run("analyze", *args, "--json")
+        code_c, served = run("client", *args, *sock, "--json")
+        served = json.loads(served)
+        assert code_c == code and not served["cached"]
+        envelope = {"cached", "digest", "server_wall_s", "queue_depth"}
+        assert set(served) - envelope == set(json.loads(local))
+
+        def masked(text):  # timings and peak RSS differ run to run
+            return re.sub(r"\s*\d+\.\d+( MiB|s)", " N", text)
+
+        _, local_text = run("analyze", *args, "--stats")
+        _, client_text = run("client", *args, *sock, "--stats")
+        lines = client_text.splitlines()
+        assert lines[-2].startswith("-- cached in ")
+        assert lines[-1] == "   queue depth at submit: 0"
+        assert masked("\n".join(lines[:-2]) + "\n") == masked(local_text)
 
     def test_restart_reloads_disk_caches(self, daemon, family):
         c = daemon["connect"]()

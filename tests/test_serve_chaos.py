@@ -31,7 +31,7 @@ from repro.analysis import analyze
 from repro.config import AnalyzerConfig
 from repro.errors import ServeError
 from repro.serve.client import ServeClient, wait_until_ready
-from repro.serve.fingerprints import result_digest, result_payload
+from repro.serve.fingerprints import result_digest
 from repro.serve.jobs import effective_config
 from repro.ipc.frames import ProtocolError, recv_frame, send_frame
 from repro.ipc.process import RestartPolicy
@@ -58,7 +58,7 @@ def cold_digest(family):
     under exactly the effective config the daemon computes."""
     cfg = effective_config(AnalyzerConfig(), _overrides(family), None, None)
     result = analyze(family.source, config=cfg)
-    return result_digest(result_payload(result))
+    return result_digest(result.to_json())
 
 
 @contextlib.contextmanager
@@ -194,7 +194,6 @@ class TestWorkerCrashRecovery:
             assert reply["digest"] == cold_digest
 
             health = c.health()["health"]
-            assert health["worker"]["mode"] == "subprocess"
             assert health["worker"]["restarts"] == 1
             assert health["worker"]["alive"]
             stats = c.stats()["stats"]
@@ -286,6 +285,57 @@ class TestPoisonQuarantine:
             assert normal["ok"] and not normal["cached"]
             assert normal["digest"] == readmit["digest"]
             assert c2.health()["health"]["quarantine_size"] == 0
+
+    def test_clean_jobs_leave_quarantine_file_alone(self, tmp_path,
+                                                    monkeypatch):
+        # Every successful job clears its key; a key that never crashed
+        # has nothing to clear, so the file must not be rewritten.
+        import repro.serve.supervise as supervise
+
+        writes = []
+        real_write = supervise._atomic_write
+
+        def counting_write(path, data):
+            writes.append(path)
+            real_write(path, data)
+
+        monkeypatch.setattr(supervise, "_atomic_write", counting_write)
+        with daemon(tmp_path) as d:
+            c = d.connect()
+            for i in range(3):
+                reply = c.submit(
+                    [("a.c", f"int x; int main(void) {{ x = {i}; "
+                             f"return 0; }}")])
+                assert reply["ok"] and not reply["cached"]
+            assert d.server.stats()["queue"]["completed"] == 3
+            assert writes == []
+
+
+# ---------------------------------------------------------------------------
+# Hard per-job timeout: the parent kills a wedged worker and quarantines
+# ---------------------------------------------------------------------------
+
+
+class TestHardJobTimeout:
+    def test_hard_timeout_kills_twice_then_quarantines(self, tmp_path,
+                                                       family):
+        ov = _overrides(family)
+        with daemon(tmp_path, job_hard_timeout_s=0.01) as d:
+            c = d.connect()
+            spawns = c.health()["health"]["worker"]["spawns"]
+            reply = c.submit([("fam.c", family.source)], config=ov)
+            assert not reply["ok"] and reply.get("poisoned")
+            assert reply["signature"] == "worker-timeout|hard-deadline|"
+            health = c.health()["health"]["worker"]
+            assert health["restarts"] == 2 and health["crashes"] == 2
+            assert health["spawns"] == spawns + 1  # the retry's worker
+
+            # The resubmit is refused from the quarantine: no worker.
+            again = c.submit([("fam.c", family.source)], config=ov)
+            assert not again["ok"] and again.get("poisoned")
+            assert c.health()["health"]["worker"]["spawns"] == \
+                spawns + 1
+            assert d.server.stats()["result_cache"]["puts"] == 0
 
 
 # ---------------------------------------------------------------------------

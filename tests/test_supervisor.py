@@ -411,12 +411,15 @@ class TestExitCodeContract:
         ["analyze", "loop.c", "--max-clock", "abc"],
         ["serve", "--no-isolate-jobs"],
         ["client", "loop.c", "--edit-loop", "3"],
+        ["slice", "loop.c", "--invariants"],
+        ["analyze", "loop.c", "--checkpoint-every", "2"],
     ], ids=["removed-jobs-flag", "removed-no-vectorize-flag",
             "removed-vectorize-min-cells-flag", "removed-no-incremental-flag",
             "removed-incremental-flag", "removed-strict-flag",
             "removed-profile-phases-flag", "unknown-flag",
             "bad-int-value", "removed-no-isolate-jobs-flag",
-            "removed-edit-loop-flag"])
+            "removed-edit-loop-flag", "removed-slice-invariants-flag",
+            "removed-checkpoint-every-flag"])
     def test_usage_error_is_3(self, tmp_path, argv):
         # argparse's own exit 2 would read as a degraded verdict.
         (tmp_path / "loop.c").write_text(LOOP_SRC)
@@ -465,27 +468,29 @@ class TestExitCodeContract:
 class TestRobustnessReporting:
     def test_markdown_and_json_surface_degradation(self, loop_prog,
                                                    loop_cfg):
-        from repro.report import render_json, render_markdown
+        from repro.report import render_text
 
         cfg = dataclasses.replace(loop_cfg, wall_deadline_s=1e-9)
         result = analyze_program(loop_prog, cfg)
-        md = render_markdown(result)
-        assert "## Robustness" in md
-        assert "DEGRADED" in md
-        payload = json.loads(render_json(result))
-        rob = payload["robustness"]
-        assert rob["degraded"] and rob["exit_code"] == int(ExitCode.DEGRADED)
-        assert rob["degradation_steps"]
-        assert rob["incidents"]
+        record = result.to_json()
+        assert record["degraded"]
+        assert record["exit_code"] == int(ExitCode.DEGRADED)
+        assert record["degradation_steps"]
+        assert record["incidents"]
+        assert set(record["incidents"][0]) == {"kind", "action", "detail",
+                                               "at_s"}
+        text = render_text(record, stats=True)
+        assert "-- DEGRADED: " in text
+        assert f"  incidents ({len(record['incidents'])}):" in text
 
     def test_healthy_run_has_no_robustness_section(self, loop_prog,
                                                    loop_cfg):
-        from repro.report import render_json, render_markdown
+        from repro.report import render_text
 
-        result = analyze_program(loop_prog, loop_cfg)
-        assert "## Robustness" not in render_markdown(result)
-        rob = json.loads(render_json(result))["robustness"]
-        assert not rob["degraded"] and not rob["incidents"]
+        record = analyze_program(loop_prog, loop_cfg).to_json()
+        assert not record["degraded"] and not record["incidents"]
+        text = render_text(record, stats=True)
+        assert "DEGRADED" not in text and "incidents" not in text
 
 
 class TestIncidentLog:
