@@ -184,11 +184,6 @@ def cmd_fuzz(args) -> int:
         isolation=not args.in_process,
         corpus_dir=args.corpus,
         reduce_failures=not args.no_reduce,
-        min_kloc=args.min_kloc,
-        max_kloc=args.max_kloc,
-        max_mutations=args.max_mutations,
-        streams=args.streams,
-        max_ticks=args.max_ticks,
         inject_crash=args.inject_crash,
     )
 
@@ -260,8 +255,8 @@ def cmd_serve(args) -> int:
     )
     server = AnalysisServer(sc)
     # SIGTERM/SIGINT start a graceful drain: stop accepting, settle the
-    # in-flight job within the drain deadline, flush stores, remove the
-    # socket, exit 0.  Only the main thread may install handlers.
+    # in-flight job within the drain deadline, remove the socket, exit 0.
+    # Only the main thread may install handlers.
     previous = {}
     on_main = threading.current_thread() is threading.main_thread()
     if on_main:
@@ -457,13 +452,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                          "verdict (bit-identical digest)")
     pf.add_argument("--no-reduce", action="store_true",
                     help="skip delta-debugging reduction of failures")
-    pf.add_argument("--streams", type=int, default=3,
-                    help="concrete input streams per case (default 3)")
-    pf.add_argument("--max-ticks", type=int, default=48,
-                    help="concrete ticks per stream (default 48)")
-    pf.add_argument("--min-kloc", type=float, default=0.06)
-    pf.add_argument("--max-kloc", type=float, default=0.2)
-    pf.add_argument("--max-mutations", type=int, default=3)
     pf.add_argument("--inject-crash", default=None, metavar="BLOCK",
                     help="fault injection: crash the worker on cases "
                          "whose program contains this block type "

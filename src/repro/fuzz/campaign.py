@@ -41,6 +41,13 @@ __all__ = [
 #: Outcomes that mean the soundness claim (or the analyzer) broke.
 FAILURE_OUTCOMES = ("crash", "unsound")
 
+# Case generation: program size range (kLOC), mutations per case, and
+# the oracle budget stamped onto every spec (input streams, ticks each).
+MIN_KLOC, MAX_KLOC = 0.06, 0.2
+MAX_MUTATIONS = 3
+STREAMS = 3
+MAX_TICKS = 48
+
 
 @dataclass
 class CampaignConfig:
@@ -58,12 +65,6 @@ class CampaignConfig:
     # Reduction of one representative case per failure signature.
     reduce_failures: bool = True
     max_reduce_attempts: int = 60
-    # Generation knobs.
-    min_kloc: float = 0.06
-    max_kloc: float = 0.2
-    max_mutations: int = 3
-    streams: int = 3
-    max_ticks: int = 48
     # Fault-injection hook, stamped onto every generated spec (see
     # CaseSpec.inject_crash); validates the triage/reduce pipeline.
     inject_crash: Optional[str] = None
@@ -75,11 +76,6 @@ class CampaignConfig:
             "max_wall_s": self.max_wall_s,
             "case_timeout_s": self.case_timeout_s,
             "isolation": self.isolation,
-            "min_kloc": self.min_kloc,
-            "max_kloc": self.max_kloc,
-            "max_mutations": self.max_mutations,
-            "streams": self.streams,
-            "max_ticks": self.max_ticks,
             "inject_crash": self.inject_crash,
         }
 
@@ -186,10 +182,10 @@ def _spec_rng(campaign_seed: int, index: int) -> random.Random:
     return random.Random(derive_seed(campaign_seed, "genspec", index))
 
 
-def _random_mutations(rng: random.Random, max_mutations: int) -> List[Dict]:
+def _random_mutations(rng: random.Random) -> List[Dict]:
     kinds = sorted(MUTATION_KINDS)
     out: List[Dict] = []
-    for _ in range(rng.randint(0, max_mutations)):
+    for _ in range(rng.randint(0, MAX_MUTATIONS)):
         kind = rng.choice(kinds)
         desc: Dict = {"kind": kind}
         if kind == "boundary-constants":
@@ -209,7 +205,7 @@ def generate_case_specs(config: CampaignConfig) -> List[CaseSpec]:
     specs: List[CaseSpec] = []
     for index in range(config.cases):
         rng = _spec_rng(config.campaign_seed, index)
-        kloc = round(rng.uniform(config.min_kloc, config.max_kloc), 3)
+        kloc = round(rng.uniform(MIN_KLOC, MAX_KLOC), 3)
         block_types = None
         if rng.random() < 0.3:
             k = rng.randint(3, len(BLOCK_TYPE_NAMES))
@@ -223,9 +219,9 @@ def generate_case_specs(config: CampaignConfig) -> List[CaseSpec]:
             version=rng.randrange(3),
             modules_per_function=rng.choice([1, 2, 4, 8]),
             block_types=block_types,
-            mutations=_random_mutations(rng, config.max_mutations),
-            streams=config.streams,
-            max_ticks=config.max_ticks,
+            mutations=_random_mutations(rng),
+            streams=STREAMS,
+            max_ticks=MAX_TICKS,
             inject_crash=config.inject_crash,
         ))
     return specs

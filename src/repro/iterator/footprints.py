@@ -3,8 +3,9 @@
 The incremental engine (:mod:`.incremental`) needs to know, for every
 statement of a sequence, which parts of the abstract state its abstract
 execution may read and which it may write: a statement is skipped only
-when its incoming state agrees with its last recorded pre-state on that
-slice, and the recorded post is spliced by patching the write set.  The
+when its incoming state agrees with its record's pre values on that
+slice, and the recorded post values are spliced by patching the write
+set.  The
 footprint is deliberately coarse but must be *sound as an
 over-approximation*: a missed dependence would let a stale record be
 spliced and break the bit-exact equivalence with full re-execution.

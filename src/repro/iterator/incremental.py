@@ -4,7 +4,7 @@ Widening sequences converge cell-by-cell: after the first few iterations
 of a loop fixpoint most of the abstract state is already stable, yet the
 classical iterator re-executes the *whole* loop body on every iteration.
 This module re-executes only the statements that can possibly produce a
-different post-state than last time, splicing the memoized post-states
+different post-state than last time, splicing the recorded post values
 of the rest — bit-identical to full re-execution, by construction.  It
 runs in every fixpoint body run except under ``AnalyzerConfig.trace``:
 a traced run executes every statement and is the reference engine the
@@ -26,22 +26,31 @@ sharing"):
   over-approximation of its effect.  The footprint includes refinement
   writes of guards, reduction writes of packed reads, and weak-update
   reads.
-* A statement is *skipped* only when its incoming state agrees with the
-  recorded pre-state of its last full execution on every cell, octagon
-  pack, decision-tree pack and filter site of ``reads ∪ writes``, and on
-  the clock.  Abstract transfer functions are functions of exactly that
-  slice of the state, so the recorded post-state *is* the post-state the
-  statement would recompute.
-* The recorded post is spliced by patching the footprint's write sets
-  onto the incoming state.  Because the write set over-approximates
-  everything the statement may change, and the statement's effect on
-  those components is fixed by the agreeing slice, patching is exact —
-  not an approximation.
+* After each execution the statement keeps one *record*
+  (:func:`slim_pair`): the pre-state's values on every cell, octagon
+  pack, decision-tree pack and filter site of ``reads ∪ writes`` (plus
+  the clock when the slice has clocked cells) and the post-state's
+  values on the write sets.  Records hold component values, never
+  whole states.
+* A statement is *skipped* only when its incoming state agrees with its
+  record on that whole slice.  Abstract transfer functions are
+  functions of exactly that slice, so the recorded post values *are*
+  what the statement would recompute.
+* The record is spliced by patching its write-set values onto the
+  incoming state.  Because the write set over-approximates everything
+  the statement may change, and the statement's effect on those
+  components is fixed by the agreeing slice, patching is exact — not an
+  approximation.
 * Agreement compares abstract values with ``==`` (with ``is`` fast
   paths).  The analyzer already treats ``==``-equal values as
   interchangeable everywhere (cell-wise merges return ``a`` when
   ``a == b``), so substituting one for the other cannot change any
   downstream result.  ``NaN != NaN`` merely makes skips conservative.
+  A record is replaced only when a state disagrees with it (the
+  statement executes or adopts a donor record): a state spliced from it
+  agreed with it on the whole slice, and agreement is transitive, so
+  later states compare against the record exactly as they would
+  against the last spliced state.
 * Statements whose footprint is unresolved, or that may break /
   continue / return / tick the clock, are never recorded: they always
   re-execute, and their non-normal continuations flow exactly as in
@@ -61,25 +70,26 @@ Cross-run extension (repro.serve.cache): when the iterator carries a
 a content fingerprint (statement text, transitively called bodies,
 bindings, resolved footprint — repro.serve.fingerprints) and
 
-* *journals* its deduplicated (pre, post) occurrence sequence for the
-  next run, and
+* *journals* every record it makes or adopts from a donor, one entry
+  per execution or donor splice, for the next run, and
 * consults the *donor* journal of the previous run with the same
-  compat fingerprint: around a per-statement trajectory cursor, donor
-  pres are checked with exactly the agreement test below, and on
-  agreement the donor post is spliced exactly like an intra-run record.
+  compat fingerprint: after its own record, the donor records around a
+  per-statement trajectory cursor are checked with the same agreement
+  test, and the first that agrees is spliced with the same patch and
+  becomes the statement's record.
 
-The donor pair being a true (pre, post) pair of the same transfer
+A donor record being a true (pre, post) slice of the same transfer
 function (content key + compat fingerprint) makes the splice exact by
 the same argument as above — so a warm run is bit-identical to a cold
 one even across daemon restarts.  Divergence is self-limiting: a
-statement whose donor pairs stop agreeing (an edited slice, a shifted
+statement whose donor records stop agreeing (an edited slice, a shifted
 trajectory) drops its donor after a few failed probes and falls back to
 pure intra-run behavior.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..frontend import ir as I
 from .iterator import Flow, _join_opt, _join_opt_val
@@ -87,7 +97,7 @@ from .state import AbstractState
 
 __all__ = ["IncrementalSequenceExecutor", "frames_key", "slim_pair"]
 
-# Donor trajectory probing: how many pairs past the cursor one
+# Donor trajectory probing: how many records past the cursor one
 # occurrence may test, and how many consecutive occurrences may fail
 # before the statement's donor is dropped for the rest of the run.
 _DONOR_WINDOW = 8
@@ -95,9 +105,9 @@ _DONOR_MAX_FAILS = 4
 
 
 class _DonorCursor:
-    """Replay state of one statement's donor journal: the deduplicated
-    (pre, post) sequence of the donor run, a cursor tracking where the
-    current run's trajectory last aligned, and a failure budget."""
+    """Replay state of one statement's donor journal: the donor run's
+    record sequence, a cursor tracking where the current run's
+    trajectory last aligned, and a failure budget."""
 
     __slots__ = ("pairs", "pos", "fails")
 
@@ -109,27 +119,23 @@ class _DonorCursor:
 
 def slim_pair(m: "_StmtMeta", pre: AbstractState,
               post: AbstractState) -> Tuple:
-    """The footprint slice of one (pre, post) record — what cross-run
-    journals store instead of whole states.  The agreement check only
-    ever reads the pre-state's footprint components and the patch only
-    the post-state's write sets, so nothing else needs to survive the
-    round-trip; the component values (CellValue, Octagon, DecisionTree,
-    floats) are context-free and pickle small."""
+    """One statement record: the footprint slice of a (pre, post)
+    execution.  The agreement check only ever reads the pre-state's
+    footprint components and the patch only the post-state's write
+    sets, so nothing else is kept; the component values (CellValue,
+    Octagon, DecisionTree, floats) are context-free and pickle small,
+    which is what lets cross-run journals store records as they are."""
     ep = pre.env
-    pf = ep.cells.find
-    of, tf, ef = pre.octagons.find, pre.dtrees.find, pre.ellipsoids.find
-    qf = post.env.cells.find
-    og, tg, eg = post.octagons.find, post.dtrees.find, post.ellipsoids.find
     return (
         ep.clock if m.clock_dep else None,
-        tuple(pf(c) for c in m.cells),
-        tuple(of(p) for p in m.packs),
-        tuple(tf(p) for p in m.bpacks),
-        tuple(ef(s) for s in m.sites),
-        tuple(qf(c) for c in m.write_cells),
-        tuple(og(p) for p in m.write_packs),
-        tuple(tg(p) for p in m.write_bpacks),
-        tuple(eg(s) for s in m.sites),
+        tuple(map(ep.cells.find, m.cells)),
+        tuple(map(pre.octagons.find, m.packs)),
+        tuple(map(pre.dtrees.find, m.bpacks)),
+        tuple(map(pre.ellipsoids.find, m.sites)),
+        tuple(map(post.env.cells.find, m.write_cells)),
+        tuple(map(post.octagons.find, m.write_packs)),
+        tuple(map(post.dtrees.find, m.write_bpacks)),
+        tuple(map(post.ellipsoids.find, m.sites)),
     )
 
 
@@ -143,7 +149,8 @@ def frames_key(frames) -> Tuple:
 
 
 class _StmtMeta:
-    """Per-statement footprint slice plus the memoized last execution."""
+    """Per-statement footprint slice plus the record of its last
+    execution."""
 
     __slots__ = ("stmt", "skippable", "clock_dep", "cells", "write_cells",
                  "packs", "write_packs", "bpacks", "write_bpacks", "sites",
@@ -174,8 +181,9 @@ class _StmtMeta:
         # whole subtree, called bodies included, loop bodies scaled up);
         # credited to stmts_skipped when the statement is spliced.
         self.span = max(1, fp.weight)
-        # (pre_state, post_state) of the last full execution, or None.
-        self.record: Optional[Tuple[AbstractState, AbstractState]] = None
+        # The record (slim_pair) of the last execution or adopted donor
+        # record, or None.
+        self.record: Optional[Tuple] = None
         # Cross-run journal key and donor cursor (set by the executor
         # when a CrossRunCache is attached; None otherwise).
         self.xkey: Optional[str] = None
@@ -229,31 +237,22 @@ class IncrementalSequenceExecutor:
 
     def _exec_one(self, it, cur: AbstractState, m: _StmtMeta) -> Flow:
         rec = m.record
-        if rec is not None and self._agrees(cur, rec[0], m):
+        if rec is not None and self._agrees(cur, rec, m):
             it.stmts_skipped += m.span
-            if cur is rec[0]:
-                self._journal(it, m, cur, rec[1])
-                return Flow(normal=rec[1])
-            post = self._patch(cur, rec[1], m)
-            m.record = (cur, post)
-            self._journal(it, m, cur, post)
-            return Flow(normal=post)
+            return Flow(normal=self._patch(cur, rec, m))
         d = m.donor
         if d is not None:
             pairs = d.pairs
-            end = min(d.pos + _DONOR_WINDOW, len(pairs))
-            for j in range(d.pos, end):
-                pair = pairs[j]
-                if self._agrees_slim(cur, pair, m):
+            for j in range(d.pos, min(d.pos + _DONOR_WINDOW, len(pairs))):
+                rec = pairs[j]
+                if self._agrees(cur, rec, m):
                     d.pos = j
                     d.fails = 0
                     it.stmts_skipped += m.span
                     it.cross_run_hits += 1
                     it.cross_run_spliced += m.span
-                    post = self._patch_slim(cur, pair, m)
-                    m.record = (cur, post)
-                    self._journal(it, m, cur, post)
-                    return Flow(normal=post)
+                    self._adopt(it, m, rec)
+                    return Flow(normal=self._patch(cur, rec, m))
             d.fails += 1
             if d.fails >= _DONOR_MAX_FAILS:
                 m.donor = None
@@ -262,114 +261,64 @@ class IncrementalSequenceExecutor:
                 and sub.ret is None and not sub.normal.is_bottom):
             # Bottom posts are excluded: to_bottom() keeps stale
             # relational maps that the splice must not resurrect.
-            m.record = (cur, sub.normal)
-            self._journal(it, m, cur, sub.normal)
+            self._adopt(it, m, slim_pair(m, cur, sub.normal))
         else:
             m.record = None
         return sub
 
     @staticmethod
-    def _journal(it, m: _StmtMeta, pre: AbstractState,
-                 post: AbstractState) -> None:
-        cr = it.cross_run
-        if cr is not None and m.xkey is not None:
-            cr.record(m.xkey, m, pre, post)
+    def _adopt(it, m: _StmtMeta, rec: Tuple) -> None:
+        """Make ``rec`` the statement's record and journal it: records
+        change only here, so the journal gets one entry per execution
+        or donor splice."""
+        m.record = rec
+        if m.xkey is not None:
+            it.cross_run.record(m.xkey, rec)
 
     # -- the agreement check -----------------------------------------------------
 
     @staticmethod
-    def _agrees(cur: AbstractState, pre: AbstractState,
-                m: _StmtMeta) -> bool:
-        """True iff ``cur`` and ``pre`` coincide on the statement's
-        footprint slice — cells, packs, tree packs, filter sites — and on
-        the clock.  ``is`` fast paths first; ``==`` decides the rest."""
-        if cur is pre:
-            return True
-        ec, ep = cur.env, pre.env
-        if ec.bottom or ep.bottom:
-            return False
-        if m.clock_dep and ec.clock != ep.clock:
-            return False
-        if ec.cells._root is not ep.cells._root:
-            cfind, pfind = ec.cells.find, ep.cells.find
-            for cid in m.cells:
-                a, b = cfind(cid), pfind(cid)
-                if a is b:
-                    continue
-                if a is None or b is None or a != b:
-                    return False
-        if cur.octagons._root is not pre.octagons._root:
-            cfind, pfind = cur.octagons.find, pre.octagons.find
-            for pid in m.packs:
-                a, b = cfind(pid), pfind(pid)
-                if a is b:
-                    continue
-                # raw_equal: representation equality without the cubic
-                # closure .equal() would run — sufficient, so at worst
-                # the skip is conservatively refused.
-                if a is None or b is None or not a.raw_equal(b):
-                    return False
-        if cur.dtrees._root is not pre.dtrees._root:
-            cfind, pfind = cur.dtrees.find, pre.dtrees.find
-            for pid in m.bpacks:
-                a, b = cfind(pid), pfind(pid)
-                if a is b:
-                    continue
-                if a is None or b is None or not a.equal(b):
-                    return False
-        if cur.ellipsoids._root is not pre.ellipsoids._root:
-            cfind, pfind = cur.ellipsoids.find, pre.ellipsoids.find
-            for sid in m.sites:
-                a, b = cfind(sid), pfind(sid)
-                if a is b:
-                    continue
-                # Floats: inf == inf holds; NaN != NaN conservatively
-                # refuses the skip.
-                if a is None or b is None or a != b:
-                    return False
-        return True
-
-    @staticmethod
-    def _agrees_slim(cur: AbstractState, pair: Tuple,
-                     m: _StmtMeta) -> bool:
-        """The agreement check of :meth:`_agrees` against a slim donor
-        pair (see :func:`slim_pair`) instead of a recorded pre-state.
-        Same comparisons component-wise, so the same exactness argument
-        applies; the ``is`` fast paths simply never fire for unpickled
-        values."""
-        clock, cells, packs, bpacks, sites = pair[0], pair[1], pair[2], \
-            pair[3], pair[4]
+    def _agrees(cur: AbstractState, rec: Tuple, m: _StmtMeta) -> bool:
+        """True iff ``cur`` coincides with the record's pre values on the
+        statement's footprint slice — cells, packs, tree packs, filter
+        sites — and on the clock.  ``is`` fast paths first (they never
+        fire for unpickled donor values); ``==`` decides the rest."""
         ec = cur.env
         if ec.bottom:
             return False
-        if m.clock_dep and ec.clock != clock:
+        if m.clock_dep and ec.clock != rec[0]:
             return False
         cfind = ec.cells.find
-        for cid, b in zip(m.cells, cells):
+        for cid, b in zip(m.cells, rec[1]):
             a = cfind(cid)
             if a is b:
                 continue
             if a is None or b is None or a != b:
                 return False
         ofind = cur.octagons.find
-        for pid, b in zip(m.packs, packs):
+        for pid, b in zip(m.packs, rec[2]):
             a = ofind(pid)
             if a is b:
                 continue
+            # raw_equal: representation equality without the cubic
+            # closure .equal() would run — sufficient, so at worst the
+            # skip is conservatively refused.
             if a is None or b is None or not a.raw_equal(b):
                 return False
         tfind = cur.dtrees.find
-        for pid, b in zip(m.bpacks, bpacks):
+        for pid, b in zip(m.bpacks, rec[3]):
             a = tfind(pid)
             if a is b:
                 continue
             if a is None or b is None or not a.equal(b):
                 return False
         efind = cur.ellipsoids.find
-        for sid, b in zip(m.sites, sites):
+        for sid, b in zip(m.sites, rec[4]):
             a = efind(sid)
             if a is b:
                 continue
+            # Floats: inf == inf holds; NaN != NaN conservatively
+            # refuses the skip.
             if a is None or b is None or a != b:
                 return False
         return True
@@ -377,15 +326,14 @@ class IncrementalSequenceExecutor:
     # -- the splice --------------------------------------------------------------
 
     @staticmethod
-    def _patch_slim(cur: AbstractState, pair: Tuple,
-                    m: _StmtMeta) -> AbstractState:
-        """:meth:`_patch` against a slim donor pair: graft the recorded
-        write-set values onto ``cur``, leaving ``==``-equal components
-        physically in place (the incoming run's sharing identities are
-        worth more than the donor's unpickled copies)."""
-        wcells, wpacks, wbpacks, wsites = pair[5], pair[6], pair[7], pair[8]
+    def _patch(cur: AbstractState, rec: Tuple,
+               m: _StmtMeta) -> AbstractState:
+        """Graft the record's write-set values onto ``cur``.  Equal
+        values are left in place, so the incoming state's physical
+        identity survives wherever possible (keeping the sharing
+        shortcuts hot; a donor's unpickled copies are worth less)."""
         cells = cur.env.cells
-        for cid, v in zip(m.write_cells, wcells):
+        for cid, v in zip(m.write_cells, rec[5]):
             if v is None:
                 cells = cells.remove(cid)
                 continue
@@ -398,7 +346,7 @@ class IncrementalSequenceExecutor:
             env = type(env)(cells, env.clock)
 
         octs = cur.octagons
-        for pid, v in zip(m.write_packs, wpacks):
+        for pid, v in zip(m.write_packs, rec[6]):
             if v is None:
                 octs = octs.remove(pid)
                 continue
@@ -408,7 +356,7 @@ class IncrementalSequenceExecutor:
             octs = octs.set(pid, v)
 
         trees = cur.dtrees
-        for pid, v in zip(m.write_bpacks, wbpacks):
+        for pid, v in zip(m.write_bpacks, rec[7]):
             if v is None:
                 trees = trees.remove(pid)
                 continue
@@ -418,7 +366,7 @@ class IncrementalSequenceExecutor:
             trees = trees.set(pid, v)
 
         ells = cur.ellipsoids
-        for sid, v in zip(m.sites, wsites):
+        for sid, v in zip(m.sites, rec[8]):
             if v is None:
                 ells = ells.remove(sid)
                 continue
@@ -426,72 +374,6 @@ class IncrementalSequenceExecutor:
             if old is v or (old is not None and old == v):
                 continue
             ells = ells.set(sid, v)
-
-        if (env is cur.env and octs is cur.octagons
-                and trees is cur.dtrees and ells is cur.ellipsoids):
-            return cur
-        return AbstractState(cur.ctx, env, octs, trees, ells)
-
-    @staticmethod
-    def _patch(cur: AbstractState, post: AbstractState,
-               m: _StmtMeta) -> AbstractState:
-        """Graft the recorded post-state's writes onto ``cur``.  Equal
-        values are left in place so the incoming state's physical
-        identity survives wherever possible (keeping the sharing
-        shortcuts and the lattice memo hot)."""
-        cells = cur.env.cells
-        pfind = post.env.cells.find
-        for cid in m.write_cells:
-            v = pfind(cid)
-            if v is None:
-                cells = cells.remove(cid)
-                continue
-            old = cells.find(cid)
-            if old is v or (old is not None and old == v):
-                continue
-            cells = cells.set(cid, v)
-        env = cur.env
-        if cells is not env.cells:
-            env = type(env)(cells, env.clock)
-
-        octs = cur.octagons
-        if octs._root is not post.octagons._root:
-            pfind = post.octagons.find
-            for pid in m.write_packs:
-                v = pfind(pid)
-                if v is None:
-                    octs = octs.remove(pid)
-                    continue
-                old = octs.find(pid)
-                if old is v or (old is not None and old.raw_equal(v)):
-                    continue
-                octs = octs.set(pid, v)
-
-        trees = cur.dtrees
-        if trees._root is not post.dtrees._root:
-            pfind = post.dtrees.find
-            for pid in m.write_bpacks:
-                v = pfind(pid)
-                if v is None:
-                    trees = trees.remove(pid)
-                    continue
-                old = trees.find(pid)
-                if old is v or (old is not None and old.equal(v)):
-                    continue
-                trees = trees.set(pid, v)
-
-        ells = cur.ellipsoids
-        if ells._root is not post.ellipsoids._root:
-            pfind = post.ellipsoids.find
-            for sid in m.sites:
-                v = pfind(sid)
-                if v is None:
-                    ells = ells.remove(sid)
-                    continue
-                old = ells.find(sid)
-                if old is v or (old is not None and old == v):
-                    continue
-                ells = ells.set(sid, v)
 
         if (env is cur.env and octs is cur.octagons
                 and trees is cur.dtrees and ells is cur.ellipsoids):

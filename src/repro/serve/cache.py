@@ -2,27 +2,28 @@
 
 :class:`CrossRunCache` extends the intra-run incremental engine
 (repro.iterator.incremental) across runs.  Intra-run, every statement
-memoizes the (pre, post) states of its last execution and is spliced
-whenever its incoming footprint slice agrees with the recorded pre.
-Cross-run, one run additionally *journals* the deduplicated sequence of
-(pre, post) pairs each statement produced — one entry per distinct
-widening iterate — and a later run of a near-duplicate program replays
-that journal as donor records: at each occurrence of a statement whose
-record key matches (content, bindings and footprint identical — see
-repro.serve.fingerprints.stmt_record_key), the donor pairs around the
-trajectory cursor are checked with the same agreement test the
-intra-run engine uses, and on agreement the recorded post is spliced.
+keeps one record of its last execution — the footprint slice of its
+(pre, post) states (repro.iterator.incremental.slim_pair) — and is
+spliced whenever its incoming state agrees with the record.  Cross-run,
+one run additionally *journals* each statement's records in order — one
+entry per execution or donor splice — and a later run of a
+near-duplicate program replays that journal as donor records:
+at each occurrence of a statement whose record key matches (content,
+bindings and footprint identical — see
+repro.serve.fingerprints.stmt_record_key), the donor records around the
+trajectory cursor are checked with the agreement test the intra-run
+engine uses, and on agreement they are spliced by the same patch.
 
-Bit-identity argument: a donor pair is a true (pre, post) pair of a
+Bit-identity argument: a donor record is a true (pre, post) slice of a
 statement with an equal record key under an equal compat fingerprint,
 i.e. of the *same transfer function*.  The agreement check accepts only
 when the incoming state coincides with the recorded pre on the
 statement's entire footprint slice, and the splice patches exactly the
-footprint's write set — the same two steps whose exactness the
-intra-run engine's soundness argument establishes.  Which run the pair
-was recorded in is therefore irrelevant: a warm run computes
-bit-identical states, alarms and iteration counts to a cold one, it
-just re-executes less.
+footprint's write set — the same two operations, on the same record
+shape, whose exactness the intra-run engine's soundness argument
+establishes.  Which run the record was made in is therefore irrelevant:
+a warm run computes bit-identical states, alarms and iteration counts
+to a cold one, it just re-executes less.
 
 Journals are never harvested from degraded runs (the ladder mutates the
 effective configuration mid-run, so recorded pairs would mix transfer
@@ -43,6 +44,10 @@ from .fingerprints import (compat_fingerprint, function_hashes,
 
 __all__ = ["CrossRunCache", "FrontendCache"]
 
+# Journal caps: records kept per statement key and per run.
+MAX_PAIRS_PER_KEY = 128
+MAX_TOTAL_PAIRS = 250_000
+
 
 class CrossRunCache:
     """One run's view of the cross-run fixpoint cache: donor journal in
@@ -51,19 +56,13 @@ class CrossRunCache:
     consulted by the incremental sequence executors."""
 
     def __init__(self, journal_store=None, donor_bytes: Optional[bytes] = None,
-                 harvest: bool = True, max_pairs_per_key: int = 128,
-                 max_total_pairs: int = 250_000):
+                 harvest: bool = True):
         self.journal_store = journal_store
         self._donor_bytes = donor_bytes
-        # key -> list of slim pairs (repro.iterator.incremental.slim_pair).
+        # key -> statement records (repro.iterator.incremental.slim_pair).
         self.donor: Dict[str, List[Tuple]] = {}
         self.journal: Optional[Dict[str, List[Tuple]]] = (
             {} if harvest else None)
-        # key -> (pre, post) identities of the last journaled occurrence,
-        # for consecutive-duplicate suppression without re-slimming.
-        self._last: Dict[str, Tuple[object, object]] = {}
-        self.max_pairs_per_key = max_pairs_per_key
-        self.max_total_pairs = max_total_pairs
         # Identity of the run this cache is attached to.
         self.ctx = None
         self.compat: Optional[str] = None
@@ -73,9 +72,7 @@ class CrossRunCache:
         self._content_memo: Dict[int, str] = {}
         # Counters (surfaced via AnalysisResult and the daemon stats).
         self.seeded = 0          # statements that received donor pairs
-        self.donor_pair_count = 0
         self.total_pairs = 0     # journal pairs recorded
-        self.pairs_dropped = 0   # journal appends refused by the caps
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -100,8 +97,6 @@ class CrossRunCache:
                 donor = {}  # a corrupt journal is a cold start, not an error
             if isinstance(donor, dict):
                 self.donor = donor
-                self.donor_pair_count = sum(
-                    len(v) for v in donor.values())
 
     def active_for(self, it) -> bool:
         """True while the attached run's effective configuration is the
@@ -130,33 +125,16 @@ class CrossRunCache:
 
     # -- journaling ----------------------------------------------------------
 
-    def record(self, key: str, meta, pre, post) -> None:
-        """Journal one (pre, post) occurrence as its slim footprint
-        slice, deduplicating consecutive identical pairs (converged
-        iterations splice the same record over and over) and respecting
-        the per-key and total caps."""
+    def record(self, key: str, rec: Tuple) -> None:
+        """Journal one statement record, made by an execution or adopted
+        from a donor, within the per-key and total caps."""
         j = self.journal
-        if j is None:
+        if j is None or self.total_pairs >= MAX_TOTAL_PAIRS:
             return
-        last = self._last.get(key)
-        if last is not None and last[0] is pre and last[1] is post:
-            return
-        from ..iterator.incremental import slim_pair
-
-        lst = j.get(key)
-        if lst is None:
-            if self.total_pairs >= self.max_total_pairs:
-                self.pairs_dropped += 1
-                return
-            j[key] = [slim_pair(meta, pre, post)]
-        else:
-            if (len(lst) >= self.max_pairs_per_key
-                    or self.total_pairs >= self.max_total_pairs):
-                self.pairs_dropped += 1
-                return
-            lst.append(slim_pair(meta, pre, post))
-        self._last[key] = (pre, post)
-        self.total_pairs += 1
+        lst = j.setdefault(key, [])
+        if len(lst) < MAX_PAIRS_PER_KEY:
+            lst.append(rec)
+            self.total_pairs += 1
 
     # -- harvest -------------------------------------------------------------
 

@@ -43,7 +43,9 @@ Shutdown is a *drain*: ``stop()`` (or SIGTERM/SIGINT via the CLI, or
 the ``shutdown`` op) stops accepting submissions, lets the in-flight
 job finish within ``drain_deadline_s``, then escalates — queued jobs
 fail with retryable cancellation envelopes, the worker is killed — and
-always flushes stores, removes the socket file, and returns (exit 0).
+always removes the socket file and returns (exit 0).  Every store
+write is already on disk by then: results, journals and the
+quarantine file are written when they change.
 
 Every job runs under per-job supervisor budgets (defaults below,
 overridable per request) so one pathological input degrades or dies
@@ -497,7 +499,7 @@ class AnalysisServer:
 
     def _shutdown_sequence(self, dispatcher: threading.Thread,
                            listener: socket.socket) -> None:
-        """Drain, escalate, flush, clean up.  Runs to completion even
+        """Drain, escalate, clean up.  Runs to completion even
         when escalation is needed — the daemon always exits cleanly."""
         self._draining.set()
         self.queue.close()  # no new submits; wakes an idle dispatcher
@@ -529,7 +531,6 @@ class AnalysisServer:
         for t in self._threads:
             t.join(timeout=max(0.0, flush_deadline - time.monotonic()))
         self.executor.shutdown()
-        self.poison.flush()
         listener.close()
         try:
             os.unlink(self.config.socket_path)

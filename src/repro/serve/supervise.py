@@ -256,10 +256,6 @@ class PoisonRegistry:
         except (OSError, ValueError, TypeError, AttributeError):
             self._crashes, self._poisoned = {}, {}  # corrupt: start clean
 
-    def flush(self) -> None:
-        with self._lock:
-            self._flush_locked()
-
     def _flush_locked(self) -> None:
         if self._path is None:
             return

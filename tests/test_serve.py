@@ -10,7 +10,9 @@ full-precision results.
 
 import dataclasses
 import json
+import operator
 import os
+import pickle
 import socket
 import threading
 import time
@@ -289,6 +291,23 @@ class TestJobQueue:
 # ---------------------------------------------------------------------------
 
 
+def _same_record(a, b):
+    """True iff two journal entries (repro.iterator.incremental.slim_pair)
+    are equal on every component, compared the way the agreement check
+    compares them: ``==`` for the clock, cells and filter sites,
+    ``raw_equal`` for octagons, ``equal`` for decision trees."""
+    def same(xs, ys, eq):
+        return all(x is y or (x is not None and y is not None and eq(x, y))
+                   for x, y in zip(xs, ys))
+
+    return (a[0] == b[0]
+            and all(same(a[i], b[i], operator.eq) for i in (1, 4, 5, 8))
+            and all(same(a[i], b[i], lambda x, y: x.raw_equal(y))
+                    for i in (2, 6))
+            and all(same(a[i], b[i], lambda x, y: x.equal(y))
+                    for i in (3, 7)))
+
+
 class TestCrossRunDifferential:
     def test_warm_bit_identical_across_edit_sweep(self, family):
         """20-seed edit sweep: every warm run (donor journal from the
@@ -324,6 +343,20 @@ class TestCrossRunDifferential:
         assert warm.cross_run_seeded > 0
         assert warm.cross_run_hits > 0
         assert _digest_of(warm) == _digest_of(base)
+
+    def test_journal_never_repeats_an_entry(self, family):
+        # One entry per execution or donor splice: splicing a statement
+        # from its own record journals nothing, so no key may list the
+        # same record twice in a row.
+        cfg = family.analyzer_config()
+        harvest = CrossRunCache()
+        base = analyze(family.source, config=cfg, cross_run=harvest)
+        journal = pickle.loads(harvest.harvest_bytes(base))
+        entries = sum(len(recs) for recs in journal.values())
+        repeats = sum(_same_record(a, b) for recs in journal.values()
+                      for a, b in zip(recs, recs[1:]))
+        assert entries > 0
+        assert repeats == 0, f"{repeats} of {entries} entries repeat"
 
     def test_corrupt_donor_journal_is_cold_start(self, family):
         cfg = family.analyzer_config()

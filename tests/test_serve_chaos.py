@@ -309,6 +309,8 @@ class TestPoisonQuarantine:
                 assert reply["ok"] and not reply["cached"]
             assert d.server.stats()["queue"]["completed"] == 3
             assert writes == []
+        # Nor does shutting the daemon down: nothing changed.
+        assert writes == []
 
 
 # ---------------------------------------------------------------------------

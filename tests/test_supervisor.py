@@ -413,13 +413,20 @@ class TestExitCodeContract:
         ["client", "loop.c", "--edit-loop", "3"],
         ["slice", "loop.c", "--invariants"],
         ["analyze", "loop.c", "--checkpoint-every", "2"],
+        ["fuzz", "--streams", "2"],
+        ["fuzz", "--max-ticks", "24"],
+        ["fuzz", "--min-kloc", "0.1"],
+        ["fuzz", "--max-kloc", "0.1"],
+        ["fuzz", "--max-mutations", "1"],
     ], ids=["removed-jobs-flag", "removed-no-vectorize-flag",
             "removed-vectorize-min-cells-flag", "removed-no-incremental-flag",
             "removed-incremental-flag", "removed-strict-flag",
             "removed-profile-phases-flag", "unknown-flag",
             "bad-int-value", "removed-no-isolate-jobs-flag",
             "removed-edit-loop-flag", "removed-slice-invariants-flag",
-            "removed-checkpoint-every-flag"])
+            "removed-checkpoint-every-flag", "removed-fuzz-streams-flag",
+            "removed-fuzz-max-ticks-flag", "removed-fuzz-min-kloc-flag",
+            "removed-fuzz-max-kloc-flag", "removed-fuzz-max-mutations-flag"])
     def test_usage_error_is_3(self, tmp_path, argv):
         # argparse's own exit 2 would read as a degraded verdict.
         (tmp_path / "loop.c").write_text(LOOP_SRC)
