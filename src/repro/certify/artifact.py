@@ -45,12 +45,12 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import os
 import pickle
 import zlib
 from typing import Dict, List
 
 from ..errors import CertificateError
+from ..fileio import atomic_write
 
 __all__ = ["CERT_FORMAT", "CERT_VERSION", "StateTable", "decode_blob",
            "decode_config", "decode_states", "encode_config",
@@ -145,14 +145,9 @@ class StateTable:
 
 
 def save_certificate(cert: dict, path: str) -> None:
-    """Atomically persist a certificate (write-to-temp + rename)."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii") as f:
-        json.dump(cert, f, sort_keys=True, separators=(",", ":"),
-                  ensure_ascii=True)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    """Atomically persist a certificate (see :mod:`repro.fileio`)."""
+    atomic_write(path, json.dumps(cert, sort_keys=True,
+                                  separators=(",", ":")).encode("ascii"))
 
 
 def _require(cond: bool, message: str) -> None:

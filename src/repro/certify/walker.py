@@ -1,16 +1,20 @@
 """The certificate walker: one-application replay of the checking pass.
 
 :class:`CertWalker` subclasses the iterator but never iterates: its
-``_exec_loop`` override replaces every widening/narrowing fixpoint with
-a *certified invariant* that is verified by exactly one body
-application (which doubles as the alarm-collecting checking pass), and
-its ``exec_stmt`` override records — or, in check mode, verifies —
-(pre, post) pairs for every atomic statement.  Everything else
-(guards, branch joins, call inlining, trace partitioning) is the
-inherited structural traversal, driven by the transfer functions
-directly: the walker runs on a performance-normalized configuration
-(no statement skipping, no sharing caches), so the only trusted code
-is the domains' ``transfer``/``includes`` and this file's ~200 lines.
+``_invariant_pass`` override replaces every widening/narrowing fixpoint
+with a *certified invariant* that is verified by exactly one pass from
+it (which doubles as the alarm-collecting checking pass), and its
+``exec_stmt`` override records — or, in check mode, verifies — (pre,
+post) pairs for every atomic statement.  Everything else is the
+inherited structural traversal: guards, branch joins, call inlining,
+trace partitioning, and the loop driver ``Iterator._exec_loop`` with
+its do-while first run, unrolled prefix and the one-pass method
+``_loop_pass`` that both the engine's final pass and the certified
+pass run.  The traversal is driven by the transfer functions directly:
+the walker runs on a performance-normalized configuration (no
+statement skipping, no sharing caches), so the only trusted code is
+the domains' ``transfer``/``includes``, the iterator's structural
+traversal and this file's ~200 lines.
 
 Two modes over one traversal:
 
@@ -37,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import CertificateError
 from ..frontend import ir as I
-from ..iterator.iterator import Flow, Iterator, _join_opt, _join_opt_val
+from ..iterator.iterator import Flow, Iterator
 from ..iterator.state import AbstractState, AnalysisContext
 
 __all__ = ["CertWalker"]
@@ -145,42 +149,14 @@ class CertWalker(Iterator):
 
     # -- loops ---------------------------------------------------------------
 
-    def _exec_loop(self, state: AbstractState, s: I.SWhile) -> Flow:
-        # Structural clone of Iterator._exec_loop with the fixpoint
-        # replaced by the certified invariant; the unroll prefix runs
-        # through the normal (recording/checking) traversal.
-        exits: Optional[AbstractState] = None
-        ret: Optional[AbstractState] = None
-        ret_val = None
-        cur = state
-        if s.run_body_first:
-            cur, brk, r, rv = self._exec_body_once(cur, s)
-            exits = _join_opt(exits, brk)
-            ret = _join_opt(ret, r)
-            ret_val = _join_opt_val(ret_val, rv)
-        unroll = self.cfg.loop_unroll.get(s.loop_id, self.cfg.default_unroll)
-        for _ in range(unroll):
-            if cur.is_bottom:
-                break
-            exits = _join_opt(exits, self.guards.guard(cur, s.cond, False,
-                                                       s.sid, s.loc))
-            body_in = self.guards.guard(cur, s.cond, True, s.sid, s.loc)
-            if body_in.is_bottom:
-                cur = body_in
-                break
-            cur, brk, r, rv = self._exec_body_once(body_in, s)
-            exits = _join_opt(exits, brk)
-            ret = _join_opt(ret, r)
-            ret_val = _join_opt_val(ret_val, rv)
-        inv, pieces = self._certified_invariant(cur, s)
-        exit_state, r, rv = pieces
-        exits = _join_opt(exits, exit_state)
-        ret = _join_opt(ret, r)
-        ret_val = _join_opt_val(ret_val, rv)
-        normal = exits if exits is not None else state.to_bottom()
-        return Flow(normal=normal, ret=ret, ret_val=ret_val)
+    def _invariant_pass(self, acc: Flow, s: I.SWhile) -> Flow:
+        # The inherited _exec_loop runs the do-while first run and the
+        # unrolled prefix through the normal (recording/checking)
+        # traversal; only the fixpoint is replaced, by the certified
+        # invariant's one verifying pass.
+        return acc.then(self._certified_pass(acc.normal, s))
 
-    def _certified_invariant(self, cur: AbstractState, s: I.SWhile):
+    def _certified_pass(self, cur: AbstractState, s: I.SWhile) -> Flow:
         ordv = self._ord(s.sid)
         if self.mode == "emit":
             if self._engine_cursor >= len(self._engine_loops):
@@ -201,11 +177,11 @@ class CertWalker(Iterator):
                 # consumes the loop record ahead of the nested records
                 # its verification pass produces.
                 self.loop_records.append((ordv, inv))
-                pieces = self._one_application(cur, s, inv)
-                if pieces is not None:
+                piece = self._one_application(cur, s, inv)
+                if piece is not None:
                     if i > 0:
                         self.substitutions += 1
-                    return inv, pieces
+                    return piece
                 self._rollback(mark)
             raise CertificateError(
                 f"{s.loc}: cannot certify loop (ordinal {ordv}): neither "
@@ -221,15 +197,15 @@ class CertWalker(Iterator):
             raise CertificateError(
                 f"{s.loc}: certificate loop record ordinal {rec_ord} does "
                 f"not match traversal ordinal {ordv}")
-        pieces = self._one_application(cur, s, inv, strict=True)
-        return inv, pieces
+        return self._one_application(cur, s, inv, strict=True)
 
     def _one_application(self, cur: AbstractState, s: I.SWhile,
-                         inv: AbstractState, strict: bool = False):
-        """Verify ``cur ⊑ inv`` and ``cur ∪ F(inv) ⊑ inv`` with one body
-        application (alarms collected along the way), returning the
-        loop's (exit_state, ret, ret_val) contributions — or None on
-        failure when not strict."""
+                         inv: AbstractState,
+                         strict: bool = False) -> Optional[Flow]:
+        """Verify ``cur ⊑ inv`` and ``cur ∪ F(inv) ⊑ inv`` with one pass
+        from the invariant (alarms collected along the way), returning
+        that pass's flow (exits in ``brk``) — or None on failure when
+        not strict."""
         ordv = self._ord(s.sid)
         if not inv.includes(cur):
             if strict:
@@ -237,20 +213,14 @@ class CertWalker(Iterator):
                     f"{s.loc}: loop entry state is not contained in the "
                     f"certified invariant (ordinal {ordv})")
             return None
-        exit_state = self.guards.guard(inv, s.cond, False, s.sid, s.loc)
-        body_in = self.guards.guard(inv, s.cond, True, s.sid, s.loc)
-        after = None
-        brk = r = rv = None
-        if not body_in.is_bottom:
-            after, brk, r, rv = self._exec_body_once(body_in, s)
-        target = cur if after is None else cur.join(after)
-        if not inv.includes(target):
+        piece = self._loop_pass(inv, s)
+        if not inv.includes(cur.join(piece.normal)):
             if strict:
                 raise CertificateError(
                     f"{s.loc}: certified loop invariant (ordinal {ordv}) "
                     f"is not a post-fixpoint: entry ∪ F(inv) ⊑ inv fails")
             return None
-        return (_join_opt(exit_state, brk), r, rv)
+        return piece
 
     # -- emission rollback ---------------------------------------------------
 

@@ -92,7 +92,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..frontend import ir as I
-from .iterator import Flow, _join_opt, _join_opt_val
+from .iterator import Flow
 from .state import AbstractState
 
 __all__ = ["IncrementalSequenceExecutor", "frames_key", "slim_pair"]
@@ -225,14 +225,7 @@ class IncrementalSequenceExecutor:
         for m in self.metas:
             if flow.normal.is_bottom:
                 break
-            sub = self._exec_one(it, flow.normal, m)
-            flow = Flow(
-                normal=sub.normal,
-                brk=_join_opt(flow.brk, sub.brk),
-                cont=_join_opt(flow.cont, sub.cont),
-                ret=_join_opt(flow.ret, sub.ret),
-                ret_val=_join_opt_val(flow.ret_val, sub.ret_val),
-            )
+            flow = flow.then(self._exec_one(it, flow.normal, m))
         return flow
 
     def _exec_one(self, it, cur: AbstractState, m: _StmtMeta) -> Flow:

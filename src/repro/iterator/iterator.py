@@ -58,24 +58,24 @@ class Flow:
     ret_val: Optional[CellValue] = None
 
     def join(self, other: "Flow") -> "Flow":
+        return self._merged(self.normal.join(other.normal), other)
+
+    def then(self, other: "Flow") -> "Flow":
+        """Sequential composition: ``other`` ran from this flow's normal
+        continuation, so the exceptional continuations of both escape."""
+        return self._merged(other.normal, other)
+
+    def _merged(self, normal: AbstractState, other: "Flow") -> "Flow":
         return Flow(
-            normal=self.normal.join(other.normal),
+            normal=normal,
             brk=_join_opt(self.brk, other.brk),
             cont=_join_opt(self.cont, other.cont),
             ret=_join_opt(self.ret, other.ret),
-            ret_val=_join_opt_val(self.ret_val, other.ret_val),
+            ret_val=_join_opt(self.ret_val, other.ret_val),
         )
 
 
 def _join_opt(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a.join(b)
-
-
-def _join_opt_val(a, b):
     if a is None:
         return b
     if b is None:
@@ -202,24 +202,11 @@ class Iterator:
                                               s.sid, s.loc)
                     fl_skip = self.exec_block(skip, rest)
                     loop_fl = self._exec_loop(enter, s)
-                    fl_loop = self.exec_block(loop_fl.normal, rest)
-                    fl_loop = Flow(
-                        normal=fl_loop.normal,
-                        brk=_join_opt(loop_fl.brk, fl_loop.brk),
-                        cont=_join_opt(loop_fl.cont, fl_loop.cont),
-                        ret=_join_opt(loop_fl.ret, fl_loop.ret),
-                        ret_val=_join_opt_val(loop_fl.ret_val, fl_loop.ret_val),
-                    )
+                    fl_loop = loop_fl.then(
+                        self.exec_block(loop_fl.normal, rest))
                 finally:
                     self._partition_budget += 1
-                branch_flow = fl_skip.join(fl_loop)
-                return Flow(
-                    normal=branch_flow.normal,
-                    brk=_join_opt(flow.brk, branch_flow.brk),
-                    cont=_join_opt(flow.cont, branch_flow.cont),
-                    ret=_join_opt(flow.ret, branch_flow.ret),
-                    ret_val=_join_opt_val(flow.ret_val, branch_flow.ret_val),
-                )
+                return flow.then(fl_skip.join(fl_loop))
             # Trace partitioning: delay the merge of this if's branches
             # until the end of the enclosing sequence (Sect. 7.1.5).
             if (isinstance(s, I.SIf) and self._partitioning_active()
@@ -235,22 +222,8 @@ class Iterator:
                     fl_f = self.exec_block(f_state, list(s.other) + rest)
                 finally:
                     self._partition_budget += 1
-                branch_flow = fl_t.join(fl_f)
-                return Flow(
-                    normal=branch_flow.normal,
-                    brk=_join_opt(flow.brk, branch_flow.brk),
-                    cont=_join_opt(flow.cont, branch_flow.cont),
-                    ret=_join_opt(flow.ret, branch_flow.ret),
-                    ret_val=_join_opt_val(flow.ret_val, branch_flow.ret_val),
-                )
-            sub = self.exec_stmt(flow.normal, s)
-            flow = Flow(
-                normal=sub.normal,
-                brk=_join_opt(flow.brk, sub.brk),
-                cont=_join_opt(flow.cont, sub.cont),
-                ret=_join_opt(flow.ret, sub.ret),
-                ret_val=_join_opt_val(flow.ret_val, sub.ret_val),
-            )
+                return flow.then(fl_t.join(fl_f))
+            flow = flow.then(self.exec_stmt(flow.normal, s))
             i += 1
         return flow
 
@@ -609,48 +582,52 @@ class Iterator:
 
     # -- loops ----------------------------------------------------------------------------------
 
-
-    def _exec_body_once(self, body_in: AbstractState, s: I.SWhile):
-        """One execution of body (+for-step, on both normal and continue
-        paths) returning (resume_state, brk, ret, ret_val)."""
+    def _run_body(self, body_in: AbstractState, s: I.SWhile) -> Flow:
+        """One execution of the body and the for-step (on both the
+        normal and the continue paths); ``normal`` is the state back at
+        the loop head."""
         fl = self.exec_block(body_in, s.body)
         resume = fl.normal if fl.cont is None else fl.normal.join(fl.cont)
-        brk, ret, ret_val = fl.brk, fl.ret, fl.ret_val
+        fl = Flow(normal=resume, brk=fl.brk, ret=fl.ret, ret_val=fl.ret_val)
         if s.step and not resume.is_bottom:
-            fl2 = self.exec_block(resume, s.step)
-            resume = fl2.normal
-            brk = _join_opt(brk, fl2.brk)
-            ret = _join_opt(ret, fl2.ret)
-            ret_val = _join_opt_val(ret_val, fl2.ret_val)
-        return resume, brk, ret, ret_val
+            fl = fl.then(self.exec_block(resume, s.step))
+        return fl
+
+    def _loop_pass(self, head: AbstractState, s: I.SWhile,
+                   acc: Optional[Flow] = None) -> Flow:
+        """One pass through the loop from ``head``: the exit guard's
+        state joins ``brk`` (the exits of the earlier passes in ``acc``),
+        then the body runs from the entry guard's state."""
+        fl = Flow(normal=head,
+                  brk=self.guards.guard(head, s.cond, False, s.sid, s.loc))
+        if acc is not None:
+            fl = acc.then(fl)
+        body_in = self.guards.guard(head, s.cond, True, s.sid, s.loc)
+        return fl.then(Flow(normal=body_in) if body_in.is_bottom
+                       else self._run_body(body_in, s))
 
     def _exec_loop(self, state: AbstractState, s: I.SWhile) -> Flow:
-        exits: Optional[AbstractState] = None
-        ret: Optional[AbstractState] = None
-        ret_val: Optional[CellValue] = None
-        cur = state
+        # The do-while first run, then semantic loop unrolling
+        # (Sect. 7.1.1); ``acc.normal`` is the state at the loop head and
+        # ``acc.brk`` the exits so far.
         if s.run_body_first:
-            cur, brk, r, rv = self._exec_body_once(cur, s)
-            exits = _join_opt(exits, brk)
-            ret = _join_opt(ret, r)
-            ret_val = _join_opt_val(ret_val, rv)
-        # Semantic loop unrolling (Sect. 7.1.1).
+            acc = self._run_body(state, s)
+        else:
+            acc = Flow(normal=state)
         unroll = self.cfg.loop_unroll.get(s.loop_id, self.cfg.default_unroll)
         for _ in range(unroll):
-            if cur.is_bottom:
+            if acc.normal.is_bottom:
                 break
-            exits = _join_opt(exits, self.guards.guard(cur, s.cond, False,
-                                                       s.sid, s.loc))
-            body_in = self.guards.guard(cur, s.cond, True, s.sid, s.loc)
-            if body_in.is_bottom:
-                cur = body_in
-                break
-            cur, brk, r, rv = self._exec_body_once(body_in, s)
-            exits = _join_opt(exits, brk)
-            ret = _join_opt(ret, r)
-            ret_val = _join_opt_val(ret_val, rv)
-        # Widening/narrowing fixpoint from the remaining entry state.
-        inv = self._loop_fixpoint(cur, s)
+            acc = self._loop_pass(acc.normal, s, acc)
+        acc = self._invariant_pass(acc, s)
+        normal = acc.brk if acc.brk is not None else state.to_bottom()
+        return Flow(normal=normal, ret=acc.ret, ret_val=acc.ret_val)
+
+    def _invariant_pass(self, acc: Flow, s: I.SWhile) -> Flow:
+        """The widening/narrowing fixpoint from the loop-head state, then
+        the final pass from the invariant (checking mode collects alarms
+        here)."""
+        inv = self._loop_fixpoint(acc.normal, s)
         if self.cfg.certify and self.alarms.checking:
             # _last_pf is the pre-narrowing post-fixpoint of exactly this
             # _loop_fixpoint call (assigned at its return boundary;
@@ -663,17 +640,7 @@ class Iterator:
             prev = self.loop_invariants.get(s.loop_id)
             self.loop_invariants[s.loop_id] = \
                 inv if prev is None else prev.join(inv)
-        # Final pass from the invariant (checking mode collects alarms here).
-        exits = _join_opt(exits, self.guards.guard(inv, s.cond, False,
-                                                   s.sid, s.loc))
-        body_in = self.guards.guard(inv, s.cond, True, s.sid, s.loc)
-        if not body_in.is_bottom:
-            _, brk, r, rv = self._exec_body_once(body_in, s)
-            exits = _join_opt(exits, brk)
-            ret = _join_opt(ret, r)
-            ret_val = _join_opt_val(ret_val, rv)
-        normal = exits if exits is not None else state.to_bottom()
-        return Flow(normal=normal, ret=ret, ret_val=ret_val)
+        return self._loop_pass(inv, s, acc)
 
     def _stable_ordinal(self, sid: int) -> int:
         """Process-independent statement identity for certificate records
@@ -729,11 +696,11 @@ class Iterator:
 
         def run_body(body_state):
             if not use_incr:
-                return self._exec_body_once(body_state, s)
+                return self._run_body(body_state, s).normal
             prev_active = self._incr_active
             self._incr_active = True
             try:
-                return self._exec_body_once(body_state, s)
+                return self._run_body(body_state, s).normal
             finally:
                 self._incr_active = prev_active
 
@@ -745,7 +712,7 @@ class Iterator:
                                           prev_unstable, fairness_left)
             self.widening_iterations += 1
             body_in = self.guards.guard(inv, s.cond, True, s.sid, s.loc)
-            after, _, _, _ = run_body(body_in)
+            after = run_body(body_in)
             target = entry.join(after)
             if inv.includes(target):
                 break  # post-fixpoint reached (exact check, Sect. 7.1.4)
@@ -776,7 +743,7 @@ class Iterator:
             fallback_rounds = 64 + len(inv.env.cells)
             for _ in range(fallback_rounds):
                 body_in = self.guards.guard(inv, s.cond, True, s.sid, s.loc)
-                after, _, _, _ = run_body(body_in)
+                after = run_body(body_in)
                 target = entry.join(after)
                 if inv.includes(target):
                     break
@@ -789,17 +756,11 @@ class Iterator:
                     inv.ctx,
                     inv.env.widen(target.env, None),
                     inv.octagons.merge(target.octagons,
-                                       lambda k, a, b: a if a is b else a.widen(b),
-                                       missing_self=lambda k, b: b,
-                                       missing_other=lambda k, a: a),
+                                       lambda k, a, b: a.widen(b)),
                     inv.dtrees.merge(target.dtrees,
-                                     lambda k, a, b: a if a is b else a.widen(b),
-                                     missing_self=lambda k, b: b,
-                                     missing_other=lambda k, a: a),
+                                     lambda k, a, b: a.widen(b)),
                     inv.ellipsoids.merge(target.ellipsoids,
-                                         lambda k, a, b: a if b <= a else math.inf,
-                                         missing_self=lambda k, y: y,
-                                         missing_other=lambda k, x: x),
+                                         lambda k, a, b: a if b <= a else math.inf),
                 )
                 self.ctx.lattice_seconds += time.perf_counter() - t0
             else:
@@ -822,7 +783,7 @@ class Iterator:
         pf = inv
         for _ in range(self.cfg.narrowing_steps):
             body_in = self.guards.guard(inv, s.cond, True, s.sid, s.loc)
-            after, _, _, _ = run_body(body_in)
+            after = run_body(body_in)
             target = entry.join(after)
             if inv.includes(target):
                 if target.includes(inv):
@@ -950,13 +911,9 @@ class Iterator:
                 else:
                     out = out.weak_set_cell(cell.cid, v)
             if cells and len(cells) == 1 and cells[0][1]:
-                out = self._forget_relational_target(out, cells[0][0])
+                # The result lands in a cell: relational facts are stale.
+                out = self._forget_relational(out, cells[0][0])
         return Flow(normal=out, brk=fl.brk, cont=fl.cont)
-
-    def _forget_relational_target(self, state: AbstractState,
-                                  cell: CellInfo) -> AbstractState:
-        """A call result lands in a cell: relational facts become stale."""
-        return self._forget_relational(state, cell)
 
     def _resolve_binding(self, lv: I.LValue) -> I.LValue:
         """Resolve caller-side derefs so the binding survives frame pops."""

@@ -20,17 +20,18 @@ prescribed by the paper live here:
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..config import AnalyzerConfig
+from ..config import AnalyzerConfig, config_fingerprint
 from ..domains.decision_tree import DecisionTree
 from ..domains.ellipsoid import EllipsoidParams, EllipsoidValue
 from ..domains.octagon import Octagon
 from ..domains.values import CellValue
-from ..frontend.ir import IRProgram
+from ..frontend.ir import IRProgram, stable_ordinals
 from ..memory.cells import CellTable
 from ..memory.environment import MemoryEnv
 from ..memory.fmap import PMap
@@ -39,8 +40,8 @@ from ..packing.boolean_packs import BoolPacking
 from ..packing.ellipsoid_sites import FilterSites
 from ..packing.octagon_packs import OctagonPacking
 
-__all__ = ["AnalysisContext", "AbstractState", "set_active_context",
-           "get_active_context"]
+__all__ = ["AnalysisContext", "AbstractState", "compat_fingerprint",
+           "set_active_context", "get_active_context"]
 
 # Process-wide context registry (checkpoint/resume and certificate
 # support).  Pickled AbstractStates carry domain content only; the heavy
@@ -103,6 +104,37 @@ class AnalysisContext:
         site = self.filter_sites.site(site_id)
         fmt = BINARY32 if site.fmt_name == "binary32" else BINARY64
         return EllipsoidParams(site.a, site.b, t_max, fmt)
+
+
+def compat_fingerprint(ctx: AnalysisContext) -> str:
+    """Hash of everything a stored abstract state is keyed against: the
+    analysis-relevant configuration and the complete cell-table /
+    octagon-pack / boolean-pack / filter-site layout.  Runs with equal
+    compat fingerprints agree on what every cell, pack and site id
+    means, so they may exchange states: the serving layer's cross-run
+    journals are indexed by it, and checkpoints include it."""
+    ordinals = stable_ordinals(ctx.prog)
+    cells = [(c.cid, c.name, repr(c.ctype), c.var_uid, c.volatile,
+              c.summarized) for c in ctx.table.all_cells()]
+    opacks = [(p.pack_id, p.cids) for p in ctx.oct_packs.packs]
+    bpacks = [(p.pack_id, p.bool_cids, p.numeric_cids)
+              for p in ctx.bool_packs.packs]
+    # Layout only, deliberately NOT the filter coefficients a/b: those
+    # are transfer-function constants, and every statement whose
+    # semantics depend on them contains them in its (transitive)
+    # content hash — the journal's statement keys already refuse such
+    # donors.  Keeping them out lets coefficient-tuning edits (the
+    # common near-duplicate case) stay journal-compatible.
+    sites = [(s.site_id, s.x_cid, s.y_cid, s.t_cid,
+              ordinals.get(s.rotate_sid, -1), ordinals.get(s.shift_sid, -1),
+              ordinals.get(s.commit_sid, -1))
+             for s in ctx.filter_sites.sites]
+    h = hashlib.sha256()
+    for chunk in (config_fingerprint(ctx.config), repr(cells), repr(opacks),
+                  repr(bpacks), repr(sites)):
+        h.update(chunk.encode())
+        h.update(b"\x00")
+    return h.hexdigest()
 
 
 class AbstractState:
@@ -190,18 +222,21 @@ class AbstractState:
         v = EllipsoidValue.top(params).reduce_from_intervals(x_iv, y_iv)
         return v.k
 
-    def _ellipsoids_pre_reduced(self, other: "AbstractState") -> Tuple[PMap, PMap]:
-        """Apply the paper's pre-join/pre-widening reduction: a top k on one
-        side is refined from that side's intervals when the other side is
-        finite."""
-        a, b = self.ellipsoids, other.ellipsoids
-        for site_id, ka in list(a.items()):
-            kb = b.get(site_id, math.inf)
+    def _ellipsoid_combine(self, other: "AbstractState", op):
+        """The per-site callback of the ellipsoid merge in join and
+        widening: ``op`` after the paper's pre-join/pre-widening
+        reduction (Sect. 6.2.3), which refines a top k on one side from
+        that side's intervals when the other side is finite.
+        ``PMap.merge`` calls it only for sites whose k differ; a site
+        missing from ``other`` meets it as top."""
+
+        def combine(site_id, ka, kb):
             if math.isinf(ka) and not math.isinf(kb):
-                a = a.set(site_id, self._reduce_ellipsoid_from_box(site_id))
+                ka = self._reduce_ellipsoid_from_box(site_id)
             elif math.isinf(kb) and not math.isinf(ka):
-                b = b.set(site_id, other._reduce_ellipsoid_from_box(site_id))
-        return a, b
+                kb = other._reduce_ellipsoid_from_box(site_id)
+            return op(ka, kb)
+        return combine
 
     # -- lattice -----------------------------------------------------------------------
     #
@@ -221,21 +256,15 @@ class AbstractState:
             self.ctx.lattice_seconds += time.perf_counter() - t0
 
     def _join_impl(self, other: "AbstractState") -> "AbstractState":
-        ea, eb = self._ellipsoids_pre_reduced(other)
+        ell = self._ellipsoid_combine(other, max)
         return AbstractState(
             self.ctx,
             self.env.join(other.env),
-            self.octagons.merge(other.octagons,
-                                lambda k, a, b: a if a is b else a.join(b),
-                                missing_self=lambda k, b: b,
-                                missing_other=lambda k, a: a),
-            self.dtrees.merge(other.dtrees,
-                              lambda k, a, b: a if a is b else a.join(b),
-                              missing_self=lambda k, b: b,
-                              missing_other=lambda k, a: a),
-            ea.merge(eb, lambda k, x, y: max(x, y),
-                     missing_self=lambda k, y: y,
-                     missing_other=lambda k, x: x),
+            self.octagons.merge(other.octagons, lambda k, a, b: a.join(b)),
+            self.dtrees.merge(other.dtrees, lambda k, a, b: a.join(b)),
+            self.ellipsoids.merge(
+                other.ellipsoids, ell,
+                missing_other=lambda k, ka: ell(k, ka, math.inf)),
         )
 
     def widen(self, other: "AbstractState") -> "AbstractState":
@@ -251,9 +280,8 @@ class AbstractState:
 
     def _widen_impl(self, other: "AbstractState") -> "AbstractState":
         ts = self.ctx.thresholds()
-        ea, eb = self._ellipsoids_pre_reduced(other)
 
-        def widen_k(k, a, b):
+        def widen_k(a, b):
             if b <= a:
                 return a
             if ts is None:
@@ -263,20 +291,16 @@ class AbstractState:
                     return t
             return math.inf
 
+        ell = self._ellipsoid_combine(other, widen_k)
         return AbstractState(
             self.ctx,
             self.env.widen(other.env, ts),
             self.octagons.merge(other.octagons,
-                                lambda k, a, b: a if a is b else a.widen(b, ts),
-                                missing_self=lambda k, b: b,
-                                missing_other=lambda k, a: a),
-            self.dtrees.merge(other.dtrees,
-                              lambda k, a, b: a if a is b else a.widen(b, ts),
-                              missing_self=lambda k, b: b,
-                              missing_other=lambda k, a: a),
-            ea.merge(eb, widen_k,
-                     missing_self=lambda k, y: y,
-                     missing_other=lambda k, x: x),
+                                lambda k, a, b: a.widen(b, ts)),
+            self.dtrees.merge(other.dtrees, lambda k, a, b: a.widen(b, ts)),
+            self.ellipsoids.merge(
+                other.ellipsoids, ell,
+                missing_other=lambda k, ka: ell(k, ka, math.inf)),
         )
 
     def narrow(self, other: "AbstractState") -> "AbstractState":
@@ -292,18 +316,10 @@ class AbstractState:
         return AbstractState(
             self.ctx,
             self.env.narrow(other.env),
-            self.octagons.merge(other.octagons,
-                                lambda k, a, b: a if a is b else a.narrow(b),
-                                missing_self=lambda k, b: b,
-                                missing_other=lambda k, a: a),
-            self.dtrees.merge(other.dtrees,
-                              lambda k, a, b: a if a is b else a.narrow(b),
-                              missing_self=lambda k, b: b,
-                              missing_other=lambda k, a: a),
+            self.octagons.merge(other.octagons, lambda k, a, b: a.narrow(b)),
+            self.dtrees.merge(other.dtrees, lambda k, a, b: a.narrow(b)),
             self.ellipsoids.merge(other.ellipsoids,
-                                  lambda k, a, b: b if math.isinf(a) else a,
-                                  missing_self=lambda k, y: y,
-                                  missing_other=lambda k, x: x),
+                                  lambda k, a, b: b if math.isinf(a) else a),
         )
 
     def includes(self, other: "AbstractState") -> bool:

@@ -120,11 +120,7 @@ class MemoryEnv:
         if other.bottom:
             return self
         cells = self.cells.merge(
-            other.cells,
-            lambda cid, a, b: a if a == b else a.join(b),
-            missing_self=lambda cid, b: b,
-            missing_other=lambda cid, a: a,
-        )
+            other.cells, lambda cid, a, b: a if a == b else a.join(b))
         return MemoryEnv(cells, self.clock.join(other.clock))
 
     def widen(self, other: "MemoryEnv",
@@ -136,21 +132,14 @@ class MemoryEnv:
             return self
         cells = self.cells.merge(
             other.cells,
-            lambda cid, a, b: a if a == b else a.widen(b, thresholds),
-            missing_self=lambda cid, b: b,
-            missing_other=lambda cid, a: a,
-        )
+            lambda cid, a, b: a if a == b else a.widen(b, thresholds))
         return MemoryEnv(cells, self.clock.widen(other.clock))
 
     def narrow(self, other: "MemoryEnv") -> "MemoryEnv":
         if self.bottom or other.bottom:
             return other
         cells = self.cells.merge(
-            other.cells,
-            lambda cid, a, b: a if a == b else a.narrow(b),
-            missing_self=lambda cid, b: b,
-            missing_other=lambda cid, a: a,
-        )
+            other.cells, lambda cid, a, b: a if a == b else a.narrow(b))
         return MemoryEnv(cells, self.clock)
 
     def meet(self, other: "MemoryEnv") -> "MemoryEnv":
@@ -167,12 +156,7 @@ class MemoryEnv:
                 saw_empty = True
             return m
 
-        cells = self.cells.merge(
-            other.cells,
-            combine,
-            missing_self=lambda cid, b: b,
-            missing_other=lambda cid, a: a,
-        )
+        cells = self.cells.merge(other.cells, combine)
         if saw_empty:
             return self.to_bottom()
         return MemoryEnv(cells, self.clock)

@@ -160,15 +160,6 @@ def _join(key, value, left: Optional[_Node], right: Optional[_Node]) -> _Node:
     return _Node(key, value, left, right)
 
 
-def _join2(left: Optional[_Node], right: Optional[_Node]) -> Optional[_Node]:
-    if left is None:
-        return right
-    if right is None:
-        return left
-    succ = _min_node(right)
-    return _join(succ.key, succ.value, left, _remove(right, succ.key))
-
-
 def _split(node: Optional[_Node], key) -> Tuple[Optional[_Node], Any, bool, Optional[_Node]]:
     """Split into (keys < key, value-at-key, found, keys > key)."""
     if node is None:
@@ -184,21 +175,21 @@ def _split(node: Optional[_Node], key) -> Tuple[Optional[_Node], Any, bool, Opti
 
 def _merge(a: Optional[_Node], b: Optional[_Node],
            combine: Callable[[Any, Any, Any], Any],
-           missing_a: Optional[Callable[[Any, Any], Any]],
            missing_b: Optional[Callable[[Any, Any], Any]]) -> Optional[_Node]:
     """Merge two trees with per-key combination and sharing shortcut.
 
-    ``combine(key, va, vb)`` for keys in both; ``missing_a(key, vb)`` for
-    keys only in ``b`` (None drops them); ``missing_b(key, va)`` likewise.
-    The ``a is b`` shortcut requires combine(k, v, v) == v semantics from
+    ``combine(key, va, vb)`` for keys in both; ``missing_b(key, va)`` for
+    keys only in ``a`` (None keeps them).  Keys only in ``b`` are kept,
+    and a subtree only in ``b`` is returned without being walked.  The
+    ``a is b`` shortcut requires combine(k, v, v) == v semantics from
     the caller (true of join/widen/narrow/meet on identical values).
     """
     if a is b:
         return a
     if a is None:
-        return _map_values_opt(b, missing_a) if missing_a is not None else None
+        return b
     if b is None:
-        return _map_values_opt(a, missing_b) if missing_b is not None else None
+        return a if missing_b is None else _map_values_opt(a, missing_b)
     if b.key == a.key:
         # Equal roots: recurse on the original subtrees.  Splitting here
         # would rebuild ``b``'s children and destroy the physical identity
@@ -209,37 +200,18 @@ def _merge(a: Optional[_Node], b: Optional[_Node],
         bl, bv, found, br = b.left, b.value, True, b.right
     else:
         bl, bv, found, br = _split(b, a.key)
-    new_left = _merge(a.left, bl, combine, missing_a, missing_b)
-    new_right = _merge(a.right, br, combine, missing_a, missing_b)
+    new_left = _merge(a.left, bl, combine, missing_b)
+    new_right = _merge(a.right, br, combine, missing_b)
     if found:
-        if a.value is bv:
-            new_value, keep = a.value, True
-        else:
-            new_value = combine(a.key, a.value, bv)
-            keep = new_value is not _DROP
+        new_value = a.value if a.value is bv else combine(a.key, a.value, bv)
+    elif missing_b is not None:
+        new_value = missing_b(a.key, a.value)
     else:
-        if missing_b is None:
-            keep = False
-            new_value = None
-        else:
-            new_value = missing_b(a.key, a.value)
-            keep = new_value is not _DROP
-    if keep:
-        if (new_left is a.left and new_right is a.right
-                and new_value is a.value):
-            return a
-        return _join(a.key, new_value, new_left, new_right)
-    return _join2(new_left, new_right)
-
-
-class _Drop:
-    """Sentinel: a combination function may return DROP to delete a key."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "PMap.DROP"
-
-
-_DROP = _Drop()
+        new_value = a.value
+    if (new_left is a.left and new_right is a.right
+            and new_value is a.value):
+        return a
+    return _join(a.key, new_value, new_left, new_right)
 
 
 def _map_values_opt(node: Optional[_Node],
@@ -249,8 +221,6 @@ def _map_values_opt(node: Optional[_Node],
     new_left = _map_values_opt(node.left, f)
     new_right = _map_values_opt(node.right, f)
     new_value = f(node.key, node.value)
-    if new_value is _DROP:
-        return _join2(new_left, new_right)
     if new_left is node.left and new_right is node.right and new_value is node.value:
         return node
     return _join(node.key, new_value, new_left, new_right)
@@ -293,8 +263,6 @@ class PMap:
     """An immutable map with O(log n) update and sharing-aware merge."""
 
     __slots__ = ("_root",)
-
-    DROP = _DROP
 
     def __init__(self, _root: Optional[_Node] = None):
         self._root = _root
@@ -366,7 +334,7 @@ class PMap:
         return PMap(new_root) if new_root is not None else _EMPTY
 
     def map_values(self, f: Callable[[Any, Any], Any]) -> "PMap":
-        """Apply ``f(key, value)``; return DROP to delete an entry."""
+        """Apply ``f(key, value)`` to every entry."""
         new_root = _map_values_opt(self._root, f)
         if new_root is self._root:
             return self
@@ -378,22 +346,20 @@ class PMap:
         self,
         other: "PMap",
         combine: Callable[[Any, Any, Any], Any],
-        missing_self: Optional[Callable[[Any, Any], Any]] = None,
         missing_other: Optional[Callable[[Any, Any], Any]] = None,
     ) -> "PMap":
         """Combine two maps key-wise with physical-identity shortcuts.
 
         ``combine(key, self_value, other_value)`` handles shared keys.
-        ``missing_self(key, other_value)`` handles keys present only in
-        ``other`` (default: dropped); ``missing_other`` symmetrically.
-        Either function may return :data:`PMap.DROP` to delete the key.
+        A key present on one side only keeps its value, unless it is in
+        ``self`` only and ``missing_other(key, self_value)`` is given.
 
         The shortcut assumes ``combine`` would map identical values to the
         same value (true of lattice join/meet/widen/narrow), so physically
-        identical subtrees are returned unchanged without visiting them.
+        identical subtrees are returned unchanged without visiting them,
+        as are subtrees present in one map only.
         """
-        new_root = _merge(self._root, other._root, combine,
-                          missing_self, missing_other)
+        new_root = _merge(self._root, other._root, combine, missing_other)
         if new_root is self._root:
             return self
         return PMap(new_root) if new_root is not None else _EMPTY

@@ -28,7 +28,7 @@ cross-run caching".
 
 from .cache import CrossRunCache, FrontendCache
 from .client import ServeClient
-from .fingerprints import compat_fingerprint, result_digest
+from .fingerprints import result_digest
 from .jobs import Job, JobQueue
 from .server import AnalysisServer, ServeConfig
 from .store import JournalStore, ResultStore
@@ -36,5 +36,5 @@ from .store import JournalStore, ResultStore
 __all__ = [
     "AnalysisServer", "CrossRunCache", "FrontendCache", "Job", "JobQueue",
     "JournalStore", "ResultStore", "ServeClient", "ServeConfig",
-    "compat_fingerprint", "result_digest",
+    "result_digest",
 ]

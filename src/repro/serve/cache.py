@@ -39,8 +39,9 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..frontend.ir import stable_ordinals
-from .fingerprints import (compat_fingerprint, function_hashes,
-                           stmt_content_hash, stmt_record_key)
+from ..iterator.state import compat_fingerprint
+from .fingerprints import (function_hashes, stmt_content_hash,
+                           stmt_record_key)
 
 __all__ = ["CrossRunCache", "FrontendCache"]
 

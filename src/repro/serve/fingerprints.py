@@ -11,13 +11,14 @@ Three layers of keys, from coarse to fine:
 * :func:`request_key` — source digest + entry + configuration
   fingerprint.  Indexes the exact-result store: two requests with equal
   keys have bit-identical results (the analyzer is deterministic).
-* :func:`compat_fingerprint` — configuration fingerprint + the full
-  cell-table/pack/filter-site layout.  Two runs with equal compat
-  fingerprints agree on what every cell id, pack id and site id
-  *means*, so abstract states may be exchanged between them.  This
-  indexes the cross-run fixpoint journals: near-duplicate versions of
-  one program (same declarations, edited statement constants) share a
-  compat fingerprint.
+* :func:`repro.iterator.state.compat_fingerprint` — configuration
+  fingerprint + the full cell-table/pack/filter-site layout.  Two runs
+  with equal compat fingerprints agree on what every cell id, pack id
+  and site id *means*, so abstract states may be exchanged between
+  them.  This indexes the cross-run fixpoint journals: near-duplicate
+  versions of one program (same declarations, edited statement
+  constants) share a compat fingerprint.  It lives with the analysis
+  context because checkpoints are keyed against it too.
 * :func:`stmt_record_key` — one statement's transfer-function identity:
   stable ordinal, pretty-printed content including the bodies of every
   transitively called function, by-reference binding stack, and the
@@ -41,11 +42,9 @@ import json
 from typing import Dict, List, Tuple
 
 from ..config import config_fingerprint
-from ..frontend.ir import stable_ordinals
 
-__all__ = ["compat_fingerprint", "function_hashes",
-           "request_key", "result_digest", "stmt_content_hash",
-           "stmt_record_key"]
+__all__ = ["function_hashes", "request_key", "result_digest",
+           "stmt_content_hash", "stmt_record_key"]
 
 
 def _sha(*chunks: str) -> str:
@@ -122,31 +121,6 @@ def stmt_record_key(ordinal: int, content_hash: str, frames_repr,
                       meta.write_cells, meta.packs, meta.write_packs,
                       meta.bpacks, meta.write_bpacks, meta.sites,
                       site_consts, meta.clock_dep)))
-
-
-def compat_fingerprint(ctx) -> str:
-    """Hash of everything cross-run abstract states are keyed against:
-    the analysis-relevant configuration and the complete cell-table /
-    octagon-pack / boolean-pack / filter-site layout.  Runs with equal
-    compat fingerprints may exchange (pre, post) state records."""
-    ordinals = stable_ordinals(ctx.prog)
-    cells = [(c.cid, c.name, repr(c.ctype), c.var_uid, c.volatile,
-              c.summarized) for c in ctx.table.all_cells()]
-    opacks = [(p.pack_id, p.cids) for p in ctx.oct_packs.packs]
-    bpacks = [(p.pack_id, p.bool_cids, p.numeric_cids)
-              for p in ctx.bool_packs.packs]
-    # Layout only, deliberately NOT the filter coefficients a/b: those
-    # are transfer-function constants, and every statement whose
-    # semantics depend on them contains them in its (transitive)
-    # content hash — stmt_record_key already refuses such donors.
-    # Keeping them out lets coefficient-tuning edits (the common
-    # near-duplicate case) stay journal-compatible.
-    sites = [(s.site_id, s.x_cid, s.y_cid, s.t_cid,
-              ordinals.get(s.rotate_sid, -1), ordinals.get(s.shift_sid, -1),
-              ordinals.get(s.commit_sid, -1))
-             for s in ctx.filter_sites.sites]
-    return _sha(config_fingerprint(ctx.config), repr(cells), repr(opacks),
-                repr(bpacks), repr(sites))
 
 
 def request_key(src_digest: str, entry: str, cfg) -> str:

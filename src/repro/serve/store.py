@@ -23,9 +23,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from collections import OrderedDict
 from typing import Dict, Optional
+
+from ..fileio import atomic_write
 
 __all__ = ["JournalStore", "ResultStore"]
 
@@ -34,24 +35,6 @@ _KEY_CHARS = set("0123456789abcdef")
 
 def _safe_key(key: str) -> bool:
     return bool(key) and set(key) <= _KEY_CHARS
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    d = os.path.dirname(path)
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class _DiskStore:
@@ -144,7 +127,8 @@ class _DiskStore:
         if path is None:
             return
         payload = self._encode(value)
-        _atomic_write(path, self._checksum(payload) + payload)
+        atomic_write(path, self._checksum(payload) + payload,
+                     private=True)
         self._evict_disk()
 
     def _remember(self, key: str, value) -> None:

@@ -36,9 +36,9 @@ import time
 from typing import Dict, List, Optional
 
 from ..errors import ServeError
+from ..fileio import atomic_write
 from ..ipc.process import (RestartPolicy, WorkerDied, WorkerProcess,
                            crash_signature)
-from .store import _atomic_write
 
 __all__ = ["PoisonRegistry", "WorkerCrashed", "WorkerSupervisor"]
 
@@ -263,9 +263,9 @@ class PoisonRegistry:
 
         data = {"crashes": self._crashes, "poisoned": self._poisoned}
         try:
-            _atomic_write(self._path,
-                          (json.dumps(data, indent=1, sort_keys=True)
-                           + "\n").encode())
+            atomic_write(self._path,
+                         (json.dumps(data, indent=1, sort_keys=True)
+                          + "\n").encode(), private=True)
         except OSError:
             pass  # quarantine persistence is best-effort
 

@@ -32,56 +32,54 @@ The on-disk format is a pickled dict (version-tagged, fingerprinted
 against the program/config, written atomically via rename).  States
 unpickle through the process-wide active-context registry, so
 ``load_checkpoint`` must run after ``set_active_context(ctx)``.
+Visit counts are stored by stable statement ordinal, because statement
+ids are process-global counters that shift when another program was
+compiled first.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
-from ..config import config_fingerprint
 from ..errors import CheckpointError
+from ..fileio import atomic_write
 from .incidents import Incident
 
 __all__ = ["Checkpoint", "context_fingerprint", "load_checkpoint",
            "write_checkpoint"]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def context_fingerprint(ctx) -> str:
-    """Hash of everything the checkpointed state is keyed against:
-    statement ids, cell ids, pack layout, and the analysis-relevant
-    starting configuration (:func:`repro.config.config_fingerprint`,
-    which also carries ``SEMANTICS_VERSION``).  A resume against a
-    different program, a differently-parameterized run, or a build with
-    other semantics is rejected up front instead of producing silently
-    wrong (key-shifted) states.
+    """Hash of what the checkpointed state is keyed against: the
+    layout that gives its cell, pack and site ids their meaning plus the
+    analysis-relevant configuration
+    (:func:`repro.iterator.state.compat_fingerprint`; the configuration
+    part carries ``SEMANTICS_VERSION``), the program as
+    ``format_program`` prints it (no statement ids), and the global
+    initializers, which that printout omits for arrays and structs.
+    The printout also omits local declarations, so the layout is what
+    notices an edit to one: a local array resized shifts the cell id of
+    every variable after it.  A resume against a different program, a
+    differently-parameterized run, or a build with other semantics is
+    rejected up front instead of producing silently wrong states; a
+    recompilation of the same source resumes, in any process.
 
-    ``incremental`` is not part of it: it affects physical identity and
-    wall time only — results are bit-identical across its settings — so
-    a checkpoint written under one setting must resume under the other.
     (The intern pools are process-local and a checkpoint never refers to
     them: a checkpoint is one pickle stream, so its states come back
     sharing the subtrees they shared when written, and values computed
     after the resume are interned afresh.)"""
-    from ..frontend import ir as I
+    from ..frontend.pretty import format_program
+    from ..iterator.state import compat_fingerprint
 
     h = hashlib.sha256()
-    h.update(config_fingerprint(ctx.config).encode())
-    sids: List[int] = []
-    for name in sorted(ctx.prog.functions):
-        fn = ctx.prog.functions[name]
-        h.update(name.encode())
-        if fn.body:
-            sids.extend(s.sid for s in I.iter_stmts(fn.body))
-    h.update(repr(sorted(sids)).encode())
-    h.update(repr(ctx.table.cell_count).encode())
-    h.update(repr((len(ctx.oct_packs), len(ctx.bool_packs),
-                   len(ctx.filter_sites))).encode())
+    h.update(compat_fingerprint(ctx).encode())
+    h.update(format_program(ctx.prog).encode())
+    h.update(repr(sorted(ctx.prog.initializers.items())).encode())
     return h.hexdigest()
 
 
@@ -101,6 +99,7 @@ class Checkpoint:
     fairness_left: int
     # Iterator-global mutable state the skipped iterations produced.
     widening_iterations: int
+    # Stable statement ordinal -> visits (see ir.stable_ordinals).
     visit_counts: Dict[int, int] = field(default_factory=dict)
     loop_invariants: Dict[int, object] = field(default_factory=dict)
     useful_oct_packs: Set[int] = field(default_factory=set)
@@ -113,15 +112,10 @@ class Checkpoint:
 
 
 def write_checkpoint(path: str, cp: Checkpoint) -> None:
-    """Atomically persist a checkpoint (write-to-temp + rename), so a
+    """Atomically persist a checkpoint (see :mod:`repro.fileio`), so a
     kill mid-write leaves the previous checkpoint intact."""
     payload = {"version": CHECKPOINT_VERSION, "checkpoint": cp}
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        pickle.dump(payload, f, pickle.HIGHEST_PROTOCOL)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    atomic_write(path, pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
 
 
 def load_checkpoint(path: str, expected_fingerprint: str) -> Checkpoint:

@@ -63,6 +63,48 @@ void main() {
 """
 
 
+# Every loop shape the shared loop driver (``Iterator._exec_loop``) runs
+# for the engine and the certificate walker alike: a do-while, a ``for``
+# whose ``continue`` path runs the step, a ``break``, and a ``return``
+# from inside a loop in a callee.
+LOOP_SHAPES_SRC = """
+volatile int in1;
+int acc = 0;
+int hits = 0;
+int total = 0;
+
+int find(int lim) {
+  int i;
+  for (i = 0; i < 10; i = i + 1) {
+    if (i * 3 > lim) { return i; }
+  }
+  return 10;
+}
+
+void main() {
+  int i; int k; int n;
+  while (1) {
+    n = in1;
+    k = 0;
+    do { k = k + 1; } while (k < n);
+    acc = 0;
+    for (i = 0; i < 8; i = i + 1) {
+      if (i == n) { continue; }
+      acc = acc + 1;
+    }
+    k = 0;
+    while (1) {
+      k = k + 1;
+      if (k > 5) { break; }
+    }
+    hits = k;
+    total = find(n);
+    __ASTREE_wait_for_clock();
+  }
+}
+"""
+
+
 def _cfg(**overrides):
     base = dict(input_ranges={"in1": (-10.0, 10.0)}, max_clock=1000,
                 certify=True)
@@ -139,6 +181,32 @@ class TestRoundTrip:
         chk = check_certificate(path)
         assert chk.exit_code == 0
 
+    def test_failed_save_leaves_no_file(self, witness_cert, tmp_path,
+                                        monkeypatch):
+        import errno
+
+        def no_space(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", no_space)
+        with pytest.raises(OSError):
+            save_certificate(witness_cert, str(tmp_path / "w.cert"))
+        assert os.listdir(tmp_path) == []
+
+    def test_saved_like_open(self, witness_cert, tmp_path):
+        # A certificate is handed to an independent checker: it gets the
+        # mode open() gives under the umask, and a missing directory is
+        # an error, not created.
+        old = os.umask(0o022)
+        try:
+            save_certificate(witness_cert, str(tmp_path / "w.cert"))
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / "w.cert").st_mode & 0o777 == 0o644
+        with pytest.raises(FileNotFoundError):
+            save_certificate(witness_cert, str(tmp_path / "no" / "w.cert"))
+        assert os.listdir(tmp_path) == ["w.cert"]
+
     def test_run_without_certify_is_refused(self):
         result = analyze(WITNESS_SRC, "witness.c",
                          config=_cfg(certify=False))
@@ -165,6 +233,46 @@ class TestRoundTrip:
         assert ([(a.kind, a.loc.line) for a in on.alarms]
                 == [(a.kind, a.loc.line) for a in off.alarms])
         assert on.widening_iterations == off.widening_iterations
+
+
+def _loop_shapes(prog):
+    from repro.frontend import ir as I
+
+    def inside(body, kind):
+        return any(isinstance(x, kind) for x in I.iter_stmts(body))
+
+    shapes = set()
+    for fn in prog.functions.values():
+        for s in I.iter_stmts(fn.body or []):
+            if not isinstance(s, I.SWhile):
+                continue
+            if s.run_body_first:
+                shapes.add("do-while")
+            if s.step and inside(s.body, I.SContinue):
+                shapes.add("for-continue")
+            if inside(s.body, I.SBreak):
+                shapes.add("break")
+            if fn.name != prog.entry and inside(s.body, I.SReturn):
+                shapes.add("callee-return")
+    return shapes
+
+
+@pytest.mark.parametrize("unroll", [0, 1, 3])
+def test_loop_shapes_round_trip(unroll):
+    from repro.frontend import compile_source
+
+    assert _loop_shapes(compile_source(LOOP_SHAPES_SRC, "shapes.c")) == {
+        "do-while", "for-continue", "break", "callee-return"}
+    result = analyze(LOOP_SHAPES_SRC, "shapes.c",
+                     config=_cfg(default_unroll=unroll))
+    cert = build_certificate(result, LOOP_SHAPES_SRC, "shapes.c")
+    chk = check_certificate(cert)
+    assert chk.exit_code == result.exit_code == 0
+    assert chk.stmts_checked == len(cert["payload"]["stmt_records"])
+    assert chk.loops_checked == len(cert["payload"]["loop_records"])
+    # The main loop plus one occurrence of each inner loop, and every
+    # unrolled iteration replays its nested loops once more.
+    assert chk.loops_checked >= 5
 
 
 class TestMutationRejection:

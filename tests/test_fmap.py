@@ -97,24 +97,29 @@ class TestMerge:
     def test_join_semantics(self):
         a = PMap.from_items([(1, 10), (2, 20)])
         b = PMap.from_items([(2, 22), (3, 33)])
-        out = a.merge(b, lambda k, x, y: max(x, y),
-                      missing_self=lambda k, y: y,
-                      missing_other=lambda k, x: x)
+        out = a.merge(b, lambda k, x, y: max(x, y))
         assert dict(out.items()) == {1: 10, 2: 22, 3: 33}
 
-    def test_missing_default_drops(self):
-        a = PMap.from_items([(1, 10), (2, 20)])
-        b = PMap.from_items([(2, 22), (3, 33)])
-        out = a.merge(b, lambda k, x, y: x + y)
-        assert dict(out.items()) == {2: 42}
-
-    def test_drop_sentinel(self):
-        a = PMap.from_items([(1, 1), (2, 2)])
-        b = PMap.from_items([(1, 1), (2, 3)])
-        out = a.merge(b, lambda k, x, y: PMap.DROP if x != y else x,
-                      missing_self=lambda k, y: y,
-                      missing_other=lambda k, x: x)
-        assert dict(out.items()) == {1: 1}
+    def test_one_sided_keys_kept_and_shared(self):
+        """A key on one side only keeps its value, and a one-sided map
+        or subtree comes back physically shared, never walked."""
+        a = PMap.from_items([(i, i) for i in range(100)])
+        assert a.merge(PMap.empty(), lambda k, x, y: x + y) is a
+        assert PMap.empty().merge(a, lambda k, x, y: x + y).ptr_equal(a)
+        high = PMap.from_items([(i, -i) for i in range(1000, 1100)])
+        calls = []
+        out = a.merge(high, lambda k, x, y: calls.append(k))
+        assert calls == []
+        assert dict(out.items()) == {**dict(a.items()),
+                                     **dict(high.items())}
+        # missing_other sees exactly the keys of ``self`` only.
+        b = PMap.from_items([(1, 10), (2, 20)])
+        seen = []
+        out = b.merge(PMap.from_items([(2, 22), (3, 33)]),
+                      lambda k, x, y: max(x, y),
+                      missing_other=lambda k, x: seen.append(k) or -x)
+        assert seen == [1]
+        assert dict(out.items()) == {1: -10, 2: 22, 3: 33}
 
     def test_mostly_shared_maps_merge_cheaply(self):
         """Merging maps differing in one key must not call combine on all."""
@@ -126,9 +131,7 @@ class TestMerge:
             calls.append(k)
             return max(a, b)
 
-        out = base.merge(modified, combine,
-                         missing_self=lambda k, y: y,
-                         missing_other=lambda k, x: x)
+        out = base.merge(modified, combine)
         assert out[500] == 500  # max(500, -1)
         # Only keys on the path that lost sharing are visited: far fewer
         # than the map size.
@@ -139,9 +142,7 @@ class TestMerge:
         """Union with an idempotent combine (max), as the lattice ops are."""
         a = PMap.from_items(items_a)
         b = PMap.from_items(items_b)
-        out = a.merge(b, lambda k, x, y: max(x, y),
-                      missing_self=lambda k, y: y,
-                      missing_other=lambda k, x: x)
+        out = a.merge(b, lambda k, x, y: max(x, y))
         db = dict(b.items())
         expected = dict(db)
         for k, v in a.items():
@@ -191,11 +192,6 @@ class TestMapValues:
         m = PMap.from_items([(1, 1), (2, 2)])
         out = m.map_values(lambda k, v: v * 10)
         assert dict(out.items()) == {1: 10, 2: 20}
-
-    def test_map_values_drop(self):
-        m = PMap.from_items([(1, 1), (2, 2), (3, 3)])
-        out = m.map_values(lambda k, v: PMap.DROP if v == 2 else v)
-        assert dict(out.items()) == {1: 1, 3: 3}
 
     def test_map_values_identity_shares(self):
         m = PMap.from_items([(1, 1), (2, 2)])

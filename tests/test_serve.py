@@ -22,10 +22,10 @@ import pytest
 from repro.analysis import analyze
 from repro.config import AnalyzerConfig, config_fingerprint
 from repro.frontend import source_digest
+from repro.iterator.state import compat_fingerprint
 from repro.serve.cache import CrossRunCache, FrontendCache
 from repro.serve.client import wait_until_ready
-from repro.serve.fingerprints import (compat_fingerprint, request_key,
-                                      result_digest)
+from repro.serve.fingerprints import request_key, result_digest
 from repro.serve.jobs import Job, JobQueue, QueueFull
 from repro.serve.protocol import (ProtocolError, recv_message, send_message)
 from repro.serve.server import AnalysisServer, ServeConfig
@@ -179,6 +179,9 @@ class TestStores:
         got = store2.get(key)
         assert got["digest"] == "d"
         assert store2.stats()["disk_hits"] == 1
+        # Cache entries are private to the daemon's account.
+        path = os.path.join(str(tmp_path), "results", f"{key}.json")
+        assert os.stat(path).st_mode & 0o777 == 0o600
 
     def test_entry_under_other_semantics_is_a_miss(self, tmp_path,
                                                    monkeypatch):

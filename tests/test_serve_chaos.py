@@ -293,13 +293,13 @@ class TestPoisonQuarantine:
         import repro.serve.supervise as supervise
 
         writes = []
-        real_write = supervise._atomic_write
+        real_write = supervise.atomic_write
 
-        def counting_write(path, data):
+        def counting_write(path, data, **kw):
             writes.append(path)
-            real_write(path, data)
+            real_write(path, data, **kw)
 
-        monkeypatch.setattr(supervise, "_atomic_write", counting_write)
+        monkeypatch.setattr(supervise, "atomic_write", counting_write)
         with daemon(tmp_path) as d:
             c = d.connect()
             for i in range(3):

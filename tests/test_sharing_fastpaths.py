@@ -9,7 +9,9 @@ The incremental engine leans on two structural guarantees:
   consume the cache instead of re-running the cubic Floyd-Warshall pass.
 
 These tests pin both properties so a refactor cannot silently regress
-them into correct-but-quadratic behaviour.
+them into correct-but-quadratic behaviour, and pin that the ellipsoid
+pre-join/pre-widening reduction of ``AbstractState`` runs inside the
+merge, visiting only the filter sites whose bound differs.
 """
 
 import pickle
@@ -188,3 +190,106 @@ def test_pickle_drops_cache_but_preserves_matrix_and_flags():
     o2.closed()
     o2.closed()
     assert Octagon.closure_computations == before + 1
+
+
+# -- Ellipsoid reduction inside the merge ---------------------------------------
+
+
+_N_SITES = 16
+
+
+@pytest.fixture(scope="module")
+def filter_ctx():
+    """A context with 16 second-order filter sites (Sect. 6.2.3)."""
+    from repro.config import AnalyzerConfig
+    from repro.frontend import compile_source
+    from repro.iterator.state import AnalysisContext
+    from repro.memory.cells import CellTable
+    from repro.packing.boolean_packs import compute_bool_packs
+    from repro.packing.ellipsoid_sites import find_filter_sites
+    from repro.packing.octagon_packs import compute_octagon_packs
+
+    decls = "".join(f"float X{i}, Y{i};\n" for i in range(_N_SITES))
+    body = "".join(f"""
+        Xp = 1.5f * X{i} - 0.7f * Y{i} + t;
+        Y{i} = X{i};
+        X{i} = Xp;""" for i in range(_N_SITES))
+    src = f"""
+    volatile float vin;
+    {decls}
+    int main(void) {{
+      float t, Xp;
+      while (1) {{
+        t = vin;{body}
+        __ASTREE_wait_for_clock();
+      }}
+      return 0;
+    }}
+    """
+    cfg = AnalyzerConfig(input_ranges={"vin": (-1.0, 1.0)})
+    prog = compile_source(src, "filters.c")
+    table = CellTable.for_program(prog, cfg.expand_threshold)
+    ctx = AnalysisContext(prog=prog, config=cfg, table=table,
+                          oct_packs=compute_octagon_packs(prog, table, cfg),
+                          bool_packs=compute_bool_packs(prog, table, cfg),
+                          filter_sites=find_filter_sites(prog, table))
+    assert len(ctx.filter_sites) == _N_SITES
+    return ctx
+
+
+def _filter_state(ctx, box=2.0, k=lambda site_id: 10.0 + site_id):
+    from repro.domains.values import CellValue
+    from repro.iterator.state import AbstractState
+    from repro.numeric import FloatInterval
+
+    state = AbstractState.initial(ctx)
+    env, ells = state.env, state.ellipsoids
+    for site in ctx.filter_sites.sites:
+        for cid in (site.x_cid, site.y_cid):
+            env = env.set(cid, CellValue(FloatInterval.of(-box, box)))
+        ells = ells.set(site.site_id, k(site.site_id))
+    return state._with(env=env, ellipsoids=ells)
+
+
+def test_ellipsoid_merge_reads_only_differing_sites(filter_ctx,
+                                                    monkeypatch):
+    a = _filter_state(filter_ctx)
+    site = filter_ctx.filter_sites.sites[5].site_id
+    b = a._with(ellipsoids=a.ellipsoids.set(site, 50.0))
+    maps = {id(a.ellipsoids), id(b.ellipsoids)}
+    reads = {"get": 0, "items": 0}
+    real_get, real_items = PMap.get, PMap.items
+
+    def get(self, *args):
+        reads["get"] += id(self) in maps
+        return real_get(self, *args)
+
+    def items(self):
+        reads["items"] += id(self) in maps
+        return real_items(self)
+
+    monkeypatch.setattr(PMap, "get", get)
+    monkeypatch.setattr(PMap, "items", items)
+    joined, widened = a.join(b), a.widen(b)
+    monkeypatch.undo()
+    assert reads == {"get": 0, "items": 0}
+    assert joined.ellipsoids.get(site) == 50.0
+    assert widened.ellipsoids.get(site) >= 50.0
+    assert list(joined.ellipsoids.diff_keys(a.ellipsoids)) == [site]
+    assert list(widened.ellipsoids.diff_keys(a.ellipsoids)) == [site]
+
+
+def test_site_only_in_self_meets_the_other_box(filter_ctx):
+    """A site missing from the other state (a resume that re-applied
+    ``drop-ellipsoids`` up front) meets it as top: the other side's k is
+    reduced from its own box, so the result stays finite."""
+    a = _filter_state(filter_ctx, k=lambda site_id: 1.0)
+    site = filter_ctx.filter_sites.sites[5].site_id
+    c = _filter_state(filter_ctx, box=1.0)
+    c = c._with(ellipsoids=c.ellipsoids.remove(site))
+    reduced = c._reduce_ellipsoid_from_box(site)
+    assert 1.0 < reduced < float("inf")
+    assert a.join(c).ellipsoids.get(site) == reduced
+    assert reduced <= a.widen(c).ellipsoids.get(site) < float("inf")
+    # A site only in the other state keeps that state's k.
+    assert c.join(a).ellipsoids.get(site) == 1.0

@@ -8,8 +8,9 @@ and a run killed between checkpoints resumes to a result bit-identical
 to an uninterrupted one.  Every deviation must land in the incident log.
 
 Programs are compiled once per module: statement ids come from a global
-counter, so recompiling would shift checkpoint fingerprints and
-``visit_counts`` keys without any semantic difference.
+counter, so recompiling shifts ``visit_counts`` keys without any
+semantic difference (``_by_ordinal`` compares results across
+compilations).
 """
 
 import dataclasses
@@ -26,8 +27,10 @@ from repro.analysis import analyze_program
 from repro.config import AnalyzerConfig
 from repro.errors import CheckpointError, ExitCode, SupervisorHalt
 from repro.frontend import compile_source
+from repro.frontend.ir import stable_ordinals
 from repro.supervisor import DEGRADATION_RUNGS, DegradationLadder, IncidentLog
-from repro.supervisor.checkpoint import context_fingerprint
+from repro.supervisor.checkpoint import (Checkpoint, context_fingerprint,
+                                         write_checkpoint)
 from repro.supervisor.supervisor import HALT_ENV
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -70,6 +73,24 @@ def _snapshot(result) -> dict:
         "useful_oct": sorted(result.useful_octagon_packs),
         "useful_bool": result.useful_bool_pack_count,
     }
+
+
+def _by_ordinal(result, prog) -> dict:
+    """``_snapshot`` with statements named by stable ordinal, so results
+    of two compilations of one source compare."""
+    ords = stable_ordinals(prog)
+    snap = _snapshot(result)
+    snap["alarms"] = [(a.kind, ords.get(a.sid, -1), a.loc.line, a.message)
+                      for a in result.alarms]
+    snap["visits"] = sorted((ords[sid], n)
+                            for sid, n in result.visit_counts.items())
+    return snap
+
+
+def _bare_checkpoint() -> Checkpoint:
+    return Checkpoint(fingerprint="f", ordinal=0, loop_id=1,
+                      next_iteration=0, inv=None, prev_unstable=None,
+                      fairness_left=0, widening_iterations=0)
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +298,64 @@ class TestCheckpointResume:
         fs_ref, fs_res = reference.final_state, resumed.final_state
         assert fs_ref.includes(fs_res) and fs_res.includes(fs_ref)
 
+    def test_resume_across_recompilation(self, loop_prog, loop_cfg,
+                                         tmp_path, monkeypatch):
+        # A recompilation of the same source (as in a fresh process that
+        # compiled another program first) gets other statement ids; the
+        # checkpoint still resumes, bit-identically by ordinal.
+        reference = analyze_program(loop_prog, loop_cfg)
+        cp = str(tmp_path / "cp.pkl")
+        monkeypatch.setenv(HALT_ENV, "2")
+        with pytest.raises(SupervisorHalt):
+            analyze_program(loop_prog,
+                            dataclasses.replace(loop_cfg, checkpoint_path=cp))
+        again = compile_source(LOOP_SRC, "loop.c")
+        assert set(stable_ordinals(again)).isdisjoint(
+            stable_ordinals(loop_prog))
+        resumed = analyze_program(
+            again, dataclasses.replace(loop_cfg, resume_path=cp))
+        assert resumed.resumed
+        assert _by_ordinal(resumed, again) == _by_ordinal(reference,
+                                                          loop_prog)
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        import errno
+
+        def no_space(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", no_space)
+        with pytest.raises(OSError):
+            write_checkpoint(str(tmp_path / "cp.pkl"), _bare_checkpoint())
+        assert os.listdir(tmp_path) == []
+
+    def test_written_like_open(self, tmp_path):
+        # A checkpoint gets the mode open() gives under the umask, and a
+        # missing directory is an error, not created.
+        old = os.umask(0o027)
+        try:
+            write_checkpoint(str(tmp_path / "cp.pkl"), _bare_checkpoint())
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / "cp.pkl").st_mode & 0o777 == 0o640
+        with pytest.raises(FileNotFoundError):
+            write_checkpoint(str(tmp_path / "no" / "cp.pkl"),
+                             _bare_checkpoint())
+        assert os.listdir(tmp_path) == ["cp.pkl"]
+
+    def test_fingerprint_only_when_checkpointing(self, loop_prog, loop_cfg,
+                                                 monkeypatch):
+        # A supervised run without a checkpoint or resume path (every
+        # budgeted run, every serve job) never hashes the program.
+        import repro.supervisor.supervisor as sup
+
+        def unexpected(ctx):
+            raise AssertionError("fingerprint computed")
+
+        monkeypatch.setattr(sup, "context_fingerprint", unexpected)
+        cfg = dataclasses.replace(loop_cfg, wall_deadline_s=1000.0)
+        assert not analyze_program(loop_prog, cfg).degraded
+
     def test_missing_checkpoint_errors(self, loop_prog, loop_cfg, tmp_path):
         cfg = dataclasses.replace(
             loop_cfg, resume_path=str(tmp_path / "absent.pkl"))
@@ -313,17 +392,36 @@ class TestCheckpointResume:
         from repro.packing.ellipsoid_sites import find_filter_sites
         from repro.packing.octagon_packs import compute_octagon_packs
 
-        def ctx_for(cfg):
-            table = CellTable.for_program(loop_prog, cfg.expand_threshold)
+        def ctx_for(cfg, prog=loop_prog):
+            table = CellTable.for_program(prog, cfg.expand_threshold)
             return AnalysisContext(
-                prog=loop_prog, config=cfg, table=table,
-                oct_packs=compute_octagon_packs(loop_prog, table, cfg),
-                bool_packs=compute_bool_packs(loop_prog, table, cfg),
-                filter_sites=find_filter_sites(loop_prog, table))
+                prog=prog, config=cfg, table=table,
+                oct_packs=compute_octagon_packs(prog, table, cfg),
+                bool_packs=compute_bool_packs(prog, table, cfg),
+                filter_sites=find_filter_sites(prog, table))
 
         fp1 = context_fingerprint(ctx_for(loop_cfg))
         fp2 = context_fingerprint(ctx_for(loop_cfg))
         assert fp1 == fp2
+        # Program content counts, not the process-global statement ids:
+        # a recompilation matches, a one-constant edit does not.
+        again = compile_source(LOOP_SRC, "loop.c")
+        assert context_fingerprint(ctx_for(loop_cfg, again)) == fp1
+        edited = compile_source(LOOP_SRC.replace("y > 100", "y > 101"),
+                                "loop.c")
+        assert context_fingerprint(ctx_for(loop_cfg, edited)) != fp1
+        # The printout omits local declarations; the cell layout does not:
+        # resizing a local array shifts the cell ids after it.
+        from repro.frontend.pretty import format_program
+
+        def with_buf(n):
+            return compile_source(LOOP_SRC.replace(
+                "int y; int z;", f"int buf[{n}]; int y; int z;"), "loop.c")
+
+        buf4, buf8 = with_buf(4), with_buf(8)
+        assert format_program(buf4) == format_program(buf8)
+        assert (context_fingerprint(ctx_for(loop_cfg, buf4))
+                != context_fingerprint(ctx_for(loop_cfg, buf8)))
         fp3 = context_fingerprint(
             ctx_for(dataclasses.replace(loop_cfg, narrowing_steps=7)))
         assert fp3 != fp1
