@@ -21,11 +21,7 @@ from .frontend.ir import IRProgram
 from .iterator.alarms import Alarm, AlarmCollector
 from .iterator.iterator import Iterator
 from .iterator.state import AbstractState, AnalysisContext
-from .memory.cells import CellTable
 from .numeric import IntInterval
-from .packing.boolean_packs import compute_bool_packs
-from .packing.ellipsoid_sites import find_filter_sites
-from .packing.octagon_packs import compute_octagon_packs
 from .supervisor import IncidentLog, Supervisor
 from .supervisor.budget import peak_rss_self_kib
 from .supervisor.incidents import Incident
@@ -71,9 +67,9 @@ class AnalysisResult:
     loop_invariants: Dict[int, AbstractState] = field(default_factory=dict)
     # Certificate records (repro.certify, populated under
     # config.certify): per loop occurrence of the checking-mode
-    # traversal, in traversal order, the (stable statement ordinal,
-    # pre-narrowing post-fixpoint, checking-pass invariant) triple the
-    # certificate emitter packages for independent validation.
+    # traversal, in traversal order, the (statement id, pre-narrowing
+    # post-fixpoint, checking-pass invariant) triple the certificate
+    # emitter packages for independent validation.
     cert_invariants: List[Tuple[int, AbstractState, AbstractState]] = \
         field(default_factory=list)
     # sid -> abstract visit count (only populated when config.trace is on).
@@ -181,8 +177,8 @@ class AnalysisResult:
         """The result record, the one JSON-safe form of a result: printed
         by ``analyze --json``, returned by the serve daemon, written by
         :func:`repro.report.write_report`, rendered by
-        :func:`repro.report.render_text`.  Alarms carry no statement ids
-        (sids are process-local), so records compare across runs."""
+        :func:`repro.report.render_text`.  Alarms name their program
+        point by source location only."""
         record: Dict[str, object] = {
             "alarms": [
                 {"kind": a.kind, "file": a.loc.filename, "line": a.loc.line,
@@ -326,13 +322,7 @@ def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
         config = dataclasses.replace(config)
         sup = Supervisor(config, incidents=incidents)
     start = time.perf_counter()
-    table = CellTable.for_program(prog, config.expand_threshold)
-    oct_packs = compute_octagon_packs(prog, table, config)
-    bool_packs = compute_bool_packs(prog, table, config)
-    sites = find_filter_sites(prog, table)
-    ctx = AnalysisContext(prog=prog, config=config, table=table,
-                          oct_packs=oct_packs, bool_packs=bool_packs,
-                          filter_sites=sites)
+    ctx = AnalysisContext.for_program(prog, config)
     _configure_sharing(not config.trace)
     if sup is not None:
         sup.attach_context(ctx)
@@ -348,7 +338,7 @@ def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
     checking_seconds = max(0.0, elapsed - packing_seconds
                            - it.fixpoint_seconds)
     useful = frozenset(
-        oct_packs.pack(pid).key for pid in ctx.useful_oct_packs
+        ctx.oct_packs.pack(pid).key for pid in ctx.useful_oct_packs
     )
     phases = {
         "parse": parse_seconds,
@@ -369,11 +359,11 @@ def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
         final_state=final,
         widening_iterations=it.widening_iterations,
         useful_octagon_packs=useful,
-        octagon_pack_count=len(oct_packs),
-        octagon_pack_avg_size=oct_packs.average_size(),
-        bool_pack_count=len(bool_packs),
+        octagon_pack_count=len(ctx.oct_packs),
+        octagon_pack_avg_size=ctx.oct_packs.average_size(),
+        bool_pack_count=len(ctx.bool_packs),
         useful_bool_pack_count=len(ctx.useful_bool_packs),
-        filter_site_count=len(sites),
+        filter_site_count=len(ctx.filter_sites),
         loop_invariants=it.loop_invariants,
         cert_invariants=it.cert_invariants,
         visit_counts=it.visit_counts,

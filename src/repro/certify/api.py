@@ -25,13 +25,8 @@ from typing import List, Sequence, Tuple, Union
 from ..config import AnalyzerConfig, config_fingerprint
 from ..errors import CertificateError, ReproError
 from ..frontend import link_sources, source_digest
-from ..frontend.ir import stable_ordinals
 from ..iterator.state import (AnalysisContext, get_active_context,
                               set_active_context)
-from ..memory.cells import CellTable
-from ..packing.boolean_packs import compute_bool_packs
-from ..packing.ellipsoid_sites import find_filter_sites
-from ..packing.octagon_packs import compute_octagon_packs
 from .artifact import (CERT_FORMAT, CERT_VERSION, StateTable, decode_config,
                        decode_states, encode_config, encode_state,
                        load_certificate, payload_digest, validate_envelope)
@@ -108,12 +103,7 @@ def _fresh_context(sources: Sources, entry: str,
     except ReproError as exc:
         raise CertificateError(
             f"cannot rebuild the certified program: {exc}")
-    table = CellTable.for_program(prog, cfg.expand_threshold)
-    ctx = AnalysisContext(
-        prog=prog, config=cfg, table=table,
-        oct_packs=compute_octagon_packs(prog, table, cfg),
-        bool_packs=compute_bool_packs(prog, table, cfg),
-        filter_sites=find_filter_sites(prog, table))
+    ctx = AnalysisContext.for_program(prog, cfg)
     _configure_sharing(False)
     set_active_context(ctx)
     return ctx
@@ -127,10 +117,6 @@ def _restore_engine_globals(prev_ctx) -> None:
         _configure_sharing(not prev_ctx.config.trace)
 
 
-def _alarm_keys(alarms, ordinals) -> set:
-    return {(ordinals.get(a.sid, -1), a.kind) for a in alarms}
-
-
 def _check_alarm_superset(claimed_keys: set, walker: CertWalker,
                           side: str) -> None:
     missing = walker.alarm_keys() - claimed_keys
@@ -138,7 +124,7 @@ def _check_alarm_superset(claimed_keys: set, walker: CertWalker,
         ex = sorted(missing)[0]
         raise CertificateError(
             f"{side}: claimed alarm set is not a superset of the "
-            f"replay's alarms ({len(missing)} missing, e.g. ordinal "
+            f"replay's alarms ({len(missing)} missing, e.g. statement "
             f"{ex[0]} kind {ex[1]}): alarms were dropped")
 
 
@@ -157,8 +143,7 @@ def _emit_walk(result, sources: Sources):
         raise CertificateError(
             "analysis ran without certificate recording — re-run with "
             "certify enabled (--certify)")
-    engine_ordinals = stable_ordinals(result.ctx.prog)
-    claimed_keys = _alarm_keys(result.alarms, engine_ordinals)
+    claimed_keys = {(a.sid, a.kind) for a in result.alarms}
     # Serialize under the engine context, decode under the fresh one:
     # exactly the round trip the independent checker performs.  One
     # table keeps the records' sharing, so ``used is pf`` survives.
@@ -167,7 +152,7 @@ def _emit_walk(result, sources: Sources):
     plain = _plain_config(engine_cfg)
     ctx = _fresh_context(sources, result.ctx.prog.entry, plain)
     states = decode_states(table)
-    engine_loops = [(ordv, pf, used) for (ordv, _, _), pf, used in zip(
+    engine_loops = [(sid, pf, used) for (sid, _, _), pf, used in zip(
         result.cert_invariants, states[0::2], states[1::2])]
     walker = CertWalker(ctx, "emit", engine_loops=engine_loops)
     final = walker.walk()
@@ -203,19 +188,16 @@ def build_certificate(result, sources, filename: str = "<input>") -> dict:
     prev = get_active_context()
     try:
         walker, plain, claimed_keys, final = _emit_walk(result, sources)
-        engine_ordinals = stable_ordinals(result.ctx.prog)
         table = StateTable()
-        stmt_records = [[ordv, table.add(pre), table.add(post)]
-                        for ordv, pre, post in walker.stmt_records]
-        loop_records = [[ordv, table.add(inv)]
-                        for ordv, inv in walker.loop_records]
+        stmt_records = [[sid, table.add(pre), table.add(post)]
+                        for sid, pre, post in walker.stmt_records]
+        loop_records = [[sid, table.add(inv)]
+                        for sid, inv in walker.loop_records]
         final_id = table.add(final)
     finally:
         _restore_engine_globals(prev)
-    alarms = sorted(
-        [engine_ordinals.get(a.sid, -1), a.kind, a.loc.filename,
-         a.loc.line, a.loc.col, a.message]
-        for a in result.alarms)
+    alarms = sorted([a.sid, a.kind, a.loc.filename, a.loc.line, a.loc.col,
+                     a.message] for a in result.alarms)
     payload = {
         "sources": [[n, t] for n, t in sources],
         "entry": result.ctx.prog.entry,
@@ -253,6 +235,11 @@ def check_certificate(cert: Union[str, dict]) -> CertificateCheck:
         cert = load_certificate(cert)
     payload = validate_envelope(cert)
     cfg = decode_config(payload["config"])
+    if payload.get("config_fingerprint") != config_fingerprint(cfg):
+        raise CertificateError(
+            "certificate configuration fingerprint does not match this "
+            "checker's: it was emitted under other analysis semantics "
+            "(SEMANTICS_VERSION) or edited after emission")
     sources = [(n, t) for n, t in payload["sources"]]
     entry = payload["entry"]
     prev = get_active_context()
@@ -279,19 +266,19 @@ def _check_walk(ctx: AnalysisContext, payload: dict,
     the claimed alarm superset.  Raises CertificateError on any
     failure; returns the walker."""
 
-    def state(sid):
+    def state(index):
         # ``type`` rather than isinstance, so ``True`` is no id; the
         # range check keeps ``-1`` from resolving to the last state.
-        if type(sid) is not int or not 0 <= sid < len(states):
+        if type(index) is not int or not 0 <= index < len(states):
             raise CertificateError(
-                f"certificate references unknown state id {sid!r}")
-        return states[sid]
+                f"certificate references unknown state id {index!r}")
+        return states[index]
 
     try:
-        stmt_records = [(int(ordv), state(pre), state(post))
-                        for ordv, pre, post in payload["stmt_records"]]
-        loop_records = [(int(ordv), state(inv))
-                        for ordv, inv in payload["loop_records"]]
+        stmt_records = [(int(sid), state(pre), state(post))
+                        for sid, pre, post in payload["stmt_records"]]
+        loop_records = [(int(sid), state(inv))
+                        for sid, inv in payload["loop_records"]]
     except (TypeError, ValueError) as exc:
         raise CertificateError(f"malformed certificate record: {exc}")
     walker = CertWalker(ctx, "check", stmt_records=stmt_records,

@@ -26,11 +26,10 @@ with records × cells, and the checker's ``includes`` keeps its
 physical-identity shortcut.  Version 1 artifacts (one blob per state,
 string ids) are rejected by the version check and must be re-emitted.
 
-Statements are identified by their *stable ordinal* (depth-first
-position over functions in sorted name order, see
-``repro.frontend.ir.stable_ordinals``), never by raw statement
-ids: ids are process-global counters and do not survive
-re-compilation of the same source in the checking process.
+Statements are identified by their id (depth-first position over the
+functions in sorted name order, see ``repro.frontend.ir.Stmt``), which
+the checking process's compilation of the certified sources assigns
+alike.
 
 Every malformation — missing file, truncation, non-JSON bytes, an
 unknown format or version, a digest mismatch, a table that does not

@@ -19,7 +19,7 @@ traversal and this file's ~200 lines.
 Two modes over one traversal:
 
 * **emit** consumes the engine's per-loop-occurrence records
-  ``(ordinal, pre-narrowing post-fixpoint, checking-pass invariant)``
+  ``(sid, pre-narrowing post-fixpoint, checking-pass invariant)``
   in traversal order.  For each loop it first tries the checking-pass
   (narrowed) invariant; narrowing only *usually* lands on a
   one-application-stable element, so on a stability failure the trial
@@ -37,7 +37,7 @@ Two modes over one traversal:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import CertificateError
 from ..frontend import ir as I
@@ -47,7 +47,7 @@ from ..iterator.state import AbstractState, AnalysisContext
 __all__ = ["CertWalker"]
 
 #: State-to-state statements whose single transfer application is
-#: recorded/verified as an (ordinal, pre, post) certificate record.
+#: recorded/verified as an (sid, pre, post) certificate record.
 #: Control flow (if/while/switch/call/return/break/continue) is
 #: traversed structurally instead.
 _ATOMIC = (I.SAssign, I.SAssume, I.SCheck, I.SWait, I.SNop)
@@ -66,7 +66,6 @@ class CertWalker(Iterator):
         super().__init__(ctx)
         assert mode in ("emit", "check")
         self.mode = mode
-        self._ordinals: Dict[int, int] = I.stable_ordinals(ctx.prog)
         # Emission input: the engine's loop-occurrence records.
         self._engine_loops = engine_loops if engine_loops is not None else []
         self._engine_cursor = 0
@@ -103,14 +102,9 @@ class CertWalker(Iterator):
         return final
 
     def alarm_keys(self) -> set:
-        """The replay's alarms as engine-independent (ordinal, kind)
-        pairs (alarms at synthetic sids map to -1, consistently with
-        the emitter's claimed-alarm encoding)."""
-        return {(self._ordinals.get(a.sid, -1), a.kind)
-                for a in self.alarms._alarms}
-
-    def _ord(self, sid: int) -> int:
-        return self._ordinals[sid]
+        """The replay's alarms as (sid, kind) pairs, the emitter's
+        claimed-alarm encoding."""
+        return {(a.sid, a.kind) for a in self.alarms._alarms}
 
     # -- atomic statements ---------------------------------------------------
 
@@ -119,30 +113,29 @@ class CertWalker(Iterator):
             return super().exec_stmt(state, s)
         if self.mode == "emit":
             flow = super().exec_stmt(state, s)
-            self.stmt_records.append((self._ord(s.sid), state, flow.normal))
+            self.stmt_records.append((s.sid, state, flow.normal))
             return flow
-        ordv = self._ord(s.sid)
         if self._stmt_cursor >= len(self.stmt_records):
             raise CertificateError(
                 f"{s.loc}: certificate ran out of statement records at "
-                f"ordinal {ordv}: truncated or mismatched artifact")
-        rec_ord, pre, post = self.stmt_records[self._stmt_cursor]
+                f"statement {s.sid}: truncated or mismatched artifact")
+        rec_sid, pre, post = self.stmt_records[self._stmt_cursor]
         self._stmt_cursor += 1
-        if rec_ord != ordv:
+        if rec_sid != s.sid:
             raise CertificateError(
-                f"{s.loc}: certificate record ordinal {rec_ord} does not "
-                f"match traversal ordinal {ordv}: reordered or mismatched "
-                f"artifact")
+                f"{s.loc}: certificate record for statement {rec_sid} "
+                f"does not match traversal statement {s.sid}: reordered "
+                f"or mismatched artifact")
         if not pre.includes(state):
             raise CertificateError(
                 f"{s.loc}: incoming state is not contained in the "
-                f"certified pre-state (ordinal {ordv})")
+                f"certified pre-state (statement {s.sid})")
         flow = super().exec_stmt(pre, s)
         if not post.includes(flow.normal):
             raise CertificateError(
                 f"{s.loc}: transfer function applied to the certified "
-                f"pre-state escapes the certified post-state (ordinal "
-                f"{ordv}): F(pre) ⊑ post fails")
+                f"pre-state escapes the certified post-state (statement "
+                f"{s.sid}): F(pre) ⊑ post fails")
         # Continue from the certified post, so every downstream check is
         # local to its own record.
         return Flow(normal=post)
@@ -157,26 +150,25 @@ class CertWalker(Iterator):
         return acc.then(self._certified_pass(acc.normal, s))
 
     def _certified_pass(self, cur: AbstractState, s: I.SWhile) -> Flow:
-        ordv = self._ord(s.sid)
         if self.mode == "emit":
             if self._engine_cursor >= len(self._engine_loops):
                 raise CertificateError(
                     f"{s.loc}: no engine record for this loop occurrence "
-                    f"(ordinal {ordv}) — was the analysis run with "
+                    f"(statement {s.sid}) — was the analysis run with "
                     f"certificate recording (config.certify) enabled?")
-            rec_ord, pf, used = self._engine_loops[self._engine_cursor]
+            rec_sid, pf, used = self._engine_loops[self._engine_cursor]
             self._engine_cursor += 1
-            if rec_ord != ordv:
+            if rec_sid != s.sid:
                 raise CertificateError(
-                    f"{s.loc}: engine record ordinal {rec_ord} does not "
-                    f"match traversal ordinal {ordv}")
+                    f"{s.loc}: engine record for statement {rec_sid} does "
+                    f"not match traversal statement {s.sid}")
             candidates = [used] if used is pf else [used, pf]
             for i, inv in enumerate(candidates):
                 mark = self._mark()
                 # Appended *before* the body application: the checker
                 # consumes the loop record ahead of the nested records
                 # its verification pass produces.
-                self.loop_records.append((ordv, inv))
+                self.loop_records.append((s.sid, inv))
                 piece = self._one_application(cur, s, inv)
                 if piece is not None:
                     if i > 0:
@@ -184,19 +176,20 @@ class CertWalker(Iterator):
                     return piece
                 self._rollback(mark)
             raise CertificateError(
-                f"{s.loc}: cannot certify loop (ordinal {ordv}): neither "
-                f"the checking-pass invariant nor the pre-narrowing "
-                f"post-fixpoint is stable under one body application")
+                f"{s.loc}: cannot certify loop (statement {s.sid}): "
+                f"neither the checking-pass invariant nor the "
+                f"pre-narrowing post-fixpoint is stable under one body "
+                f"application")
         if self._loop_cursor >= len(self.loop_records):
             raise CertificateError(
-                f"{s.loc}: certificate ran out of loop records at ordinal "
-                f"{ordv}: truncated or mismatched artifact")
-        rec_ord, inv = self.loop_records[self._loop_cursor]
+                f"{s.loc}: certificate ran out of loop records at "
+                f"statement {s.sid}: truncated or mismatched artifact")
+        rec_sid, inv = self.loop_records[self._loop_cursor]
         self._loop_cursor += 1
-        if rec_ord != ordv:
+        if rec_sid != s.sid:
             raise CertificateError(
-                f"{s.loc}: certificate loop record ordinal {rec_ord} does "
-                f"not match traversal ordinal {ordv}")
+                f"{s.loc}: certificate loop record for statement "
+                f"{rec_sid} does not match traversal statement {s.sid}")
         return self._one_application(cur, s, inv, strict=True)
 
     def _one_application(self, cur: AbstractState, s: I.SWhile,
@@ -206,19 +199,19 @@ class CertWalker(Iterator):
         from the invariant (alarms collected along the way), returning
         that pass's flow (exits in ``brk``) — or None on failure when
         not strict."""
-        ordv = self._ord(s.sid)
         if not inv.includes(cur):
             if strict:
                 raise CertificateError(
                     f"{s.loc}: loop entry state is not contained in the "
-                    f"certified invariant (ordinal {ordv})")
+                    f"certified invariant (statement {s.sid})")
             return None
         piece = self._loop_pass(inv, s)
         if not inv.includes(cur.join(piece.normal)):
             if strict:
                 raise CertificateError(
-                    f"{s.loc}: certified loop invariant (ordinal {ordv}) "
-                    f"is not a post-fixpoint: entry ∪ F(inv) ⊑ inv fails")
+                    f"{s.loc}: certified loop invariant (statement "
+                    f"{s.sid}) is not a post-fixpoint: entry ∪ F(inv) ⊑ "
+                    f"inv fails")
             return None
         return piece
 

@@ -30,8 +30,8 @@ __all__ = ["AnalyzerConfig", "SEMANTICS_VERSION", "baseline_config",
 #: entries written by a build with other semantics miss.  Bump it with
 #: every change that can alter a bit of a result, even one ulp of a bound
 #: (2: incremental octagon closure; 3: alarm lines after preprocessor
-#: directives).
-SEMANTICS_VERSION = 3
+#: directives; 4: block ids, and so octagon packs, across linked units).
+SEMANTICS_VERSION = 4
 
 
 @dataclass

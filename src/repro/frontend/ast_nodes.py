@@ -20,7 +20,7 @@ __all__ = [
     # statements
     "Stmt", "ExprStmt", "CompoundStmt", "IfStmt", "WhileStmt", "DoWhileStmt",
     "ForStmt", "ReturnStmt", "BreakStmt", "ContinueStmt", "EmptyStmt",
-    "DeclStmt", "SwitchStmt", "CaseLabel", "GotoStmt", "LabelStmt",
+    "DeclStmt", "SwitchStmt", "CaseLabel",
     # declarations
     "TypeSpec", "NamedType", "StructSpec", "EnumSpec", "Declarator",
     "InitItem", "VarDecl", "ParamDecl", "FuncDef", "TypedefDecl",
@@ -242,17 +242,6 @@ class CaseLabel:
 class SwitchStmt(Stmt):
     scrutinee: Expr = None
     cases: List[CaseLabel] = field(default_factory=list)
-
-
-@dataclass
-class GotoStmt(Stmt):
-    label: str = ""
-
-
-@dataclass
-class LabelStmt(Stmt):
-    label: str = ""
-    body: Stmt = None
 
 
 @dataclass

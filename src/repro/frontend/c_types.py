@@ -8,8 +8,8 @@ arithmetic types, etc.)" as an input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..numeric import BINARY32, BINARY64, FloatFormat
 

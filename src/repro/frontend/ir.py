@@ -18,7 +18,6 @@ The IR is what the iterator (Sect. 5.3) executes abstractly:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -31,7 +30,7 @@ __all__ = [
     "Expr", "Const", "Load", "UnaryOp", "BinOp", "BoolOp", "NotOp", "Cast",
     "Stmt", "SAssign", "SIf", "SWhile", "SCall", "SReturn", "SBreak",
     "SContinue", "SWait", "SAssume", "SCheck", "SNop", "SSwitch",
-    "IRFunction", "IRProgram", "fresh_stmt_id",
+    "IRFunction", "IRProgram",
 ]
 
 
@@ -245,17 +244,14 @@ class Cast(Expr):
 # Statements
 
 
-_stmt_counter = itertools.count(1)
-
-
-def fresh_stmt_id() -> int:
-    return next(_stmt_counter)
-
-
 @dataclass
 class Stmt:
     loc: Location = field(default=UNKNOWN_LOC, kw_only=True)
-    sid: int = field(default_factory=fresh_stmt_id, kw_only=True)
+    # The statement's id: its depth-first position over the functions in
+    # sorted name order, assigned by Lowerer.finish, so every compilation
+    # of one program numbers it alike.  -1 names no statement (the entry
+    # pseudo-call).
+    sid: int = field(default=-1, kw_only=True)
     block_id: int = field(default=-1, kw_only=True)
 
 
@@ -394,19 +390,3 @@ def iter_stmts(stmts: Sequence[Stmt]):
         elif isinstance(s, SSwitch):
             for _, body in s.cases:
                 yield from iter_stmts(body)
-
-
-def stable_ordinals(prog: IRProgram) -> Dict[int, int]:
-    """sid -> deterministic per-program ordinal (depth-first over
-    functions in sorted name order).  Stable across compilations of the
-    same source in any process, unlike the process-global sid counter."""
-    out: Dict[int, int] = {}
-    n = 0
-    for name in sorted(prog.functions):
-        fn = prog.functions[name]
-        if not fn.body:
-            continue
-        for s in iter_stmts(fn.body):
-            out[s.sid] = n
-            n += 1
-    return out

@@ -10,6 +10,7 @@ and functions (``extern`` declarations match definitions by name and type).
 from __future__ import annotations
 
 import hashlib
+import itertools
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import LinkError, TypeError_, UnsupportedConstructError
@@ -46,11 +47,12 @@ def link_sources(
     if not sources:
         raise LinkError("no source files provided")
     lowerer = Lowerer()
+    block_ids = itertools.count(1)
     for filename, text in sources:
         preprocessed = preprocess(text, filename, include_dirs=include_dirs,
                                   predefined=predefined)
         try:
-            unit = parse(preprocessed, filename)
+            unit = parse(preprocessed, filename, block_ids)
             lowerer.add_unit(unit)
         except TypeError_ as exc:
             raise LinkError(f"while linking {filename}: {exc}") from exc

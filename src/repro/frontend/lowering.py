@@ -27,8 +27,8 @@ Intrinsics understood by the analyzer:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import TypeError_, UnsupportedConstructError
 from . import ast_nodes as A
@@ -153,6 +153,10 @@ class Lowerer:
         self._reject_recursion()
         if delete_unused_globals:
             self._delete_unused_globals()
+        sids = itertools.count()
+        for name in sorted(self._functions):
+            for s in I.iter_stmts(self._functions[name].body or ()):
+                s.sid = next(sids)
         return self._program
 
     def _reject_recursion(self) -> None:

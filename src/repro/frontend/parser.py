@@ -11,7 +11,8 @@ constructs are rejected at this point with an error message").
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+import itertools
+from typing import Iterator, List, Optional, Set, Tuple
 
 from ..errors import ParseError, UnsupportedConstructError
 from . import ast_nodes as A
@@ -28,18 +29,25 @@ _QUALIFIERS = frozenset({"const", "volatile", "static", "extern", "register", "i
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="})
 
 
-def parse(source: str, filename: str = "<input>") -> A.TranslationUnit:
-    """Parse preprocessed C source into a translation unit."""
-    return Parser(tokenize(source, filename), filename).parse_translation_unit()
+def parse(source: str, filename: str = "<input>",
+          block_ids: Optional[Iterator[int]] = None) -> A.TranslationUnit:
+    """Parse preprocessed C source into a translation unit.  Blocks take
+    their ids from ``block_ids`` (default: from 1), which the linker
+    shares between units so blocks of different files never share an
+    id (and so never an octagon pack, Sect. 7.2.1)."""
+    return Parser(tokenize(source, filename), filename,
+                  block_ids).parse_translation_unit()
 
 
 class Parser:
-    def __init__(self, tokens: List[Token], filename: str = "<input>"):
+    def __init__(self, tokens: List[Token], filename: str = "<input>",
+                 block_ids: Optional[Iterator[int]] = None):
         self._tokens = tokens
         self._pos = 0
         self._filename = filename
         self._typedef_names: Set[str] = set()
-        self._block_counter = 0
+        self._block_ids = (itertools.count(1) if block_ids is None
+                           else block_ids)
 
     # -- token helpers -------------------------------------------------------
 
@@ -279,8 +287,8 @@ class Parser:
     def _parse_compound(self) -> A.CompoundStmt:
         loc = self._loc()
         self._expect_punct("{")
-        self._block_counter += 1
-        block = A.CompoundStmt(items=[], block_id=self._block_counter, loc=loc)
+        block = A.CompoundStmt(items=[], block_id=next(self._block_ids),
+                               loc=loc)
         while not self._peek().is_punct("}"):
             block.items.append(self._parse_statement())
         self._expect_punct("}")

@@ -9,8 +9,8 @@ human reviewer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 from ..frontend.ast_nodes import Location
 

@@ -18,12 +18,12 @@ by a combination of
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..domains.values import CellValue
 from ..frontend import ir as I
 from ..frontend.ast_nodes import Location
-from ..frontend.c_types import FloatType, IntType
+from ..frontend.c_types import FloatType
 from ..memory.cells import CellInfo
 from ..numeric import FloatInterval, IntInterval, LinearForm
 from .state import AbstractState

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..domains.ellipsoid import EllipsoidValue
@@ -130,14 +130,13 @@ class Iterator:
         # coordinate system checkpoints use to find their loop again.
         self._fixpoint_ordinal: int = -1
         # Certificate recording (repro.certify), on under cfg.certify:
-        # one (stable statement ordinal, pre-narrowing post-fixpoint,
-        # checking-pass invariant) triple per loop occurrence of the
-        # checking-mode traversal, in traversal order.  The emitter
-        # consumes the stream in the same structural order.
+        # one (statement id, pre-narrowing post-fixpoint, checking-pass
+        # invariant) triple per loop occurrence of the checking-mode
+        # traversal, in traversal order.  The emitter consumes the
+        # stream in the same structural order.
         self.cert_invariants: List[Tuple[int, AbstractState,
                                          AbstractState]] = []
         self._last_pf: Optional[AbstractState] = None
-        self._cert_ordinals: Optional[Dict[int, int]] = None
 
     # -- top level -----------------------------------------------------------------
 
@@ -147,7 +146,7 @@ class Iterator:
         self.alarms.checking = checking
         fn = self.ctx.prog.functions[self.ctx.prog.entry]
         flow = self._exec_function(state, fn, args=[], result=None,
-                                   loc=fn.loc, sid=0)
+                                   loc=fn.loc, sid=-1)
         out = flow.normal
         if flow.ret is not None:
             out = out.join(flow.ret)
@@ -634,21 +633,12 @@ class Iterator:
             # nested fixpoints during narrowing are overwritten again
             # before the call returns).
             pf = self._last_pf if self._last_pf is not None else inv
-            self.cert_invariants.append((self._stable_ordinal(s.sid),
-                                         pf, inv))
+            self.cert_invariants.append((s.sid, pf, inv))
         if self.cfg.collect_invariants:
             prev = self.loop_invariants.get(s.loop_id)
             self.loop_invariants[s.loop_id] = \
                 inv if prev is None else prev.join(inv)
         return self._loop_pass(inv, s, acc)
-
-    def _stable_ordinal(self, sid: int) -> int:
-        """Process-independent statement identity for certificate records
-        (alarms and loop occurrences are matched across re-compilations
-        of the same source by ordinal, never by raw sid)."""
-        if self._cert_ordinals is None:
-            self._cert_ordinals = I.stable_ordinals(self.ctx.prog)
-        return self._cert_ordinals[sid]
 
     def _loop_fixpoint(self, entry: AbstractState, s: I.SWhile) -> AbstractState:
         if entry.is_bottom:

@@ -24,21 +24,21 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 from ..config import AnalyzerConfig, config_fingerprint
 from ..domains.decision_tree import DecisionTree
 from ..domains.ellipsoid import EllipsoidParams, EllipsoidValue
 from ..domains.octagon import Octagon
 from ..domains.values import CellValue
-from ..frontend.ir import IRProgram, stable_ordinals
+from ..frontend.ir import IRProgram
 from ..memory.cells import CellTable
 from ..memory.environment import MemoryEnv
 from ..memory.fmap import PMap
 from ..numeric import BINARY32, BINARY64, FloatInterval, IntInterval
-from ..packing.boolean_packs import BoolPacking
-from ..packing.ellipsoid_sites import FilterSites
-from ..packing.octagon_packs import OctagonPacking
+from ..packing.boolean_packs import BoolPacking, compute_bool_packs
+from ..packing.ellipsoid_sites import FilterSites, find_filter_sites
+from ..packing.octagon_packs import OctagonPacking, compute_octagon_packs
 
 __all__ = ["AnalysisContext", "AbstractState", "compat_fingerprint",
            "set_active_context", "get_active_context"]
@@ -91,6 +91,17 @@ class AnalysisContext:
     # phase split reported by --stats.
     lattice_seconds: float = 0.0
 
+    @classmethod
+    def for_program(cls, prog: IRProgram,
+                    config: AnalyzerConfig) -> "AnalysisContext":
+        """The program's context under ``config``: its cell table,
+        octagon and boolean packs and filter sites."""
+        table = CellTable.for_program(prog, config.expand_threshold)
+        return cls(prog=prog, config=config, table=table,
+                   oct_packs=compute_octagon_packs(prog, table, config),
+                   bool_packs=compute_bool_packs(prog, table, config),
+                   filter_sites=find_filter_sites(prog, table))
+
     def invalidate_derived_caches(self) -> None:
         """Mid-run configuration change: flush every cache whose keys or
         results depend on the configuration."""
@@ -113,7 +124,6 @@ def compat_fingerprint(ctx: AnalysisContext) -> str:
     compat fingerprints agree on what every cell, pack and site id
     means, so they may exchange states: the serving layer's cross-run
     journals are indexed by it, and checkpoints include it."""
-    ordinals = stable_ordinals(ctx.prog)
     cells = [(c.cid, c.name, repr(c.ctype), c.var_uid, c.volatile,
               c.summarized) for c in ctx.table.all_cells()]
     opacks = [(p.pack_id, p.cids) for p in ctx.oct_packs.packs]
@@ -125,9 +135,8 @@ def compat_fingerprint(ctx: AnalysisContext) -> str:
     # content hash — the journal's statement keys already refuse such
     # donors.  Keeping them out lets coefficient-tuning edits (the
     # common near-duplicate case) stay journal-compatible.
-    sites = [(s.site_id, s.x_cid, s.y_cid, s.t_cid,
-              ordinals.get(s.rotate_sid, -1), ordinals.get(s.shift_sid, -1),
-              ordinals.get(s.commit_sid, -1))
+    sites = [(s.site_id, s.x_cid, s.y_cid, s.t_cid, s.rotate_sid,
+              s.shift_sid, s.commit_sid)
              for s in ctx.filter_sites.sites]
     h = hashlib.sha256()
     for chunk in (config_fingerprint(ctx.config), repr(cells), repr(opacks),

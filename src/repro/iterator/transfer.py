@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from ..domains.values import CellValue, const_value, top_value
 from ..frontend import ir as I
 from ..frontend.ast_nodes import Location
-from ..frontend.c_types import FLOAT, INT, EnumType, FloatType, IntType
+from ..frontend.c_types import INT, EnumType, FloatType, IntType
 from ..memory.cells import (
     AtomicLayout, CellInfo, CellLayout, ExpandedArrayLayout, RecordLayout,
     ShrunkArrayLayout,

@@ -18,8 +18,8 @@ space/precision trade-off).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Tuple
 
 from ..frontend.c_types import (
     ArrayType, CType, EnumType, FloatType, IntType, PointerType, RecordType,
@@ -155,10 +155,6 @@ class CellTable:
         return cell
 
     # -- queries ---------------------------------------------------------------
-
-    @property
-    def cell_count(self) -> int:
-        return self._next_cid
 
     def layout(self, var_uid: int) -> CellLayout:
         return self._layouts[var_uid]

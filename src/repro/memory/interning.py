@@ -25,7 +25,7 @@ and dropping it costs sharing, never correctness.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 __all__ = ["POOL_CAPACITY", "configure", "intern_value", "intern_stats",
            "clear"]

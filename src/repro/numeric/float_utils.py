@@ -37,8 +37,6 @@ __all__ = [
     "mul_up",
     "next_down",
     "next_up",
-    "round_down",
-    "round_up",
     "sqrt_down",
     "sqrt_up",
     "sub_down",
@@ -115,16 +113,6 @@ def next_down(x: float) -> float:
     if math.isnan(x) or x == -_INF:
         return x
     return math.nextafter(x, -_INF)
-
-
-def round_down(x: float) -> float:
-    """Sound lower bound for a value whose round-to-nearest image is ``x``."""
-    return next_down(x)
-
-
-def round_up(x: float) -> float:
-    """Sound upper bound for a value whose round-to-nearest image is ``x``."""
-    return next_up(x)
 
 
 def _exact_add(a: float, b: float) -> bool:

@@ -16,8 +16,8 @@ floating-point relational domains).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Mapping, Tuple
 
 from .float_utils import FloatFormat, add_up, mul_up
 from .intervals import FloatInterval

@@ -16,7 +16,7 @@ behavior").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..config import AnalyzerConfig
 from ..frontend import ir as I

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from ..frontend import ir as I
 from ..memory.cells import (
@@ -122,7 +122,7 @@ def is_bool_cell(cell: CellInfo) -> bool:
     The family's generated code stores test results into variables declared
     with a boolean typedef (lowered to _Bool or unsigned char).
     """
-    from ..frontend.c_types import EnumType, IntType
+    from ..frontend.c_types import IntType
 
     t = cell.ctype
     return isinstance(t, IntType) and t.bits == 8

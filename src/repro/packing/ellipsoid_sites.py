@@ -16,7 +16,7 @@ module is that automatic instantiation: a syntactic scan of the lowered IR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..frontend import ir as I

@@ -14,8 +14,8 @@ packs only (the packing optimization of Sect. 7.2.2, implemented by the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..config import AnalyzerConfig
 from ..frontend import ir as I

@@ -38,7 +38,6 @@ import pickle
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from ..frontend.ir import stable_ordinals
 from ..iterator.state import compat_fingerprint
 from .fingerprints import (function_hashes, stmt_content_hash,
                            stmt_record_key)
@@ -68,7 +67,6 @@ class CrossRunCache:
         self.ctx = None
         self.compat: Optional[str] = None
         self._gen0 = 0
-        self.ordinals: Dict[int, int] = {}
         self.fn_hashes: Dict[str, str] = {}
         self._content_memo: Dict[int, str] = {}
         # Counters (surfaced via AnalysisResult and the daemon stats).
@@ -78,14 +76,13 @@ class CrossRunCache:
     # -- lifecycle -----------------------------------------------------------
 
     def attach(self, ctx) -> None:
-        """Bind to a built AnalysisContext: compute the stable keys and
-        load the donor journal for this compat fingerprint.  Journals
+        """Bind to a built AnalysisContext: compute the keys and load
+        the donor journal for this compat fingerprint.  Journals
         hold slim footprint slices of context-free values, so unpickling
         needs no live context."""
         self.ctx = ctx
         self._gen0 = ctx.config_generation
         self.compat = compat_fingerprint(ctx)
-        self.ordinals = stable_ordinals(ctx.prog)
         self.fn_hashes = function_hashes(ctx.prog)
         self._content_memo = {}
         raw = self._donor_bytes
@@ -118,8 +115,7 @@ class CrossRunCache:
         site = self.ctx.filter_sites.site
         site_consts = tuple(
             (s, site(s).a, site(s).b) for s in meta.sites)
-        return stmt_record_key(self.ordinals.get(sid, -1), ch,
-                               frames_repr, meta, site_consts)
+        return stmt_record_key(sid, ch, frames_repr, meta, site_consts)
 
     def donor_pairs(self, key: str):
         return self.donor.get(key)
@@ -163,9 +159,7 @@ class CrossRunCache:
 
 class FrontendCache:
     """Bounded in-memory cache of parsed+lowered IR programs, keyed by
-    (source digest, entry).  Statement/variable/loop ids are assigned at
-    lowering time, so a reused program carries identical ids — a repeat
-    request skips the whole frontend and lands on identical coordinates."""
+    (source digest, entry): a repeat request skips the whole frontend."""
 
     def __init__(self, max_entries: int = 32):
         self.max_entries = max_entries

@@ -1,10 +1,8 @@
 """Content-addressed keys for the cross-run caches.
 
-Everything the serving layer stores is keyed by *content*, never by
-process-local identity: statement ids come from a process-global
-counter (two compilations of the same source in one daemon produce
-different absolute sids), so every fingerprint here maps sids to
-deterministic per-program ordinals first.
+Everything the serving layer stores is keyed by *content* and by
+per-program ids (statement, cell, pack and site ids), which every
+compilation of one program assigns alike.
 
 Three layers of keys, from coarse to fine:
 
@@ -20,7 +18,7 @@ Three layers of keys, from coarse to fine:
   constants) share a compat fingerprint.  It lives with the analysis
   context because checkpoints are keyed against it too.
 * :func:`stmt_record_key` — one statement's transfer-function identity:
-  stable ordinal, pretty-printed content including the bodies of every
+  statement id, pretty-printed content including the bodies of every
   transitively called function, by-reference binding stack, and the
   resolved footprint slice.  A recorded (pre, post) pair is only ever
   replayed for a statement with an equal key, which pins the transfer
@@ -107,7 +105,7 @@ def stmt_content_hash(stmt, fn_hashes: Dict[str, str]) -> str:
     return _sha(text, *[fn_hashes[c] for c in calls])
 
 
-def stmt_record_key(ordinal: int, content_hash: str, frames_repr,
+def stmt_record_key(sid: int, content_hash: str, frames_repr,
                     meta, site_consts: Tuple = ()) -> str:
     """The journal key of one statement's (pre, post) records: pins
     position, content (callees included), by-reference bindings, and
@@ -117,7 +115,7 @@ def stmt_record_key(ordinal: int, content_hash: str, frames_repr,
     site in the footprint: ellipsoid *reduction* on a read uses them
     without the statement's text mentioning them, so the content hash
     alone would not notice a coefficient edit."""
-    return _sha(repr((ordinal, content_hash, frames_repr, meta.cells,
+    return _sha(repr((sid, content_hash, frames_repr, meta.cells,
                       meta.write_cells, meta.packs, meta.write_packs,
                       meta.bpacks, meta.write_bpacks, meta.sites,
                       site_consts, meta.clock_dep)))

@@ -14,7 +14,7 @@ node attributes carry the statement and location for reporting.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -138,8 +138,6 @@ def build_dependence_graph(prog: I.IRProgram, table: CellTable) -> DependenceGra
 
 
 def _collect_lvalue_cells(lv: I.LValue, table: CellTable, out: Set[int]) -> None:
-    from ..memory.cells import iter_layout_cells
-
     if isinstance(lv, I.LVar):
         if table.has_var(lv.var.uid):
             for cell in table.cells_of_var(lv.var.uid):

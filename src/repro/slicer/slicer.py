@@ -18,14 +18,14 @@ Both flavours from the paper are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Set
 
 from ..frontend import ir as I
 from ..frontend.ast_nodes import Location
 from ..iterator.alarms import Alarm
 from ..iterator.state import AbstractState
 from ..memory.cells import CellTable
-from ..numeric import FloatInterval, IntInterval
+from ..numeric import IntInterval
 from .dependences import DependenceGraph, build_dependence_graph
 
 __all__ = ["Slice", "Slicer", "backward_slice", "abstract_slice"]
@@ -42,26 +42,28 @@ class Slice:
     def __len__(self) -> int:
         return len(self.sids)
 
+    def _in_source_order(self) -> List[int]:
+        """The slice's statements by (file, line, column), then id."""
+        nodes = self.graph.graph.nodes
+
+        def key(sid):
+            loc = nodes[sid]["loc"]
+            return (loc.filename, loc.line, loc.col, sid)
+
+        return sorted((sid for sid in self.sids if sid in nodes), key=key)
+
     def locations(self) -> List[Location]:
-        out = []
-        for sid in sorted(self.sids):
-            if sid in self.graph.graph:
-                out.append(self.graph.graph.nodes[sid]["loc"])
-        return out
+        nodes = self.graph.graph.nodes
+        return [nodes[sid]["loc"] for sid in self._in_source_order()]
 
     def statements(self) -> List[I.Stmt]:
-        return [self.graph.stmt(sid) for sid in sorted(self.sids)
-                if sid in self.graph.graph]
+        return [self.graph.stmt(sid) for sid in self._in_source_order()]
 
     def format(self) -> str:
-        lines = []
-        for sid in sorted(self.sids):
-            if sid not in self.graph.graph:
-                continue
-            loc = self.graph.graph.nodes[sid]["loc"]
-            stmt = self.graph.stmt(sid)
-            lines.append(f"{loc}: {type(stmt).__name__}")
-        return "\n".join(lines)
+        nodes = self.graph.graph.nodes
+        return "\n".join(
+            f"{nodes[sid]['loc']}: {type(self.graph.stmt(sid)).__name__}"
+            for sid in self._in_source_order())
 
 
 class Slicer:

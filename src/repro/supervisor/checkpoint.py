@@ -32,9 +32,8 @@ The on-disk format is a pickled dict (version-tagged, fingerprinted
 against the program/config, written atomically via rename).  States
 unpickle through the process-wide active-context registry, so
 ``load_checkpoint`` must run after ``set_active_context(ctx)``.
-Visit counts are stored by stable statement ordinal, because statement
-ids are process-global counters that shift when another program was
-compiled first.
+Visit counts are keyed by statement id, which every compilation of the
+program assigns alike (see ``repro.frontend.ir.Stmt``).
 """
 
 from __future__ import annotations
@@ -99,7 +98,7 @@ class Checkpoint:
     fairness_left: int
     # Iterator-global mutable state the skipped iterations produced.
     widening_iterations: int
-    # Stable statement ordinal -> visits (see ir.stable_ordinals).
+    # Statement id -> visits.
     visit_counts: Dict[int, int] = field(default_factory=dict)
     loop_invariants: Dict[int, object] = field(default_factory=dict)
     useful_oct_packs: Set[int] = field(default_factory=set)

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..config import AnalyzerConfig
 from ..errors import CheckpointError, SupervisorHalt
-from ..frontend.ir import stable_ordinals
 from .budget import ResourceBudget, peak_rss_self_kib
 from .checkpoint import (Checkpoint, context_fingerprint, load_checkpoint,
                          write_checkpoint)
@@ -76,7 +75,6 @@ class Supervisor:
         self._polls = 0
         # Checkpointing.
         self._fingerprint: Optional[str] = None
-        self._ordinals: Dict[int, int] = {}
         self._checkpoints_written = 0
         halt = None
         if os.environ.get(HALT_ENV):
@@ -101,10 +99,6 @@ class Supervisor:
         if not (path or self.config.checkpoint_path):
             return
         self._fingerprint = context_fingerprint(ctx)
-        # Checkpoints name statements by stable ordinal (raw sids shift
-        # between compilations); one map serves every write and the
-        # resume.
-        self._ordinals = stable_ordinals(ctx.prog)
         if not path:
             return
         from ..iterator.state import set_active_context
@@ -207,8 +201,7 @@ class Supervisor:
                            else set(prev_unstable)),
             fairness_left=fairness_left,
             widening_iterations=it.widening_iterations,
-            visit_counts={self._ordinals[sid]: n
-                          for sid, n in it.visit_counts.items()},
+            visit_counts=dict(it.visit_counts),
             loop_invariants=dict(it.loop_invariants),
             useful_oct_packs=set(it.ctx.useful_oct_packs),
             useful_bool_packs=set(it.ctx.useful_bool_packs),
@@ -246,8 +239,7 @@ class Supervisor:
         # produced; the replayed prefix regenerated identical values for
         # everything before this point.
         it.widening_iterations = cp.widening_iterations
-        sids = {o: sid for sid, o in self._ordinals.items()}
-        it.visit_counts = {sids[o]: n for o, n in cp.visit_counts.items()}
+        it.visit_counts = dict(cp.visit_counts)
         it.loop_invariants = dict(cp.loop_invariants)
         it.ctx.useful_oct_packs.clear()
         it.ctx.useful_oct_packs.update(cp.useful_oct_packs)

@@ -26,7 +26,7 @@ reference program is assumed to be.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = [
     "Block", "BlockContext", "SecondOrderFilter", "FirstOrderLag",

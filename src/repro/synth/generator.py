@@ -21,7 +21,7 @@ maximal operating time) needed to analyze it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from .blocks import ALL_BLOCK_TYPES, Block, BlockContext

@@ -30,6 +30,7 @@ from repro.certify.artifact import decode_config, decode_states, encode_state
 from repro.cli import main
 from repro.config import AnalyzerConfig
 from repro.errors import CertificateError
+from repro.frontend import compile_source
 
 # The ROADMAP's divergence witness family: a bounded float filter next
 # to a persistent, clock-tracked saturating integer counter.
@@ -180,6 +181,21 @@ class TestRoundTrip:
         save_certificate(witness_cert, path)
         chk = check_certificate(path)
         assert chk.exit_code == 0
+
+    def test_checks_in_a_fresh_process(self, tmp_path):
+        # The emitting process compiled another program first; statement
+        # ids are per program, so a fresh checking process agrees on them.
+        compile_source(WITNESS_SRC, "witness.c")
+        result = analyze(LOOP_SHAPES_SRC, "shapes.c", config=_cfg())
+        path = str(tmp_path / "shapes.cert")
+        save_certificate(
+            build_certificate(result, LOOP_SHAPES_SRC, "shapes.c"), path)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "check-certificate", path],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
+        assert proc.returncode == result.exit_code, proc.stderr
 
     def test_failed_save_leaves_no_file(self, witness_cert, tmp_path,
                                         monkeypatch):
@@ -393,6 +409,24 @@ class TestMutationRejection:
         bad["format"] = "something-else"
         with pytest.raises(CertificateError, match="format"):
             check_certificate(bad)
+
+    def test_rewritten_config_fingerprint(self, witness_cert):
+        def rewrite(payload):
+            payload["config_fingerprint"] = "0" * 64
+
+        with pytest.raises(CertificateError, match="fingerprint"):
+            check_certificate(_mutated(witness_cert, rewrite))
+
+    def test_other_semantics_refused(self, monkeypatch):
+        import repro.config
+
+        monkeypatch.setattr(repro.config, "SEMANTICS_VERSION",
+                            repro.config.SEMANTICS_VERSION - 1)
+        result = analyze(WITNESS_SRC, "witness.c", config=_cfg())
+        cert = build_certificate(result, WITNESS_SRC, "witness.c")
+        monkeypatch.undo()
+        with pytest.raises(CertificateError, match="SEMANTICS_VERSION"):
+            check_certificate(cert)
 
     def test_wrong_source_rejected(self, witness_cert):
         # Certificate for program A presented with program B's records:
@@ -665,8 +699,8 @@ class TestTrustedBase:
     def test_checker_loads_no_serving_code(self):
         # The checker's trusted base stays small: importing it must not
         # pull in the daemon, its worker supervisor or the process
-        # layer (statement ordinals and the source digest live in the
-        # frontend, not in repro.serve).
+        # layer (the source digest lives in the frontend, not in
+        # repro.serve).
         code = ("import sys\n"
                 "import repro.certify\n"
                 "print(sorted(m for m in sys.modules if m.startswith("

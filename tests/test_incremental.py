@@ -9,10 +9,6 @@ tests hold that claim against the reference engine (``trace=True``:
 every statement executed, both sharing caches off) across a seeded
 sweep of generated family programs (mixed nested loops, branches, calls
 and filter blocks) and across a checkpoint→kill→resume cycle.
-
-Programs are compiled once and analyzed by both engines: statement ids
-come from a global counter, so recompiling between runs would shift
-alarm/visit keys without any semantic difference.
 """
 
 import dataclasses

@@ -30,11 +30,24 @@ class TestGenerateUnits:
         assert result.alarm_count == 0
 
     def test_units_equivalent_to_monolithic(self):
-        """Splitting into units must not change the analysis verdict."""
-        units, gp = generate_units(FamilySpec(target_kloc=0.25, seed=17), files=4)
-        split = analyze(units, config=gp.analyzer_config())
-        mono = analyze(gp.source, "mono.c", config=gp.analyzer_config())
-        assert split.alarm_count == mono.alarm_count == 0
+        """Splitting into units must not change the analysis: blocks of
+        different units never share an id, so never an octagon pack."""
+
+        def pack_keys(result):
+            cell = result.ctx.table.cell
+            return sorted(tuple(cell(c).name for c in p.cids)
+                          for p in result.ctx.oct_packs.packs)
+
+        for kloc, seed, files in ((0.25, 17, 4), (0.5, 9, 3)):
+            units, gp = generate_units(
+                FamilySpec(target_kloc=kloc, seed=seed), files=files)
+            cfg = gp.analyzer_config().with_overrides(collect_invariants=True)
+            split = analyze(units, config=cfg)
+            mono = analyze(gp.source, "mono.c", config=cfg)
+            assert pack_keys(split) == pack_keys(mono), seed
+            assert split.invariant_stats() == mono.invariant_stats(), seed
+            assert split.widening_iterations == mono.widening_iterations
+            assert split.alarm_count == mono.alarm_count == 0
 
     def test_linker_resolves_cross_unit_calls(self):
         units, gp = generate_units(FamilySpec(target_kloc=0.2, seed=3), files=2)

@@ -83,6 +83,30 @@ class TestIterStmts:
                 for s in I.iter_stmts(fn.body)]
         assert len(sids) == len(set(sids))
 
+    def test_stmt_ids_number_functions_in_name_order(self):
+        # ``main`` is defined first, but ``alpha`` sorts first.
+        prog = compile_source("""
+int alpha(int a);
+int x;
+int main(void) { x = alpha(x); return 0; }
+int alpha(int a) { if (a > 0) { a = a - 1; } return a; }
+""", "order.c")
+        sids = [s.sid for name in sorted(prog.functions)
+                for s in I.iter_stmts(prog.functions[name].body)]
+        assert sids == list(range(len(sids)))
+        assert prog.functions["alpha"].body[0].sid == 0
+
+    def test_stmt_ids_equal_across_compilations(self):
+        first = compile_source(SRC, "t.c")
+        compile_source("int main(void) { return 1; }", "other.c")
+        again = compile_source(SRC, "t.c")
+
+        def sids(prog):
+            return [s.sid for fn in prog.functions.values() if fn.body
+                    for s in I.iter_stmts(fn.body)]
+
+        assert sids(first) == sids(again)
+
 
 class TestErrorHierarchy:
     def test_all_derive_from_repro_error(self):

@@ -77,16 +77,16 @@ class TestFingerprints:
         from repro.config import baseline_config
 
         assert config_fingerprint(AnalyzerConfig()) == (
+            "6522c480ac4dcb2261d3d2e35d14b552f57befc34067c10bc267c055021bc905")
+        assert config_fingerprint(baseline_config()) == (
+            "d418226f397ceec22b704d4084697c9758eda481b70172c3fc5accd8b964f3c6")
+        # Under the previous salt, the values that predate the per-unit
+        # block ids of linked programs.
+        monkeypatch.setattr(repro.config, "SEMANTICS_VERSION", 3)
+        assert config_fingerprint(AnalyzerConfig()) == (
             "389f11db919510de6e3f8beed4226d6697d6d97ab86c92f763331a66f0db387a")
         assert config_fingerprint(baseline_config()) == (
             "7b4c9c681feaea83d6e3033026088979029503b31afbf28fa843a21fc7851cf9")
-        # Under the previous salt, the values that predate the removal
-        # of the parallel dispatch fields.
-        monkeypatch.setattr(repro.config, "SEMANTICS_VERSION", 2)
-        assert config_fingerprint(AnalyzerConfig()) == (
-            "8e39747431843fc1eb83b61fc54856a577c22d62294d92b13b7d7b87188d3c90")
-        assert config_fingerprint(baseline_config()) == (
-            "ba90c5089a2eb15fdcd8179e2fbaaaec672d8049292e172084883bcde82bf80a")
 
     def test_field_name_sets_name_config_fields(self):
         # A mode deletion must not leave a stale name behind in any of
@@ -129,26 +129,15 @@ class TestFingerprints:
             d1, "main", dataclasses.replace(cfg, enable_octagons=False))
 
     def test_compat_fingerprint_stable_across_compilations(self, family):
-        # Statement/cell ids come from process-global counters; the
-        # compat fingerprint must cancel that out.
         from repro.frontend import compile_source
         from repro.iterator.state import AnalysisContext
-        from repro.memory.cells import CellTable
-        from repro.packing.boolean_packs import compute_bool_packs
-        from repro.packing.ellipsoid_sites import find_filter_sites
-        from repro.packing.octagon_packs import compute_octagon_packs
 
         cfg = family.analyzer_config()
         fps = []
         for _ in range(2):
             prog = compile_source(family.source, "fam.c", entry="main")
-            table = CellTable.for_program(prog, cfg.expand_threshold)
-            ctx = AnalysisContext(
-                prog=prog, config=cfg, table=table,
-                oct_packs=compute_octagon_packs(prog, table, cfg),
-                bool_packs=compute_bool_packs(prog, table, cfg),
-                filter_sites=find_filter_sites(prog, table))
-            fps.append(compat_fingerprint(ctx))
+            fps.append(compat_fingerprint(
+                AnalysisContext.for_program(prog, cfg)))
         assert fps[0] == fps[1]
 
     def test_result_digest_ignores_timing_counters(self, family):

@@ -204,10 +204,6 @@ def filter_ctx():
     from repro.config import AnalyzerConfig
     from repro.frontend import compile_source
     from repro.iterator.state import AnalysisContext
-    from repro.memory.cells import CellTable
-    from repro.packing.boolean_packs import compute_bool_packs
-    from repro.packing.ellipsoid_sites import find_filter_sites
-    from repro.packing.octagon_packs import compute_octagon_packs
 
     decls = "".join(f"float X{i}, Y{i};\n" for i in range(_N_SITES))
     body = "".join(f"""
@@ -227,12 +223,7 @@ def filter_ctx():
     }}
     """
     cfg = AnalyzerConfig(input_ranges={"vin": (-1.0, 1.0)})
-    prog = compile_source(src, "filters.c")
-    table = CellTable.for_program(prog, cfg.expand_threshold)
-    ctx = AnalysisContext(prog=prog, config=cfg, table=table,
-                          oct_packs=compute_octagon_packs(prog, table, cfg),
-                          bool_packs=compute_bool_packs(prog, table, cfg),
-                          filter_sites=find_filter_sites(prog, table))
+    ctx = AnalysisContext.for_program(compile_source(src, "filters.c"), cfg)
     assert len(ctx.filter_sites) == _N_SITES
     return ctx
 

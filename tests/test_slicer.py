@@ -119,8 +119,10 @@ class TestBackwardSlice:
         prog, table = setup_prog(SRC)
         slicer = Slicer(prog, table)
         sc = sid_of_assign_to(prog, table, "c")
-        text = slicer.backward_slice(sc).format()
-        assert "t.c" in text
+        lines = slicer.backward_slice(sc).format().splitlines()
+        assert all(line.startswith("t.c:") for line in lines)
+        # Source order: the if on line 8 before the assignment it guards.
+        assert [int(line.split(":")[1]) for line in lines] == [5, 6, 8, 9]
 
 
 class TestAbstractSlice:

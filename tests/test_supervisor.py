@@ -6,11 +6,6 @@ tripped resource budgets step down the soundness-preserving degradation
 ladder (the run finishes with a coarser verdict and ``degraded=True``),
 and a run killed between checkpoints resumes to a result bit-identical
 to an uninterrupted one.  Every deviation must land in the incident log.
-
-Programs are compiled once per module: statement ids come from a global
-counter, so recompiling shifts ``visit_counts`` keys without any
-semantic difference (``_by_ordinal`` compares results across
-compilations).
 """
 
 import dataclasses
@@ -27,7 +22,6 @@ from repro.analysis import analyze_program
 from repro.config import AnalyzerConfig
 from repro.errors import CheckpointError, ExitCode, SupervisorHalt
 from repro.frontend import compile_source
-from repro.frontend.ir import stable_ordinals
 from repro.supervisor import DEGRADATION_RUNGS, DegradationLadder, IncidentLog
 from repro.supervisor.checkpoint import (Checkpoint, context_fingerprint,
                                          write_checkpoint)
@@ -73,18 +67,6 @@ def _snapshot(result) -> dict:
         "useful_oct": sorted(result.useful_octagon_packs),
         "useful_bool": result.useful_bool_pack_count,
     }
-
-
-def _by_ordinal(result, prog) -> dict:
-    """``_snapshot`` with statements named by stable ordinal, so results
-    of two compilations of one source compare."""
-    ords = stable_ordinals(prog)
-    snap = _snapshot(result)
-    snap["alarms"] = [(a.kind, ords.get(a.sid, -1), a.loc.line, a.message)
-                      for a in result.alarms]
-    snap["visits"] = sorted((ords[sid], n)
-                            for sid, n in result.visit_counts.items())
-    return snap
 
 
 def _bare_checkpoint() -> Checkpoint:
@@ -301,22 +283,20 @@ class TestCheckpointResume:
     def test_resume_across_recompilation(self, loop_prog, loop_cfg,
                                          tmp_path, monkeypatch):
         # A recompilation of the same source (as in a fresh process that
-        # compiled another program first) gets other statement ids; the
-        # checkpoint still resumes, bit-identically by ordinal.
+        # compiled another program first) gets the same statement ids;
+        # the checkpoint resumes bit-identically.
         reference = analyze_program(loop_prog, loop_cfg)
         cp = str(tmp_path / "cp.pkl")
         monkeypatch.setenv(HALT_ENV, "2")
         with pytest.raises(SupervisorHalt):
             analyze_program(loop_prog,
                             dataclasses.replace(loop_cfg, checkpoint_path=cp))
+        compile_source(BUGGY_SRC, "buggy.c")
         again = compile_source(LOOP_SRC, "loop.c")
-        assert set(stable_ordinals(again)).isdisjoint(
-            stable_ordinals(loop_prog))
         resumed = analyze_program(
             again, dataclasses.replace(loop_cfg, resume_path=cp))
         assert resumed.resumed
-        assert _by_ordinal(resumed, again) == _by_ordinal(reference,
-                                                          loop_prog)
+        assert _snapshot(resumed) == _snapshot(reference)
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         import errno
@@ -387,24 +367,15 @@ class TestCheckpointResume:
     def test_fingerprint_covers_program_and_config(self, loop_prog,
                                                    loop_cfg, monkeypatch):
         from repro.iterator.state import AnalysisContext
-        from repro.memory.cells import CellTable
-        from repro.packing.boolean_packs import compute_bool_packs
-        from repro.packing.ellipsoid_sites import find_filter_sites
-        from repro.packing.octagon_packs import compute_octagon_packs
 
         def ctx_for(cfg, prog=loop_prog):
-            table = CellTable.for_program(prog, cfg.expand_threshold)
-            return AnalysisContext(
-                prog=prog, config=cfg, table=table,
-                oct_packs=compute_octagon_packs(prog, table, cfg),
-                bool_packs=compute_bool_packs(prog, table, cfg),
-                filter_sites=find_filter_sites(prog, table))
+            return AnalysisContext.for_program(prog, cfg)
 
         fp1 = context_fingerprint(ctx_for(loop_cfg))
         fp2 = context_fingerprint(ctx_for(loop_cfg))
         assert fp1 == fp2
-        # Program content counts, not the process-global statement ids:
-        # a recompilation matches, a one-constant edit does not.
+        # Program content counts: a recompilation matches, a
+        # one-constant edit does not.
         again = compile_source(LOOP_SRC, "loop.c")
         assert context_fingerprint(ctx_for(loop_cfg, again)) == fp1
         edited = compile_source(LOOP_SRC.replace("y > 100", "y > 101"),
