@@ -268,21 +268,21 @@ def analyze(source, filename: str = "<input>",
                            cross_run=cross_run)
 
 
-def _configure_sharing(enabled: bool) -> None:
+def _configure_sharing(enabled: bool) -> bool:
     """Switch the process-global sharing caches (value intern pool and
-    octagon closure memo) on or off.
+    octagon closure memo) on or off; returns whether they were on.
 
     Every analysis runs with both on except a traced one, the reference
-    engine (see ``AnalyzerConfig.trace``); the certificate checker
-    turns them off for its walk.  Disabling is always safe — the caches
-    are value-preserving and only affect physical identity and wall
-    time.
+    engine (see ``AnalyzerConfig.trace``); the certificate walk turns
+    them off and then restores what it found.  Disabling is always
+    safe — the caches are value-preserving and only affect physical
+    identity and wall time — and keeps their entries and counters.
     """
     from .domains.octagon import CLOSURE_MEMO_CAPACITY, configure_closure_memo
     from .memory import interning
 
-    interning.configure(interning.POOL_CAPACITY if enabled else 0)
     configure_closure_memo(CLOSURE_MEMO_CAPACITY if enabled else 0)
+    return interning.configure(interning.POOL_CAPACITY if enabled else 0)
 
 
 def _needs_supervisor(config: AnalyzerConfig) -> bool:

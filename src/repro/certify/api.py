@@ -19,6 +19,7 @@ raises CertificateError — an honest "cannot certify" — instead).
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
@@ -91,30 +92,35 @@ def _plain_config(cfg: AnalyzerConfig) -> AnalyzerConfig:
     )
 
 
+@contextmanager
+def _walk_globals():
+    """Run a certificate walk with both sharing caches off (it never
+    reads or fills a memo entry), then restore what it found: the
+    active context and the caches' enablement."""
+    from ..analysis import _configure_sharing
+
+    prev_ctx = get_active_context()
+    was_sharing = _configure_sharing(False)
+    try:
+        yield
+    finally:
+        set_active_context(prev_ctx)
+        _configure_sharing(was_sharing)
+
+
 def _fresh_context(sources: Sources, entry: str,
                    cfg: AnalyzerConfig) -> AnalysisContext:
     """Compile the certified sources into a brand-new plain context and
     install it as the process's active context (state blobs re-attach
-    to it on decode).  The walk runs with both sharing caches off."""
-    from ..analysis import _configure_sharing
-
+    to it on decode).  Call it inside :func:`_walk_globals`."""
     try:
         prog = link_sources(list(sources), entry=entry)
     except ReproError as exc:
         raise CertificateError(
             f"cannot rebuild the certified program: {exc}")
     ctx = AnalysisContext.for_program(prog, cfg)
-    _configure_sharing(False)
     set_active_context(ctx)
     return ctx
-
-
-def _restore_engine_globals(prev_ctx) -> None:
-    from ..analysis import _configure_sharing
-
-    set_active_context(prev_ctx)
-    if prev_ctx is not None:
-        _configure_sharing(not prev_ctx.config.trace)
 
 
 def _check_alarm_superset(claimed_keys: set, walker: CertWalker,
@@ -132,8 +138,8 @@ def _emit_walk(result, sources: Sources):
     """Shared emission path: round-trip the engine's loop records into a
     fresh plain context, run the emit walk, verify the alarm superset.
     Returns (walker, plain_cfg, claimed alarm key set, final state) with
-    the fresh context still active — callers must restore via
-    _restore_engine_globals."""
+    the fresh context still active — callers run it inside
+    _walk_globals."""
     if result.degraded:
         raise CertificateError(
             "degraded runs cannot be certified: the degradation ladder "
@@ -167,11 +173,8 @@ def certify_result(result, sources, filename: str = "<input>",
     as build_certificate, none of the serialization)."""
     t0 = time.perf_counter()
     sources = _normalize_sources(sources, filename)
-    prev = get_active_context()
-    try:
+    with _walk_globals():
         walker, _, claimed, _ = _emit_walk(result, sources)
-    finally:
-        _restore_engine_globals(prev)
     return CertificationSummary(
         stmt_records=len(walker.stmt_records),
         loop_records=len(walker.loop_records),
@@ -185,8 +188,7 @@ def build_certificate(result, sources, filename: str = "<input>") -> dict:
     (validated during emission: the returned artifact passes
     check_certificate by construction)."""
     sources = _normalize_sources(sources, filename)
-    prev = get_active_context()
-    try:
+    with _walk_globals():
         walker, plain, claimed_keys, final = _emit_walk(result, sources)
         table = StateTable()
         stmt_records = [[sid, table.add(pre), table.add(post)]
@@ -194,8 +196,6 @@ def build_certificate(result, sources, filename: str = "<input>") -> dict:
         loop_records = [[sid, table.add(inv)]
                         for sid, inv in walker.loop_records]
         final_id = table.add(final)
-    finally:
-        _restore_engine_globals(prev)
     alarms = sorted([a.sid, a.kind, a.loc.filename, a.loc.line, a.loc.col,
                      a.message] for a in result.alarms)
     payload = {
@@ -242,12 +242,9 @@ def check_certificate(cert: Union[str, dict]) -> CertificateCheck:
             "(SEMANTICS_VERSION) or edited after emission")
     sources = [(n, t) for n, t in payload["sources"]]
     entry = payload["entry"]
-    prev = get_active_context()
-    try:
+    with _walk_globals():
         ctx = _fresh_context(sources, entry, cfg)
         walker = _check_walk(ctx, payload, decode_states(payload["states"]))
-    finally:
-        _restore_engine_globals(prev)
     return CertificateCheck(
         entry=entry,
         source_digest=payload["source_digest"],

@@ -250,7 +250,6 @@ def cmd_serve(args) -> int:
                            if args.job_max_rss else None),
         job_hard_timeout_s=args.job_hard_timeout,
         drain_deadline_s=args.drain_deadline,
-        backoff_seed=args.backoff_seed,
         certify_serve=args.certify_serve,
     )
     server = AnalysisServer(sc)
@@ -496,9 +495,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     metavar="SECONDS",
                     help="graceful-shutdown budget for the in-flight job "
                          "before escalation (default 10)")
-    pv.add_argument("--backoff-seed", type=int, default=None, metavar="N",
-                    help="seed for worker restart backoff jitter "
-                         "(deterministic chaos tests)")
     pv.add_argument("--certify-serve", dest="certify_serve",
                     choices=("off", "sampled", "all"), default="sampled",
                     help="validate journal-warmed results by invariant "
@@ -528,7 +524,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     pc.add_argument("--bypass-cache", action="store_true",
                     help="force a cold run (reference for differential "
                          "checks)")
-    pc.add_argument("--timeout", type=float, default=600.0, metavar="SECONDS")
+    pc.add_argument("--timeout", type=float, default=600.0, metavar="SECONDS",
+                    help="deadline for each reply (default 600)")
     pc.add_argument("--stats", action="store_true",
                     help="print per-request cache/queue feedback")
     pc.add_argument("--json", action="store_true")

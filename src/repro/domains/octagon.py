@@ -58,23 +58,17 @@ _CLOSURE_EVICTIONS = 0
 def configure_closure_memo(max_size: int) -> None:
     """Set the closure memo capacity; 0 (or negative) disables it.
 
-    Reconfiguring to the *same* capacity keeps the memo contents (and
-    the hit/eviction counters): a long-lived process analyzing many
-    programs — the ``serve`` daemon — stays warm across requests, and
-    closure is a pure function of the matrix and pivots alone, so entries
-    are valid across programs.  Changing the capacity evicts down (or
-    clears, when disabling) and resets the counters."""
-    global _CLOSURE_MEMO_MAX, _CLOSURE_HITS, _CLOSURE_EVICTIONS
-    if max_size == _CLOSURE_MEMO_MAX and max_size > 0:
-        return
+    A disabled memo is neither consulted nor filled, but it keeps its
+    entries and its hit/eviction counters, and reconfiguring keeps them
+    too: a long-lived process analyzing many programs — the ``serve``
+    daemon — stays warm across requests and the certificate walks
+    between them, and closure is a pure function of the matrix and
+    pivots alone, so entries are valid across programs.  A smaller
+    capacity evicts the oldest entries down to it."""
+    global _CLOSURE_MEMO_MAX
     _CLOSURE_MEMO_MAX = max_size
-    _CLOSURE_HITS = 0
-    _CLOSURE_EVICTIONS = 0
-    if max_size <= 0:
-        _CLOSURE_MEMO.clear()
-    else:
-        while len(_CLOSURE_MEMO) > max_size:
-            del _CLOSURE_MEMO[next(iter(_CLOSURE_MEMO))]
+    while 0 < max_size < len(_CLOSURE_MEMO):
+        del _CLOSURE_MEMO[next(iter(_CLOSURE_MEMO))]
 
 
 def _evict_closure_memo() -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..errors import LinkError, TypeError_, UnsupportedConstructError
 from .ir import IRProgram
@@ -22,35 +22,21 @@ from .preprocessor import preprocess
 __all__ = ["link_sources", "compile_source", "source_digest"]
 
 
-def compile_source(
-    source: str,
-    filename: str = "<input>",
-    entry: str = "main",
-    include_dirs: Sequence[str] = (),
-    predefined: Optional[Dict[str, str]] = None,
-    delete_unused_globals: bool = True,
-) -> IRProgram:
+def compile_source(source: str, filename: str = "<input>",
+                   entry: str = "main") -> IRProgram:
     """Preprocess, parse, type-check and lower a single source text."""
-    return link_sources([(filename, source)], entry=entry,
-                        include_dirs=include_dirs, predefined=predefined,
-                        delete_unused_globals=delete_unused_globals)
+    return link_sources([(filename, source)], entry=entry)
 
 
-def link_sources(
-    sources: Sequence[tuple],
-    entry: str = "main",
-    include_dirs: Sequence[str] = (),
-    predefined: Optional[Dict[str, str]] = None,
-    delete_unused_globals: bool = True,
-) -> IRProgram:
+def link_sources(sources: Sequence[tuple],
+                 entry: str = "main") -> IRProgram:
     """Link several (filename, source-text) units into one IR program."""
     if not sources:
         raise LinkError("no source files provided")
     lowerer = Lowerer()
     block_ids = itertools.count(1)
     for filename, text in sources:
-        preprocessed = preprocess(text, filename, include_dirs=include_dirs,
-                                  predefined=predefined)
+        preprocessed = preprocess(text, filename)
         try:
             unit = parse(preprocessed, filename, block_ids)
             lowerer.add_unit(unit)
@@ -61,7 +47,7 @@ def link_sources(
                 "construct nested too deeply for the frontend",
                 filename, 0, 0) from exc
     try:
-        return lowerer.finish(entry, delete_unused_globals)
+        return lowerer.finish(entry)
     except RecursionError as exc:
         raise UnsupportedConstructError(
             "construct nested too deeply for the frontend") from exc

@@ -40,7 +40,7 @@ from .c_types import (
     usual_arithmetic_conversion,
 )
 
-__all__ = ["lower", "Lowerer"]
+__all__ = ["Lowerer"]
 
 WAIT_INTRINSICS = frozenset({"__ASTREE_wait_for_clock", "wait_for_clock_tick"})
 ASSUME_INTRINSIC = "__ASTREE_known_fact"
@@ -63,12 +63,6 @@ _BUILTIN_TYPES: Dict[str, CType] = {
     "long double": DOUBLE,  # target maps long double to binary64
     "_Bool": BOOL,
 }
-
-
-def lower(unit: A.TranslationUnit, entry: str = "main",
-          delete_unused_globals: bool = True) -> I.IRProgram:
-    """Type-check and lower a translation unit into an IR program."""
-    return Lowerer().lower_unit(unit, entry, delete_unused_globals)
 
 
 @dataclass
@@ -119,11 +113,6 @@ class Lowerer:
 
     # -- public API ----------------------------------------------------------
 
-    def lower_unit(self, unit: A.TranslationUnit, entry: str = "main",
-                   delete_unused_globals: bool = True) -> I.IRProgram:
-        self.add_unit(unit)
-        return self.finish(entry, delete_unused_globals)
-
     def add_unit(self, unit: A.TranslationUnit) -> None:
         """Add one translation unit (the linker calls this repeatedly)."""
         for decl in unit.decls:
@@ -136,7 +125,7 @@ class Lowerer:
             else:  # pragma: no cover - parser produces only the above
                 raise TypeError_(f"unexpected declaration {decl!r}")
 
-    def finish(self, entry: str = "main", delete_unused_globals: bool = True) -> I.IRProgram:
+    def finish(self, entry: str = "main") -> I.IRProgram:
         # Lower function bodies (two-phase so forward calls type-check).
         for name, fdef in self._func_defs.items():
             if fdef.body is not None:
@@ -151,8 +140,7 @@ class Lowerer:
             raise TypeError_(f"entry function {entry!r} is not defined")
         self._program.functions = self._functions
         self._reject_recursion()
-        if delete_unused_globals:
-            self._delete_unused_globals()
+        self._delete_unused_globals()
         sids = itertools.count()
         for name in sorted(self._functions):
             for s in I.iter_stmts(self._functions[name].body or ()):

@@ -69,7 +69,7 @@ class SubprocessRunner:
 
     def run_spec(self, spec: CaseSpec) -> CaseOutcome:
         job = {"spec": spec.to_json()}
-        policy = RestartPolicy(base_s=_INFRA_BACKOFF_S, jitter=0.0)
+        policy = RestartPolicy(base_s=_INFRA_BACKOFF_S)
         started = time.perf_counter()
 
         def outcome(kind: str, **fields) -> CaseOutcome:

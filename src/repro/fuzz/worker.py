@@ -27,7 +27,7 @@ from typing import Dict
 from ..analysis import analyze
 from ..config import AnalyzerConfig
 from ..errors import ReproError
-from ..ipc.frames import recv_frame, send_frame
+from ..ipc.frames import send_frame
 from ..ipc.process import claim_frame_channel
 from .case import BuiltCase, CaseSpec, build_case
 from .oracle import run_oracle
@@ -132,8 +132,8 @@ def execute_spec(spec: CaseSpec) -> Dict:
 
 
 def main() -> int:
-    inp, out = claim_frame_channel()
-    job = recv_frame(inp)
+    reader, out = claim_frame_channel()
+    job = reader.recv_frame()
     if job is None:
         return 1  # the runner went away before sending the case
     send_frame(out, execute_spec(CaseSpec.from_json(job["spec"])))

@@ -3,18 +3,16 @@
 Every message is a 4-byte big-endian length followed by that many bytes
 of UTF-8 JSON (one object per frame).  Length prefixes make truncation
 *detectable*: a peer killed mid-write leaves a frame whose declared
-length exceeds the bytes that follow, which the readers here report as a
+length exceeds the bytes that follow, which the reader reports as a
 :class:`ProtocolError` instead of blocking forever or mis-parsing the
-next frame.  The format carries the serve daemon's worker pipes
-(:mod:`repro.serve.supervise` / :mod:`repro.serve.worker`), where it
-rides on claimed stdin/stdout.
+next frame.  The format carries every channel between analyzer
+processes: the serve daemon's Unix socket (:mod:`repro.serve.server` /
+:mod:`repro.serve.client`) and the worker pipes of
+:mod:`repro.ipc.process`, where it rides on claimed stdin/stdout.
 
-Two readers cover the two ends:
-
-* :func:`recv_frame` — blocking read from a buffered binary stream
-  (the worker's stdin);
-* :class:`FdFrameReader` — deadline-bounded ``select``-based reader over
-  a raw file descriptor (the serve supervisor's hard job timeout).
+Writers call :func:`encode_frame` (or :func:`send_frame` on a buffered
+stream); every reader is one :class:`FdFrameReader` over a raw file
+descriptor, with an optional ``select`` deadline.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import time
 from typing import Dict, Optional
 
 __all__ = ["FdFrameReader", "FrameTimeout", "MAX_FRAME", "ProtocolError",
-           "encode_frame", "read_exact", "recv_frame", "send_frame"]
+           "encode_frame", "send_frame"]
 
 # One frame may carry whole translation units or a full result payload;
 # bound it generously (64 MiB) so a runaway peer cannot exhaust
@@ -54,82 +52,36 @@ def encode_frame(message: Dict) -> bytes:
     return _FRAME_HEADER.pack(len(data)) + data
 
 
-def _decode_body(body: bytes) -> Dict:
-    try:
-        msg = json.loads(body)
-    except ValueError as e:
-        raise ProtocolError(f"bad JSON in frame: {e}")
-    if not isinstance(msg, dict):
-        raise ProtocolError("frame is not a JSON object")
-    return msg
-
-
 def send_frame(stream, message: Dict) -> None:
-    """Write one length-prefixed JSON frame to a binary stream and
-    flush it (pipes and socket makefiles are fully buffered)."""
+    """Write one frame to a buffered binary stream and flush it (pipes
+    are fully buffered)."""
     stream.write(encode_frame(message))
     stream.flush()
 
 
-def read_exact(stream, n: int) -> bytes:
-    """Read exactly n bytes from a buffered binary stream, tolerating
-    short reads (pipes return what is available, not what was asked)."""
-    chunks = []
-    got = 0
-    while got < n:
-        chunk = stream.read(n - got)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
-
-
-def recv_frame(stream) -> Optional[Dict]:
-    """Read one length-prefixed frame.  Returns None on clean EOF (no
-    header bytes at all); raises ProtocolError on a half-written frame
-    — the tell of a peer that died mid-write."""
-    header = read_exact(stream, _FRAME_HEADER.size)
-    if not header:
-        return None
-    if len(header) < _FRAME_HEADER.size:
-        raise ProtocolError("truncated frame header (peer died mid-write)")
-    (length,) = _FRAME_HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise ProtocolError("frame exceeds size limit")
-    body = read_exact(stream, length)
-    if len(body) < length:
-        raise ProtocolError(
-            f"truncated frame body ({len(body)} of {length} bytes)")
-    return _decode_body(body)
-
-
 class FdFrameReader:
-    """Deadline-bounded frame reader over a raw file descriptor.
+    """The frame reader: reads frames from a raw file descriptor (a
+    pipe or a socket) into its own buffer.
 
-    Used by the serve supervisor to enforce a hard per-job timeout on
-    the worker pipe: each read ``select``s with the remaining budget and
-    raises :class:`FrameTimeout` on overrun.  Raises
-    :class:`ProtocolError` on half-written frames and returns ``None``
-    on clean EOF, mirroring :func:`recv_frame`.
+    :meth:`recv_frame` returns ``None`` on clean EOF (no header bytes
+    at all), raises :class:`ProtocolError` on a half-written, oversized
+    or non-JSON frame — the tell of a peer that died mid-write — and
+    :class:`FrameTimeout` when a deadline passes first.
     """
 
     def __init__(self, fd: int) -> None:
         self.fd = fd
         self._buf = b""
 
-    def read_exact(self, n: int, deadline: Optional[float]) -> bytes:
+    def _read_exact(self, n: int, deadline: Optional[float]) -> bytes:
         while len(self._buf) < n:
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise FrameTimeout("frame read deadline exceeded")
-                wait = min(0.2, remaining)
-            else:
-                wait = 0.2
-            ready, _, _ = select.select([self.fd], [], [], wait)
-            if not ready:
-                continue
+                ready, _, _ = select.select([self.fd], [], [], remaining)
+                if not ready:
+                    continue
             chunk = os.read(self.fd, 1 << 16)
             if not chunk:
                 break  # EOF: the caller decides if that is clean
@@ -137,8 +89,10 @@ class FdFrameReader:
         out, self._buf = self._buf[:n], self._buf[n:]
         return out
 
-    def recv_frame(self, deadline: Optional[float]) -> Optional[Dict]:
-        header = self.read_exact(_FRAME_HEADER.size, deadline)
+    def recv_frame(self, deadline: Optional[float] = None) -> Optional[Dict]:
+        """Read one frame, by the ``time.monotonic()`` ``deadline`` if
+        one is given."""
+        header = self._read_exact(_FRAME_HEADER.size, deadline)
         if not header:
             return None
         if len(header) < _FRAME_HEADER.size:
@@ -147,8 +101,14 @@ class FdFrameReader:
         (length,) = _FRAME_HEADER.unpack(header)
         if length > MAX_FRAME:
             raise ProtocolError(f"oversized frame ({length} bytes)")
-        body = self.read_exact(length, deadline)
+        body = self._read_exact(length, deadline)
         if len(body) < length:
             raise ProtocolError(
                 f"truncated frame body ({len(body)} of {length} bytes)")
-        return _decode_body(body)
+        try:
+            msg = json.loads(body)
+        except ValueError as e:
+            raise ProtocolError(f"bad JSON in frame: {e}")
+        if not isinstance(msg, dict):
+            raise ProtocolError("frame is not a JSON object")
+        return msg

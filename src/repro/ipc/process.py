@@ -23,7 +23,6 @@ reply.  Both sides share:
 from __future__ import annotations
 
 import os
-import random
 import re
 import signal
 import subprocess
@@ -83,13 +82,13 @@ def child_env() -> Dict[str, str]:
 
 
 def claim_frame_channel():
-    """Child side: returns ``(inp, out)`` binary streams on the original
-    stdin and stdout, then points fd 1 and ``sys.stdout`` at stderr."""
+    """Child side: returns ``(reader, out)`` — a frame reader on the
+    original stdin and a binary stream on the original stdout — then
+    points fd 1 and ``sys.stdout`` at stderr."""
     out = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)
     sys.stdout = sys.stderr
-    inp = os.fdopen(os.dup(0), "rb")
-    return inp, out
+    return FdFrameReader(0), out
 
 
 class WorkerProcess:
@@ -194,27 +193,23 @@ class RestartPolicy:
     """Delay schedule for restarting a repeatedly failing worker.
 
     ``next_delay()`` returns ``base * factor**failures`` capped at
-    ``cap``, stretched by up to ``jitter`` (a fraction, e.g. 0.5 adds
-    0-50%), and counts the failure.  ``reset()`` is called after a
-    success so an isolated crash does not inflate later delays.  The
-    jitter comes from a seeded RNG, so a test that pins the seed sees
-    the same delays on every run.
+    ``cap`` and counts the failure.  ``reset()`` is called after a
+    success so an isolated crash does not inflate later delays.  One
+    supervisor restarts one worker, so there is no herd of clients to
+    spread out with jitter.
     """
 
     def __init__(self, base_s: float = 0.05, cap_s: float = 5.0,
-                 factor: float = 2.0, jitter: float = 0.5,
-                 seed: Optional[int] = None):
+                 factor: float = 2.0):
         self.base_s = base_s
         self.cap_s = cap_s
         self.factor = factor
-        self.jitter = jitter
         self.failures = 0
-        self._rng = random.Random(seed)
 
     def next_delay(self) -> float:
         delay = min(self.cap_s, self.base_s * (self.factor ** self.failures))
         self.failures += 1
-        return delay * (1.0 + self.jitter * self._rng.random())
+        return delay
 
     def reset(self) -> None:
         self.failures = 0

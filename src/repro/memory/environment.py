@@ -89,14 +89,6 @@ class MemoryEnv:
             return self
         return MemoryEnv(self.cells.remove(cid), self.clock)
 
-    def remove_many(self, cids) -> "MemoryEnv":
-        if self.bottom:
-            return self
-        cells = self.cells
-        for cid in cids:
-            cells = cells.remove(cid)
-        return MemoryEnv(cells, self.clock)
-
     def to_bottom(self) -> "MemoryEnv":
         return MemoryEnv(PMap.empty(), self.clock, bottom=True)
 

@@ -20,7 +20,9 @@ is that the physical-identity fast paths fire far more often.
 
 The pool is process-global and bounded: when it reaches its capacity
 (:data:`POOL_CAPACITY`) it is simply cleared — interning is a cache,
-and dropping it costs sharing, never correctness.
+and dropping it costs sharing, never correctness.  Disabling it (a
+traced run, a certificate walk) stops it being consulted and filled
+but keeps its entries and counters, so a long-lived process stays warm.
 """
 
 from __future__ import annotations
@@ -43,13 +45,14 @@ _HITS: int = 0
 _MISSES: int = 0
 
 
-def configure(max_size: int) -> None:
-    """Set the pool capacity; 0 (or negative) disables interning."""
+def configure(max_size: int) -> bool:
+    """Set the pool capacity; 0 (or negative) disables interning,
+    keeping the entries.  Returns whether interning was enabled."""
     global _MAX, _ENABLED
+    was_enabled = _ENABLED
     _MAX = max_size
     _ENABLED = max_size > 0
-    if not _ENABLED:
-        _POOL.clear()
+    return was_enabled
 
 
 def clear() -> None:

@@ -6,8 +6,8 @@ single-run throughput — is the practical bottleneck.  This package
 keeps the expensive state warm across requests:
 
 * :mod:`.server` / :mod:`.client` — the ``astree-repro serve`` daemon
-  (newline-delimited JSON over a Unix socket: submit/status/result/
-  stats/shutdown) and its submit-and-wait client;
+  (length-prefixed JSON frames over a Unix socket: ping/submit/stats/
+  health/shutdown) and its submit-and-wait client;
 * :mod:`.jobs` — the bounded in-process job queue with per-job
   supervisor budgets;
 * :mod:`.cache` — the cross-run fixpoint cache: per-statement

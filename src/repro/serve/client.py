@@ -1,9 +1,10 @@
 """Client side of the analysis daemon: ``astree-repro client``.
 
 :class:`ServeClient` is a thin synchronous wrapper over the protocol —
-connect, send one JSON line, read one JSON line.  Transport failures
-(connect refused, timeout, the daemon dying mid-response with an EOF or
-ECONNRESET) surface as the typed, always-retryable
+connect, send one frame of :mod:`repro.ipc.frames`, read one frame, with
+``timeout`` as the deadline of each round trip.  Transport failures
+(connect refused, timeout, the daemon dying mid-response with an EOF,
+ECONNRESET or a truncated frame) surface as the typed, always-retryable
 :class:`~repro.errors.ServeConnectionError`, never as raw socket
 errors: the analyzer is deterministic and results are cached by
 content, so resubmitting the same request is always safe.
@@ -21,7 +22,8 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ServeConnectionError
-from .protocol import ProtocolError, recv_message, send_message
+from ..ipc.frames import (FdFrameReader, FrameTimeout, ProtocolError,
+                          encode_frame)
 
 __all__ = ["ServeClient", "wait_until_ready"]
 
@@ -51,16 +53,11 @@ class ServeClient:
             raise ServeConnectionError(
                 f"cannot connect to daemon at {self.socket_path}: {e}")
         self._sock = sock
-        self._reader = sock.makefile("rb")
+        self._reader = FdFrameReader(sock.fileno())
 
     def close(self) -> None:
-        try:
-            if self._reader is not None:
-                self._reader.close()
-            if self._sock is not None:
-                self._sock.close()
-        except OSError:
-            pass
+        if self._sock is not None:
+            self._sock.close()
         self._sock = None
         self._reader = None
 
@@ -77,10 +74,12 @@ class ServeClient:
         next call through a retry path reconnects."""
         if self._sock is None:
             self._connect()
+        deadline = (time.monotonic() + self.timeout
+                    if self.timeout is not None else None)
         try:
-            send_message(self._sock, message)
-            reply = recv_message(self._reader)
-        except socket.timeout:
+            self._sock.sendall(encode_frame(message))
+            reply = self._reader.recv_frame(deadline)
+        except (socket.timeout, FrameTimeout):
             self.close()
             raise ServeConnectionError(
                 f"request timed out after {self.timeout}s "
@@ -114,18 +113,18 @@ class ServeClient:
         return self.request({"op": "shutdown"})
 
     def submit(self, sources: List[Tuple[str, str]], entry: str = "main",
-               config: Optional[Dict] = None, wait: bool = True,
-               bypass_cache: bool = False, retries: int = 0,
-               backoff_s: float = 0.25) -> Dict:
-        """Submit one job.  With ``retries > 0``, connection deaths and
-        retryable daemon refusals (queue full, draining) are retried
-        after the server's ``retry_after_s`` hint (or exponential
-        backoff), reconnecting as needed.  Structured job failures
+               config: Optional[Dict] = None, bypass_cache: bool = False,
+               retries: int = 0, backoff_s: float = 0.25) -> Dict:
+        """Submit one job and wait for its result envelope.  With
+        ``retries > 0``, connection deaths and retryable daemon refusals
+        (queue full, draining) are retried after the server's
+        ``retry_after_s`` hint (or exponential backoff), reconnecting as
+        needed.  Structured job failures
         (``poisoned``, analysis errors) are returned as-is — they are
         answers, not transport faults."""
         message = {
             "op": "submit", "sources": [list(p) for p in sources],
-            "entry": entry, "config": config or {}, "wait": wait,
+            "entry": entry, "config": config or {},
             "bypass_cache": bypass_cache,
         }
         attempt = 0

@@ -1,11 +1,12 @@
 """The daemon's in-process job queue and the job/config wire helpers.
 
 One FIFO queue, one dispatcher: analysis runs are CPU-bound and share
-per-worker warm state (intern pools, closure memo, the active analysis
-context used by journal unpickling), so running them sequentially
-through a single supervised worker is both the fast and the correct
-arrangement — warm state stays coherent, and a submit never makes an
-earlier job slower.  Backpressure is a bounded queue: submits beyond
+per-worker warm state (intern pool, closure memo, frontend cache,
+journal store), so running them sequentially through a single
+supervised worker is both the fast and the correct arrangement — warm
+state stays coherent, and a submit never makes an earlier job slower.
+Every submit waits for its job, so the queue keeps no registry of
+finished jobs.  Backpressure is a bounded queue: submits beyond
 ``max_queue`` pending jobs are refused with a retryable error response
 (plus a ``retry_after_s`` hint) rather than buffered without limit.
 
@@ -81,16 +82,14 @@ class QueueFull(Exception):
 
 
 class Job:
-    """One analysis request moving through queued -> running -> done or
-    failed.  ``envelope`` is the protocol result envelope once done —
-    for failures too: a failed job's envelope is the structured error
-    response (``ok: false`` plus ``error``/``poisoned``/``retryable``
-    fields), so clients get machine-readable failure detail, not just a
-    message string."""
+    """One analysis request.  ``envelope`` is the protocol result
+    envelope once ``done`` is set — for failures too: a failed job's
+    envelope is the structured error response (``ok: false`` plus
+    ``error``/``poisoned``/``retryable`` fields), so clients get
+    machine-readable failure detail, not just a message string."""
 
     __slots__ = ("job_id", "sources", "entry", "config_overrides",
-                 "bypass_cache", "state", "envelope", "error", "done",
-                 "enqueued_depth")
+                 "bypass_cache", "envelope", "done", "enqueued_depth")
 
     def __init__(self, job_id: str, sources: List[Tuple[str, str]],
                  entry: str, config_overrides: Dict,
@@ -100,9 +99,7 @@ class Job:
         self.entry = entry
         self.config_overrides = config_overrides
         self.bypass_cache = bypass_cache
-        self.state = "queued"
         self.envelope: Optional[Dict] = None
-        self.error: Optional[str] = None
         self.done = threading.Event()
         # Queue depth observed at submit time (surfaced per request).
         self.enqueued_depth = 0
@@ -117,35 +114,23 @@ class Job:
         }
 
     def finish(self, envelope: Dict) -> None:
+        """Settle the job with its envelope (``ok`` true or false)."""
         self.envelope = envelope
-        self.state = "done"
         self.done.set()
 
     def fail(self, message: str, **extra) -> None:
-        self.error = message
-        self.envelope = dict({"ok": False, "error": message,
-                              "job_id": self.job_id}, **extra)
-        self.state = "failed"
-        self.done.set()
-
-    def fail_envelope(self, envelope: Dict) -> None:
-        self.error = str(envelope.get("error", "job failed"))
-        self.envelope = envelope
-        self.state = "failed"
-        self.done.set()
+        self.finish(dict({"ok": False, "error": message,
+                          "job_id": self.job_id}, **extra))
 
 
 class JobQueue:
-    """Bounded FIFO of Jobs with a registry for status/result lookups."""
+    """Bounded FIFO of Jobs, drained by one dispatcher."""
 
-    def __init__(self, max_queue: int = 64, max_finished: int = 256):
+    def __init__(self, max_queue: int = 64):
         self.max_queue = max_queue
-        self.max_finished = max_finished
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
         self._pending: "deque[Job]" = deque()
-        self._jobs: Dict[str, Job] = {}
-        self._finished_order: "deque[str]" = deque()
         self._ids = itertools.count(1)
         self._closed = False
         self.running: Optional[Job] = None
@@ -169,7 +154,6 @@ class JobQueue:
                     f"queue full ({self.max_queue} jobs pending)")
             job.enqueued_depth = len(self._pending)
             self._pending.append(job)
-            self._jobs[job.job_id] = job
             self.submitted += 1
             self._available.notify()
 
@@ -182,7 +166,6 @@ class JobQueue:
             if not self._pending:
                 return None
             job = self._pending.popleft()
-            job.state = "running"
             self.running = job
             return job
 
@@ -190,14 +173,10 @@ class JobQueue:
         with self._lock:
             if self.running is job:
                 self.running = None
-            if job.state == "failed":
-                self.failed += 1
-            else:
+            if job.envelope.get("ok"):
                 self.completed += 1
-            self._finished_order.append(job.job_id)
-            while len(self._finished_order) > self.max_finished:
-                old = self._finished_order.popleft()
-                self._jobs.pop(old, None)
+            else:
+                self.failed += 1
 
     def cancel_pending(self, reason: str) -> int:
         """Fail every still-queued job with a retryable cancellation
@@ -210,12 +189,7 @@ class JobQueue:
             with self._lock:
                 self.failed += 1
                 self.cancelled += 1
-                self._finished_order.append(job.job_id)
         return len(cancelled)
-
-    def get(self, job_id: str) -> Optional[Job]:
-        with self._lock:
-            return self._jobs.get(job_id)
 
     def depth(self) -> int:
         with self._lock:

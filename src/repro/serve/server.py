@@ -4,8 +4,16 @@ One parent process, one Unix-domain socket, one *supervised analysis
 worker subprocess*.  Connections get a thread each (protocol handling
 is I/O-bound and cheap); analysis jobs run sequentially through the
 worker so its process-global warm state — value intern pool, octagon
-closure memo, the active analysis context journal unpickling resolves
-against — stays coherent.
+closure memo, frontend cache, journal store — stays coherent.
+
+The socket speaks the length-prefixed JSON frames of
+:mod:`repro.ipc.frames`, the worker pipe's format: one request frame,
+one reply frame, any number per connection, answered in order.
+Requests carry an ``op``; replies carry ``ok`` (bool) plus op-specific
+fields, or ``ok: false`` with ``error``.  The ops (see "Protocol" in
+docs/usage.md) are ``ping``, ``submit`` (waits for the job and answers
+with its result envelope), ``stats``, ``health`` and ``shutdown``;
+anything else gets an ``unknown op`` error reply.
 
 The crash-isolation split (ISSUE 7): the parent owns everything that
 must survive a crashing job — the accepted queue, the exact-result
@@ -13,7 +21,7 @@ store, the poison quarantine — while the worker subprocess owns the
 warm per-process analysis state (frontend cache, journal store, intern
 pools).  A job that segfaults, OOMs, or wedges the worker kills *one
 subprocess*: the supervisor (repro.serve.supervise) restarts it with
-seeded exponential backoff, retries the in-flight job once on a fresh
+exponential backoff, retries the in-flight job once on a fresh
 worker, and quarantines request keys that kill workers twice under one
 stable crash signature.  There is no in-process fallback: every job
 runs in the worker.
@@ -67,14 +75,20 @@ from typing import Dict, List, Optional
 from ..config import AnalyzerConfig
 from ..errors import ServeError
 from ..frontend import source_digest
+from ..ipc.frames import FdFrameReader, ProtocolError, encode_frame
 from .fingerprints import request_key
 from .jobs import (Job, JobQueue, QueueFull, decode_overrides,
                    effective_config)
-from .protocol import ProtocolError, error_response, recv_message, send_message
 from .store import ResultStore
 from .supervise import PoisonRegistry, WorkerCrashed, WorkerSupervisor
 
 __all__ = ["AnalysisServer", "ServeConfig"]
+
+
+def error_response(message: str, **extra) -> Dict:
+    """A structured refusal: ``{"ok": false, "error": ...}`` plus any
+    machine-readable detail (``retryable``, ``retry_after_s``, ...)."""
+    return dict({"ok": False, "error": message}, **extra)
 
 
 @dataclasses.dataclass
@@ -93,9 +107,6 @@ class ServeConfig:
     job_hard_timeout_s: Optional[float] = None
     # Graceful-drain budget for the in-flight job on shutdown.
     drain_deadline_s: float = 10.0
-    # Seed of the worker restart backoff jitter (deterministic chaos
-    # tests).
-    backoff_seed: Optional[int] = None
     # Journal-warmed result validation (repro.certify): "off",
     # "sampled" (deterministic 1-in-8 by source digest), or "all".
     # A warm result that fails certification is never cached or
@@ -114,8 +125,7 @@ class AnalysisServer:
         self.results = ResultStore(config.cache_dir)
         self.poison = PoisonRegistry(config.cache_dir)
         self.executor = WorkerSupervisor(
-            cache_dir=config.cache_dir, backoff_seed=config.backoff_seed,
-            certify_mode=config.certify_serve)
+            cache_dir=config.cache_dir, certify_mode=config.certify_serve)
         self.started_at = time.monotonic()
         self._stop = threading.Event()
         self._draining = threading.Event()
@@ -253,7 +263,7 @@ class AnalysisServer:
                     t0: float) -> None:
         """Account a worker envelope and settle the job."""
         if not reply.get("ok"):
-            job.fail_envelope(dict(reply, job_id=job.job_id))
+            job.finish(dict(reply, job_id=job.job_id))
             return
         payload = reply.get("result") or {}
         wall = time.perf_counter() - t0
@@ -308,18 +318,6 @@ class AnalysisServer:
                     "uptime_s": time.monotonic() - self.started_at}
         if op == "submit":
             return self._op_submit(msg)
-        if op == "status":
-            job = self.queue.get(str(msg.get("job_id")))
-            if job is None:
-                return error_response("unknown job_id")
-            return {"ok": True, "job_id": job.job_id, "state": job.state,
-                    "queue_depth": self.queue.depth()}
-        if op == "result":
-            job = self.queue.get(str(msg.get("job_id")))
-            if job is None:
-                return error_response("unknown job_id")
-            job.done.wait()
-            return job.envelope
         if op == "stats":
             return {"ok": True, "stats": self.stats()}
         if op == "health":
@@ -363,14 +361,11 @@ class AnalysisServer:
         except QueueFull as e:
             return error_response(str(e), retryable=True,
                                   retry_after_s=self._retry_after_hint())
-        if not msg.get("wait", True):
-            return {"ok": True, "job_id": job.job_id,
-                    "queue_depth": job.enqueued_depth}
         job.done.wait()
         return job.envelope
 
     def stats(self) -> Dict:
-        worker = self.executor.cache_stats() or {}
+        worker = self.executor.worker_stats
         warm_avg = self.warm_wall_s / self.warm_runs if self.warm_runs else 0.0
         cold_avg = self.cold_wall_s / self.cold_runs if self.cold_runs else 0.0
         return {
@@ -420,16 +415,16 @@ class AnalysisServer:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         try:
-            reader = conn.makefile("rb")
+            reader = FdFrameReader(conn.fileno())
             while not self._stop.is_set():
                 try:
-                    msg = recv_message(reader)
+                    msg = reader.recv_frame()
                 except ProtocolError as e:
-                    send_message(conn, error_response(str(e)))
+                    conn.sendall(encode_frame(error_response(str(e))))
                     return
                 if msg is None:
                     return
-                send_message(conn, self._handle(msg))
+                conn.sendall(encode_frame(self._handle(msg)))
         except OSError:
             pass  # client went away; nothing to do
         finally:

@@ -8,7 +8,7 @@ deadline, the stderr capture and the death detection; this module is
 the serve-specific policy on top:
 
 * :class:`WorkerSupervisor` — the restart loop: spawns workers, paces
-  respawns with seeded exponential backoff + jitter
+  respawns with exponential backoff
   (:class:`repro.ipc.process.RestartPolicy`), verifies each spawn with a
   ping, and converts a death into a :class:`WorkerCrashed` carrying a
   *stable crash signature* (:func:`repro.ipc.process.crash_signature`
@@ -67,15 +67,13 @@ class WorkerSupervisor:
     SPAWN_PING_TIMEOUT_S = 120.0
 
     def __init__(self, cache_dir: Optional[str] = None,
-                 backoff_seed: Optional[int] = None,
                  certify_mode: str = "off"):
         self._args: List[str] = []
         if cache_dir:
             self._args += ["--cache-dir", cache_dir]
         if certify_mode != "off":
             self._args += ["--certify", certify_mode]
-        self.policy = RestartPolicy(base_s=RESTART_BACKOFF_S,
-                                    seed=backoff_seed)
+        self.policy = RestartPolicy(base_s=RESTART_BACKOFF_S)
         self._lock = threading.Lock()
         self._worker: Optional[WorkerProcess] = None
         self._next_spawn_at = 0.0
@@ -85,6 +83,8 @@ class WorkerSupervisor:
         self.crashes = 0
         self.last_exit: Optional[str] = None
         self.last_signature: Optional[str] = None
+        # The warm caches' counters from the latest reply (spawn ping
+        # or job), so reading them never waits on a running job.
         self.worker_stats: Dict = {}
 
     # -- spawning -------------------------------------------------------------
@@ -123,6 +123,7 @@ class WorkerSupervisor:
             worker.kill()
             worker.close()
             raise ServeError(f"analysis worker ping failed: {reply!r}")
+        self.worker_stats = reply.get("worker_stats", {})
         self._worker = worker
         return worker
 
@@ -142,9 +143,7 @@ class WorkerSupervisor:
             except WorkerDied as e:
                 raise self._crashed(e)
             self.policy.reset()
-            stats = reply.pop("worker_stats", None)
-            if stats:
-                self.worker_stats = stats
+            self.worker_stats = reply.pop("worker_stats", self.worker_stats)
             return reply
 
     def _crashed(self, died: WorkerDied) -> WorkerCrashed:
@@ -175,27 +174,6 @@ class WorkerSupervisor:
         if worker is not None:
             worker.kill()
 
-    def request_stats(self) -> Optional[Dict]:
-        """Live worker cache stats, if the worker is idle (non-blocking
-        try-lock: a stats op must never queue behind a long job)."""
-        if not self._lock.acquire(blocking=False):
-            return None
-        try:
-            if self._worker is None or not self._worker.alive():
-                return None
-            try:
-                reply = self._worker.request({"op": "stats"},
-                                             timeout_s=10.0)
-            except WorkerDied:
-                self._worker = None
-                return None
-            stats = reply.get("worker_stats")
-            if stats:
-                self.worker_stats = stats
-            return stats
-        finally:
-            self._lock.release()
-
     def shutdown(self) -> None:
         self._closing = True
         worker = self._worker
@@ -214,9 +192,6 @@ class WorkerSupervisor:
             "last_exit": self.last_exit,
             "last_crash_signature": self.last_signature,
         }
-
-    def cache_stats(self) -> Dict:
-        return self.request_stats() or self.worker_stats or {}
 
 
 class PoisonRegistry:

@@ -13,7 +13,9 @@ corrupt the framing.
 
 Frame ops: ``run`` (a job; replies with the result envelope — analysis
 *errors* are caught and returned as ``ok: false`` envelopes, only a
-process death is a crash), ``ping`` and ``stats``.  EOF on stdin is the
+process death is a crash) and ``ping`` (the supervisor's spawn check).
+Both replies carry ``worker_stats``, the warm caches' counters, so the
+daemon's ``stats`` never has to ask a busy worker.  EOF on stdin is the
 cue to exit.
 
 :class:`JobExecutor` is the actual pipeline (frontend cache ->
@@ -44,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..config import AnalyzerConfig
 from ..frontend import source_digest
-from ..ipc.frames import ProtocolError, encode_frame, recv_frame, send_frame
+from ..ipc.frames import ProtocolError, encode_frame, send_frame
 from ..ipc.process import claim_frame_channel
 from .cache import CrossRunCache, FrontendCache
 from .fingerprints import result_digest
@@ -64,14 +66,10 @@ class JobExecutor:
                  certify_mode: str = "off"):
         self.journals = JournalStore(cache_dir)
         self.frontend = FrontendCache()
-        self.jobs_run = 0
-        self.journal_harvests = 0
         # Journal-warmed result validation (repro.certify): "off",
         # "sampled" (deterministic 1-in-8 by source digest), or "all".
         assert certify_mode in ("off", "sampled", "all")
         self.certify_mode = certify_mode
-        self.certified_runs = 0
-        self.certify_rejections = 0
 
     def run(self, msg: Dict) -> Dict:
         """Execute one ``run`` frame; always returns an envelope.
@@ -90,7 +88,6 @@ class JobExecutor:
         from ..frontend import compile_source, link_sources
 
         t0 = time.perf_counter()
-        self.jobs_run += 1
         sources: List[Tuple[str, str]] = [
             (str(n), str(t)) for n, t in msg["sources"]]
         entry = str(msg.get("entry", "main"))
@@ -141,7 +138,6 @@ class JobExecutor:
                 # then certify the cold run too — a second failure is
                 # a real analysis bug and fails the job.
                 rejected = True
-                self.certify_rejections += 1
                 print(f"serve-worker: journal-warmed result for "
                       f"{src_digest[:12]} failed certification "
                       f"({e}); re-running cold", file=sys.stderr,
@@ -155,14 +151,10 @@ class JobExecutor:
                                          cross_run=cross_run)
                 certify_result(result, sources)
                 certified = True
-        if certified:
-            self.certified_runs += 1
 
         record = result.to_json()
         harvested = (cross_run is not None
                      and cross_run.store_harvest(result))
-        if harvested:
-            self.journal_harvests += 1
         return {
             "ok": True, "job_id": job_id, "cached": False,
             "digest": result_digest(record), "result": record,
@@ -185,19 +177,15 @@ class JobExecutor:
         return int(src_digest[:4], 16) % 8 == 0
 
     def stats(self) -> Dict:
+        """The warm caches' counters (``worker_stats`` on every reply)."""
         from ..domains.octagon import closure_memo_stats
 
         ch, csize, cev = closure_memo_stats()
         return {
-            "pid": os.getpid(),
-            "jobs_run": self.jobs_run,
             "frontend_cache": self.frontend.stats(),
             "journal_store": self.journals.stats(),
             "closure_memo": {"hits": ch, "entries": csize,
                              "evictions": cev},
-            "certify": {"mode": self.certify_mode,
-                        "certified": self.certified_runs,
-                        "rejections": self.certify_rejections},
         }
 
 
@@ -253,11 +241,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "invariant certification before returning")
     args = parser.parse_args(argv)
 
-    inp, out = claim_frame_channel()
+    reader, out = claim_frame_channel()
     executor = JobExecutor(args.cache_dir, certify_mode=args.certify)
     while True:
         try:
-            msg = recv_frame(inp)
+            msg = reader.recv_frame()
         except ProtocolError as e:
             print(f"serve-worker: bad frame from daemon: {e}",
                   file=sys.stderr, flush=True)
@@ -266,8 +254,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0  # daemon closed our stdin: clean shutdown
         op = msg.get("op")
         if op == "ping":
-            send_frame(out, {"ok": True, "pid": os.getpid()})
-        elif op == "stats":
             send_frame(out, {"ok": True, "worker_stats": executor.stats()})
         elif op == "run":
             _chaos_before_run(msg)

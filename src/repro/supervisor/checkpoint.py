@@ -138,6 +138,8 @@ def load_checkpoint(path: str, expected_fingerprint: str) -> Checkpoint:
             f"checkpoint {path} has version {payload.get('version')!r}, "
             f"this analyzer writes version {CHECKPOINT_VERSION}")
     cp = payload["checkpoint"]
+    if not isinstance(cp, Checkpoint):
+        raise CheckpointError(f"corrupt checkpoint {path}: bad payload")
     if cp.fingerprint != expected_fingerprint:
         raise CheckpointError(
             f"checkpoint {path} does not match this program/configuration "

@@ -1,7 +1,5 @@
 """Unit tests for alarm collection and the Flow lattice."""
 
-import pytest
-
 from repro.frontend.ast_nodes import Location
 from repro.iterator.alarms import Alarm, AlarmCollector, AlarmKind
 

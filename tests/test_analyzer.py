@@ -5,8 +5,6 @@ in the paper, usually contrasting the refined analyzer with the baseline
 interval analyzer of [5].
 """
 
-import pytest
-
 from repro.analysis import analyze
 from repro.config import AnalyzerConfig, baseline_config
 from repro.iterator.alarms import AlarmKind

@@ -140,13 +140,10 @@ def _mutated(cert, mutate):
 def _decoding(payload):
     """Install a fresh context for the payload's program, so its state
     table decodes (and re-encodes) outside the checker."""
-    prev = api.get_active_context()
-    try:
+    with api._walk_globals():
         yield api._fresh_context(
             [tuple(u) for u in payload["sources"]], payload["entry"],
             decode_config(payload["config"]))
-    finally:
-        api._restore_engine_globals(prev)
 
 
 class TestRoundTrip:
@@ -693,6 +690,41 @@ class TestSharingDifferential:
             # ... and the recorded states do share subtrees.
             assert len(_nodes(decoded)) < sum(
                 len(_nodes([st])) for st in decoded)
+
+
+class TestWarmCachesSurviveCertification:
+    def test_certify_result_leaves_the_sharing_caches_as_found(self):
+        # The serve worker certifies warm results between jobs: the walk
+        # must neither use nor wipe the closure memo and the value pool,
+        # and must leave both enabled for the next job.
+        from repro.domains.octagon import Octagon, closure_memo_stats
+        from repro.domains.values import CellValue
+        from repro.memory import interning
+        from repro.numeric import IntInterval
+        from repro.synth import FamilySpec, generate_program
+
+        gp = generate_program(FamilySpec(target_kloc=0.25, seed=7))
+        result = analyze(gp.source, "fam.c",
+                         config=gp.analyzer_config(certify=True))
+        memo, pool = closure_memo_stats()[:2], interning.intern_stats()
+        assert memo[1] > 0 and pool[2] > 0
+        certify_result(result, gp.source, "fam.c")
+        assert closure_memo_stats()[:2] == memo
+        assert interning.intern_stats() == pool
+
+        def raw():
+            m = Octagon(2).m.copy()
+            m[1, 0] = m[0, 1] = 20.0
+            m[3, 2] = m[2, 3] = 22.0
+            m[2, 0] = 3.0
+            return Octagon(2, m, closed=False)
+
+        raw().closed()
+        hits = closure_memo_stats()[0]
+        raw().closed()
+        assert closure_memo_stats()[0] == hits + 1
+        a, b = (CellValue(IntInterval.of(-7, 9)) for _ in range(2))
+        assert interning.intern_value(a) is interning.intern_value(b)
 
 
 class TestTrustedBase:

@@ -132,8 +132,9 @@ class TestServeCertification:
         assert warm["result"]["cross_run_hits"] > 0
         assert warm["certified"] and not warm["certify_rejected"]
         assert warm["digest"] == cold["digest"]
-        assert ex.stats()["certify"] == {"mode": "all", "certified": 1,
-                                         "rejections": 0}
+        # The certificate walk left the warm closure memo for the next
+        # job (the daemon counts certifications from the reply flags).
+        assert warm["worker_stats"]["closure_memo"]["entries"] > 0
 
     def test_warm_after_daemon_restart_is_certified(self, tmp_path):
         # Fresh executor over the same cache dir = the daemon-restart
@@ -172,7 +173,6 @@ class TestServeCertification:
         # on the same digest.
         assert warm["result"]["cross_run_hits"] == 0
         assert warm["digest"] == cold["digest"]
-        assert ex.stats()["certify"]["rejections"] == 1
 
     def test_double_failure_fails_the_job(self, tmp_path, monkeypatch):
         import repro.certify as certify_mod

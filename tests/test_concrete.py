@@ -5,15 +5,12 @@ family programs must stay inside the analyzer's loop invariants, and every
 concrete run-time error must be covered by an alarm.
 """
 
-import pytest
-
-from repro import AnalyzerConfig, analyze, analyze_program
+from repro import AnalyzerConfig, analyze_program
 from repro.concrete import ConcreteInterpreter, RandomInputs
 from repro.frontend import compile_source
 from repro.fuzz.oracle import (
     containment_violations, run_oracle, uncovered_error_kinds,
 )
-from repro.numeric import FloatInterval, IntInterval
 
 
 def interpret(src, ranges=None, seed=0, max_ticks=50):

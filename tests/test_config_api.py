@@ -2,8 +2,6 @@
 
 import math
 
-import pytest
-
 from repro import (
     AnalysisResult, AnalyzerConfig, analyze, analyze_baseline,
     baseline_config, refinement_stages,

@@ -1,8 +1,6 @@
 """Tests for the decision tree abstract domain."""
 
-import pytest
-
-from repro.domains.decision_tree import DecisionTree, Leaf, Node
+from repro.domains.decision_tree import DecisionTree, Leaf
 from repro.numeric import FloatInterval, IntInterval
 
 # Pack: booleans are cells 1, 2 (BDD order); numeric cells 10 (int), 11 (float).

@@ -9,12 +9,10 @@ property of the whole pipeline (frontend + domains + iterator).
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import AnalyzerConfig, analyze
 from repro.fuzz.oracle import final_interval, main_loop_invariant
-from repro.numeric import IntInterval
 
 INT_MIN, INT_MAX = -(2**31), 2**31 - 1
 

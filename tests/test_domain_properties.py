@@ -11,8 +11,7 @@ These exercise the invariants the whole analyzer rests on:
 
 import math
 
-import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.domains.decision_tree import DecisionTree
 from repro.domains.ellipsoid import EllipsoidParams, EllipsoidValue

@@ -1,6 +1,5 @@
 """Property-based tests for MemoryEnv: lattice laws and sharing behavior."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.domains.values import CellValue
@@ -110,13 +109,6 @@ class TestEnvSharing:
         env = MemoryEnv.initial().set(0, CellValue(IntInterval.of(0, 1)))
         env = env.weak_set(0, CellValue(IntInterval.of(10, 12)))
         assert env.get(0).itv == IntInterval.of(0, 12)
-
-    def test_remove_many(self):
-        env = MemoryEnv.initial()
-        for cid in range(10):
-            env = env.set(cid, CellValue(IntInterval.of(0, 1)))
-        env = env.remove_many([2, 4, 6])
-        assert env.get(2) is None and env.get(3) is not None
 
     def test_tick_only_touches_clocked_cells(self):
         env = MemoryEnv.initial(max_clock=100)

@@ -1,7 +1,5 @@
 """Tests for program versions in the family (preprocessor conditionals)."""
 
-import pytest
-
 from repro import analyze
 from repro.synth import FamilySpec, generate_program
 

@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import LexerError, PreprocessorError, ReproError
 from repro.frontend import (
-    check_source_text, compile_source, decode_source, parse, preprocess,
-    read_source_file,
+    check_source_text, compile_source, decode_source, read_source_file,
 )
 
 VALID = """

@@ -6,7 +6,6 @@ triage, delta-debugging reduction, corpus replay with bit-identical
 digests, and the campaign wall budget.
 """
 
-import json
 import os
 import signal
 

@@ -131,12 +131,13 @@ class TestDifferentialSweep:
         assert pt["iteration-lattice"] >= 0.0
         assert abs(pt["iteration-lattice"] + pt["iteration-transfer"]
                    - pt["iteration"]) < 1e-6
-        # The reference engine skips nothing and uses no sharing cache.
-        pool_hits = interning.intern_stats()[0]
+        # The reference engine skips nothing and uses no sharing cache:
+        # both are left as the run found them.
+        pool, memo = interning.intern_stats(), closure_memo_stats()[:2]
         full = analyze_program(prog, dataclasses.replace(cfg, trace=True))
         assert full.stmts_skipped == 0
-        assert interning.intern_stats()[0] == pool_hits
-        assert closure_memo_stats()[:2] == (0, 0)
+        assert interning.intern_stats() == pool
+        assert closure_memo_stats()[:2] == memo
 
 
 # ---------------------------------------------------------------------------

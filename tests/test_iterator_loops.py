@@ -1,9 +1,6 @@
 """Iterator edge cases: loop/flow interactions, modes, perturbation."""
 
-import pytest
-
 from repro import AnalyzerConfig, analyze
-from repro.iterator.alarms import AlarmKind
 
 
 def kinds(r):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import LexerError
-from repro.frontend.lexer import Token, TokenKind, tokenize
+from repro.frontend.lexer import TokenKind, tokenize
 
 
 def kinds(src):

@@ -1,7 +1,5 @@
 """Tests for interval linear forms and the Sect. 6.3 linearization."""
 
-import math
-
 from hypothesis import given, strategies as st
 
 from repro.numeric import BINARY32, BINARY64, FloatInterval, LinearForm

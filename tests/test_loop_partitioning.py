@@ -1,7 +1,5 @@
 """Tests for trace partitioning over loops (Sect. 7.1.5, second half)."""
 
-import pytest
-
 from repro import AnalyzerConfig, analyze
 from repro.iterator.alarms import AlarmKind
 

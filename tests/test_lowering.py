@@ -6,7 +6,7 @@ from repro.errors import TypeError_, UnsupportedConstructError
 from repro.frontend import compile_source
 from repro.frontend import ir as I
 from repro.frontend.c_types import (
-    DOUBLE, FLOAT, INT, UINT, ArrayType, RecordType,
+    DOUBLE, FLOAT, INT, UINT,
     usual_arithmetic_conversion, integer_promotion, SHORT, UCHAR, ULONG, LONG,
 )
 

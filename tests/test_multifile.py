@@ -1,7 +1,5 @@
 """Tests for multi-file family generation and cross-unit analysis."""
 
-import pytest
-
 from repro import analyze
 from repro.frontend import link_sources
 from repro.synth import FamilySpec

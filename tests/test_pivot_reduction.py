@@ -1,7 +1,5 @@
 """Tests for the optional inter-octagon pivot reduction (Sect. 7.2.1)."""
 
-import pytest
-
 from repro import AnalyzerConfig, analyze
 from repro.synth import FamilySpec, generate_program
 
@@ -42,7 +40,6 @@ class TestPivotReduction:
 
     def test_propagation_between_packs(self):
         """Constraints on a shared pair flow from one octagon to another."""
-        from repro.domains.octagon import Octagon
         from repro.iterator.state import AbstractState, AnalysisContext
         from repro.memory.cells import CellTable
         from repro.packing.boolean_packs import BoolPacking

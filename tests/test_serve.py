@@ -14,6 +14,7 @@ import operator
 import os
 import pickle
 import socket
+import struct
 import threading
 import time
 
@@ -22,12 +23,12 @@ import pytest
 from repro.analysis import analyze
 from repro.config import AnalyzerConfig, config_fingerprint
 from repro.frontend import source_digest
+from repro.ipc.frames import FdFrameReader, ProtocolError, encode_frame
 from repro.iterator.state import compat_fingerprint
 from repro.serve.cache import CrossRunCache, FrontendCache
 from repro.serve.client import wait_until_ready
 from repro.serve.fingerprints import request_key, result_digest
 from repro.serve.jobs import Job, JobQueue, QueueFull
-from repro.serve.protocol import (ProtocolError, recv_message, send_message)
 from repro.serve.server import AnalysisServer, ServeConfig
 from repro.serve.store import JournalStore, ResultStore
 from repro.serve.workload import base_program, make_variant
@@ -226,23 +227,30 @@ class TestStores:
 
 
 class TestProtocol:
+    # The daemon's socket carries the worker pipe's frames, read by the
+    # one frame reader.
     def test_roundtrip(self):
         a, b = socket.socketpair()
         try:
-            send_message(a, {"op": "ping", "n": 1})
-            reader = b.makefile("rb")
-            assert recv_message(reader) == {"op": "ping", "n": 1}
+            a.sendall(encode_frame({"op": "ping", "n": 1})
+                      + encode_frame({"op": "stats"}))
+            reader = FdFrameReader(b.fileno())
+            assert reader.recv_frame() == {"op": "ping", "n": 1}
+            assert reader.recv_frame() == {"op": "stats"}
             a.close()
-            assert recv_message(reader) is None  # clean EOF
+            assert reader.recv_frame() is None  # clean EOF
         finally:
             b.close()
 
     def test_bad_json_raises(self):
         a, b = socket.socketpair()
         try:
-            a.sendall(b"{nope}\n")
-            with pytest.raises(ProtocolError):
-                recv_message(b.makefile("rb"))
+            reader = FdFrameReader(b.fileno())
+            for body, error in ((b"{nope}", "bad JSON"),
+                                (b"[1, 2]", "not a JSON object")):
+                a.sendall(struct.pack(">I", len(body)) + body)
+                with pytest.raises(ProtocolError, match=error):
+                    reader.recv_frame()
         finally:
             a.close()
             b.close()
@@ -548,12 +556,13 @@ class TestDaemon:
         unknown = c.request({"op": "frobnicate"})
         assert not unknown["ok"]
 
-    def test_async_submit_status_result(self, daemon, family):
+    def test_status_and_result_ops_are_unknown(self, daemon):
+        # Every submit waits for its result envelope, so there is no
+        # job left to look up, and a ``wait`` field changes nothing.
         c = daemon["connect"]()
-        ov = self._overrides(family)
-        ticket = c.submit([("fam.c", family.source)], config=ov, wait=False)
-        assert ticket["ok"] and "job_id" in ticket
-        reply = c.request({"op": "result", "job_id": ticket["job_id"]})
-        assert reply["ok"]
-        status = c.request({"op": "status", "job_id": ticket["job_id"]})
-        assert status["state"] == "done"
+        reply = c.request({"op": "submit", "wait": False,
+                           "sources": [["a.c", "void main(){}"]]})
+        assert reply["ok"] and reply["digest"] and "result" in reply
+        for op in ("status", "result"):
+            assert c.request({"op": op, "job_id": reply["job_id"]}) == {
+                "ok": False, "error": f"unknown op: {op!r}"}

@@ -7,13 +7,11 @@ and in every case the contract holds: post-recovery results are
 bit-identical to cold runs, degraded/cancelled/poisoned outcomes are
 never cached, and the daemon always exits cleanly.
 
-Every fault is injected through seeded/one-shot mechanisms (marker
-files claimed by unlink, a pinned ``backoff_seed``), so each scenario
-replays identically run to run.
+Every fault is injected through one-shot mechanisms (marker files
+claimed by unlink), so each scenario replays identically run to run.
 """
 
 import contextlib
-import io
 import os
 import signal
 import socket
@@ -32,10 +30,10 @@ from repro.config import AnalyzerConfig
 from repro.errors import ServeError
 from repro.serve.client import ServeClient, wait_until_ready
 from repro.serve.fingerprints import result_digest
-from repro.serve.jobs import effective_config
-from repro.ipc.frames import ProtocolError, recv_frame, send_frame
+from repro.ipc.frames import (FdFrameReader, FrameTimeout, ProtocolError,
+                              encode_frame, send_frame)
 from repro.ipc.process import RestartPolicy
-from repro.serve.protocol import recv_message, send_message
+from repro.serve.jobs import Job, effective_config
 from repro.serve.server import AnalysisServer, ServeConfig
 from repro.serve.store import ResultStore
 from repro.serve.workload import base_program
@@ -63,12 +61,11 @@ def cold_digest(family):
 
 @contextlib.contextmanager
 def daemon(tmp_path, **cfg_overrides):
-    """An in-thread daemon with an isolated worker subprocess, a disk
-    cache, and a pinned restart-backoff seed."""
+    """An in-thread daemon with an isolated worker subprocess and a
+    disk cache."""
     sock = str(tmp_path / "serve.sock")
     cache = str(tmp_path / "cache")
-    cfg = dict(socket_path=sock, cache_dir=cache, job_deadline_s=None,
-               backoff_seed=1234)
+    cfg = dict(socket_path=sock, cache_dir=cache, job_deadline_s=None)
     cfg.update(cfg_overrides)
     server = AnalysisServer(ServeConfig(**cfg))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -98,31 +95,63 @@ def daemon(tmp_path, **cfg_overrides):
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture()
+def piped():
+    """``piped(data)``: a frame reader on a pipe holding ``data``
+    whose write end is closed (``None``: left open and empty)."""
+    fds = []
+
+    def make(data):
+        r, w = os.pipe()
+        fds.append(r)
+        if data is None:
+            fds.append(w)
+        else:
+            with os.fdopen(w, "wb") as out:
+                out.write(data)
+        return FdFrameReader(r)
+
+    yield make
+    for fd in fds:
+        os.close(fd)
+
+
 class TestFrameProtocol:
     def test_roundtrip_and_clean_eof(self):
-        buf = io.BytesIO()
-        send_frame(buf, {"op": "run", "n": 1})
-        send_frame(buf, {"ok": True})
-        buf.seek(0)
-        assert recv_frame(buf) == {"op": "run", "n": 1}
-        assert recv_frame(buf) == {"ok": True}
-        assert recv_frame(buf) is None  # clean EOF
+        r, w = os.pipe()
+        with os.fdopen(w, "wb") as out:
+            send_frame(out, {"op": "run", "n": 1})
+            send_frame(out, {"ok": True})
+        reader = FdFrameReader(r)
+        try:
+            assert reader.recv_frame() == {"op": "run", "n": 1}
+            assert reader.recv_frame() == {"ok": True}
+            assert reader.recv_frame() is None  # clean EOF
+        finally:
+            os.close(r)
 
-    def test_half_written_header(self):
+    def test_half_written_header(self, piped):
         with pytest.raises(ProtocolError, match="header"):
-            recv_frame(io.BytesIO(b"\x00\x00"))
+            piped(b"\x00\x00").recv_frame()
 
-    def test_half_written_body(self):
-        data = b'{"ok": true}'
-        frame = struct.pack(">I", len(data)) + data
+    def test_half_written_body(self, piped):
+        frame = encode_frame({"ok": True})
         with pytest.raises(ProtocolError, match="body"):
-            recv_frame(io.BytesIO(frame[:-3]))
+            piped(frame[:-3]).recv_frame()
 
-    def test_garbage_body(self):
+    def test_garbage_body(self, piped):
         body = b"not json at all"
         frame = struct.pack(">I", len(body)) + body
         with pytest.raises(ProtocolError, match="JSON"):
-            recv_frame(io.BytesIO(frame))
+            piped(frame).recv_frame()
+
+    def test_oversized_header(self, piped):
+        with pytest.raises(ProtocolError, match="oversized"):
+            piped(struct.pack(">I", 0xFFFFFFFF)).recv_frame()
+
+    def test_deadline_bounds_a_silent_peer(self, piped):
+        with pytest.raises(FrameTimeout):
+            piped(None).recv_frame(time.monotonic() + 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -131,29 +160,18 @@ class TestFrameProtocol:
 
 
 class TestRestartPolicy:
-    def test_seeded_sequence_is_deterministic(self):
-        a, b = RestartPolicy(seed=42), RestartPolicy(seed=42)
-        da = [a.next_delay() for _ in range(8)]
-        db = [b.next_delay() for _ in range(8)]
-        assert da == db
-        assert da != [RestartPolicy(seed=43).next_delay()
-                      for _ in range(8)]
-
-    def test_growth_jitter_and_cap(self):
-        p = RestartPolicy(base_s=0.05, cap_s=5.0, seed=7)
-        delays = [p.next_delay() for _ in range(12)]
-        for i, d in enumerate(delays):
-            raw = min(5.0, 0.05 * (2.0 ** i))
-            assert raw <= d <= raw * 1.5
-        assert max(delays) <= 5.0 * 1.5
+    def test_exact_delay_sequence(self):
+        p = RestartPolicy(base_s=0.05, cap_s=5.0)
+        assert [p.next_delay() for _ in range(10)] == [
+            0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 5.0, 5.0, 5.0]
 
     def test_reset_after_success(self):
-        p = RestartPolicy(base_s=0.05, cap_s=5.0, seed=7)
+        p = RestartPolicy(base_s=0.05, cap_s=5.0)
         for _ in range(6):
             p.next_delay()
         p.reset()
         assert p.failures == 0
-        assert p.next_delay() <= 0.05 * 1.5
+        assert p.next_delay() == 0.05
 
 
 class TestProcessLayer:
@@ -355,8 +373,7 @@ class TestGracefulDrain:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve",
              "--socket", str(sock), "--cache-dir", str(tmp_path / "cache"),
-             "--backoff-seed", "7", "--drain-deadline", "60",
-             "--job-deadline", "300"],
+             "--drain-deadline", "60", "--job-deadline", "300"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
             text=True)
         try:
@@ -394,28 +411,35 @@ class TestGracefulDrain:
     def test_drain_deadline_escalates_without_poisoning(self, tmp_path,
                                                         family):
         with daemon(tmp_path, drain_deadline_s=0.05) as d:
-            c = d.connect()
-            ticket = c.submit([("fam.c", family.source)],
-                              config=_overrides(family), wait=False)
-            job = d.server.queue.get(ticket["job_id"])
+            replies = []
+
+            def bg_submit():
+                with ServeClient(d.sock, timeout=180.0) as c:
+                    replies.append(c.submit([("fam.c", family.source)],
+                                            config=_overrides(family)))
+
+            t = threading.Thread(target=bg_submit, daemon=True)
+            t.start()
             deadline = time.time() + 60
-            while job.state == "queued":
+            while d.server.queue.running is None and not replies:
                 assert time.time() < deadline
                 time.sleep(0.01)
             d.server.stop()
             d.thread.join(timeout=60)
             assert not d.thread.is_alive()
+            t.join(timeout=60)
+            reply = replies[0]
 
             # The in-flight job was cancelled with a retryable envelope,
             # the kill was not recorded as a crash of the *job*, nothing
             # was cached, and the escalation left an incident trail.
-            if job.envelope.get("ok"):
+            if reply.get("ok"):
                 # Tiny-machine race: the job squeaked in under the
                 # deadline; the drain then needed no escalation.
-                assert job.envelope["digest"]
+                assert reply["digest"]
             else:
-                assert job.envelope.get("cancelled")
-                assert job.envelope.get("retryable")
+                assert reply.get("cancelled")
+                assert reply.get("retryable")
                 assert d.server.poison.stats()["keys_with_crashes"] == 0
                 assert d.server.stats()["result_cache"]["puts"] == 0
                 assert any("drain deadline" in i
@@ -513,12 +537,14 @@ class TestSocketLifecycle:
 
 class TestOverloadAndRetry:
     def _submit_msg(self, text="void main(){}"):
-        return {"op": "submit", "sources": [["a.c", text]], "wait": False}
+        return {"op": "submit", "sources": [["a.c", text]]}
 
     def test_queue_full_is_retryable_with_hint(self, tmp_path):
         server = AnalysisServer(ServeConfig(
             socket_path=str(tmp_path / "x.sock"), max_queue=1))
-        assert server._op_submit(self._submit_msg())["ok"]
+        # No dispatcher runs, so the queued job keeps the queue full.
+        server.queue.submit(Job(server.queue.new_job_id(),
+                                [("a.c", "void main(){}")], "main", {}))
         shed = server._op_submit(self._submit_msg("void main(){int x;}"))
         assert not shed["ok"] and shed["retryable"]
         assert shed["retry_after_s"] > 0
@@ -547,24 +573,16 @@ class TestOverloadAndRetry:
                     conn, _ = listener.accept()
                 except OSError:
                     return
-                reader = conn.makefile("rb")
+                reader = FdFrameReader(conn.fileno())
                 try:
                     for step in action:
-                        msg = recv_message(reader)
+                        msg = reader.recv_frame()
                         if msg is None:
                             break
                         if step == "close":
                             break  # drop the connection mid-response
-                        send_message(conn, step)
+                        conn.sendall(encode_frame(step))
                 finally:
-                    # shutdown() delivers the EOF immediately; close()
-                    # alone defers it while the makefile reader holds
-                    # the descriptor.
-                    try:
-                        conn.shutdown(socket.SHUT_RDWR)
-                    except OSError:
-                        pass
-                    reader.close()
                     conn.close()
 
         t = threading.Thread(target=serve, daemon=True)
@@ -578,8 +596,8 @@ class TestOverloadAndRetry:
     def test_client_surfaces_eof_as_typed_retryable_error(self, tmp_path):
         from repro.errors import ServeConnectionError
 
-        with self._fake_daemon(tmp_path, [["close"]]) as path:
-            client = ServeClient(path, timeout=10.0)
+        with self._fake_daemon(tmp_path, [["close"]]) as path, \
+                ServeClient(path, timeout=10.0) as client:
             with pytest.raises(ServeConnectionError,
                                match="closed the connection"):
                 client.request({"op": "ping"})
@@ -589,8 +607,8 @@ class TestOverloadAndRetry:
                 "retry_after_s": 0.01}
         done = {"ok": True, "job_id": "job-1", "cached": False,
                 "digest": "d", "result": {}, "wall_s": 0.0}
-        with self._fake_daemon(tmp_path, [[shed, done]]) as path:
-            client = ServeClient(path, timeout=10.0)
+        with self._fake_daemon(tmp_path, [[shed, done]]) as path, \
+                ServeClient(path, timeout=10.0) as client:
             reply = client.submit([("a.c", "void main(){}")], retries=2)
             assert reply["ok"] and reply["digest"] == "d"
 
@@ -598,8 +616,8 @@ class TestOverloadAndRetry:
         done = {"ok": True, "job_id": "job-1", "cached": True,
                 "digest": "d", "result": {}, "wall_s": 0.0}
         # Connection 1 dies mid-response; connection 2 answers.
-        with self._fake_daemon(tmp_path, [["close"], [done]]) as path:
-            client = ServeClient(path, timeout=10.0)
+        with self._fake_daemon(tmp_path, [["close"], [done]]) as path, \
+                ServeClient(path, timeout=10.0) as client:
             reply = client.submit([("a.c", "void main(){}")], retries=1,
                                   backoff_s=0.01)
             assert reply["ok"] and reply["digest"] == "d"

@@ -11,8 +11,6 @@ traceback-only crash and never a silent 0.
 import socket
 import threading
 
-import pytest
-
 from repro.cli import main
 from repro.serve.client import wait_until_ready
 from repro.serve.server import AnalysisServer, ServeConfig

@@ -124,6 +124,11 @@ def _raw_octagon(n=3, hi=10.0):
 
 
 def test_closed_is_cached_and_not_recomputed():
+    # The per-instance cache, not the process-global closure memo (which
+    # an earlier analysis may have left holding this very matrix).
+    from repro.domains.octagon import configure_closure_memo
+
+    configure_closure_memo(0)
     o = _raw_octagon()
     before = Octagon.closure_computations
     c1 = o.closed()

@@ -1,7 +1,5 @@
 """Tests for the dependence graph and the backward/abstract slicer."""
 
-import pytest
-
 from repro.analysis import analyze_program
 from repro.config import AnalyzerConfig
 from repro.frontend import compile_source

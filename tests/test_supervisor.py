@@ -23,7 +23,8 @@ from repro.config import AnalyzerConfig
 from repro.errors import CheckpointError, ExitCode, SupervisorHalt
 from repro.frontend import compile_source
 from repro.supervisor import DEGRADATION_RUNGS, DegradationLadder, IncidentLog
-from repro.supervisor.checkpoint import (Checkpoint, context_fingerprint,
+from repro.supervisor.checkpoint import (CHECKPOINT_VERSION, Checkpoint,
+                                         context_fingerprint,
                                          write_checkpoint)
 from repro.supervisor.supervisor import HALT_ENV
 
@@ -468,6 +469,21 @@ class TestExitCodeContract:
         assert proc.returncode == int(ExitCode.INTERNAL_ERROR)
         assert "checkpoint" in proc.stderr
 
+    def test_malformed_checkpoint_is_3(self, tmp_path):
+        # A well-formed pickle whose checkpoint is no Checkpoint is an
+        # unusable checkpoint, not an unexpected AttributeError.
+        f = tmp_path / "clean.c"
+        f.write_text(LOOP_SRC)
+        bad = tmp_path / "bad.pkl"
+        bad.write_bytes(pickle.dumps({"version": CHECKPOINT_VERSION,
+                                      "checkpoint": 42}))
+        proc = _run_cli(["analyze", str(f), "--resume", str(bad)],
+                        tmp_path)
+        assert proc.returncode == int(ExitCode.INTERNAL_ERROR)
+        assert proc.stderr.splitlines() == [
+            f"astree-repro: internal-error: phase=checkpoint "
+            f"class=CheckpointError: corrupt checkpoint {bad}: bad payload"]
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "loop.c", "--jobs", "2"],
         ["analyze", "loop.c", "--no-vectorize"],
@@ -479,6 +495,7 @@ class TestExitCodeContract:
         ["analyze", "loop.c", "--no-such-flag"],
         ["analyze", "loop.c", "--max-clock", "abc"],
         ["serve", "--no-isolate-jobs"],
+        ["serve", "--backoff-seed", "7"],
         ["client", "loop.c", "--edit-loop", "3"],
         ["slice", "loop.c", "--invariants"],
         ["analyze", "loop.c", "--checkpoint-every", "2"],
@@ -492,6 +509,7 @@ class TestExitCodeContract:
             "removed-incremental-flag", "removed-strict-flag",
             "removed-profile-phases-flag", "unknown-flag",
             "bad-int-value", "removed-no-isolate-jobs-flag",
+            "removed-backoff-seed-flag",
             "removed-edit-loop-flag", "removed-slice-invariants-flag",
             "removed-checkpoint-every-flag", "removed-fuzz-streams-flag",
             "removed-fuzz-max-ticks-flag", "removed-fuzz-min-kloc-flag",

@@ -1,7 +1,5 @@
 """Unit tests for transfer-function and guard edge cases."""
 
-import pytest
-
 from repro import AnalyzerConfig, analyze
 from repro.iterator.alarms import AlarmKind
 

@@ -1,4 +1,4 @@
-"""Every ``src/`` module reads each name it imports.
+"""Every ``src/`` and ``tests/`` module reads each name it imports.
 
 Names listed in ``__all__`` (re-exports), ``from __future__`` imports
 and names inside string annotations count as reads.
@@ -7,7 +7,7 @@ and names inside string annotations count as reads.
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _imported(tree):
@@ -47,9 +47,10 @@ def _read(tree):
 
 def test_every_imported_name_is_read():
     unused = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted([*(ROOT / "src").rglob("*.py"),
+                        *(ROOT / "tests").rglob("*.py")]):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read = _read(tree)
-        unused += [f"{path.relative_to(SRC)}:{line}: {name}"
+        unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
                    for name, line in _imported(tree) if name not in read]
     assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -2,14 +2,11 @@
 
 import math
 
-import pytest
-
 from repro.domains.values import (
-    CellValue, ClockInfo, bottom_value, const_value, interval_for_type,
-    top_value,
+    CellValue, ClockInfo, bottom_value, const_value, top_value,
 )
 from repro.frontend import compile_source
-from repro.frontend.c_types import DOUBLE, FLOAT, INT, UCHAR, UINT
+from repro.frontend.c_types import DOUBLE, FLOAT, INT
 from repro.memory.cells import (
     AtomicLayout, CellTable, ExpandedArrayLayout, RecordLayout,
     ShrunkArrayLayout,
