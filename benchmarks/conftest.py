@@ -10,9 +10,7 @@ to laptop/CI-friendly sizes; set REPRO_BENCH_SCALE to grow them
 import os
 from functools import lru_cache
 
-import pytest
-
-from repro import AnalyzerConfig, analyze
+from repro import analyze
 from repro.synth import FamilySpec, generate_program
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1"))

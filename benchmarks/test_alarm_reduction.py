@@ -12,8 +12,6 @@ is correct by construction, like the paper's 10-years-in-service reference
 program; the paper's residual 11 were unconfirmed false alarms it could not
 yet discharge)."""
 
-import pytest
-
 from repro import refinement_stages
 from repro.analysis import analyze
 

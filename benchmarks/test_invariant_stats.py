@@ -12,8 +12,6 @@ constraints are numerous (a pack yields several); decision trees are rare;
 ellipsoidal assertions track the number of filter instances.
 """
 
-import pytest
-
 from .conftest import FLAGSHIP_KLOC, analyze_family, family_program, print_table
 
 

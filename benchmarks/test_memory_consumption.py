@@ -9,10 +9,7 @@ We measure peak traced allocation across family sizes and check the
 per-kLOC memory footprint stays flat-ish (sharing prevents quadratic
 blowup)."""
 
-import time
 import tracemalloc
-
-import pytest
 
 from .conftest import FIG2_SIZES, analyze_family, family_program, print_table
 

@@ -11,8 +11,6 @@ from 1h40 to 40min" (~2.5x faster, ~3.7x less memory).
 import time
 import tracemalloc
 
-import pytest
-
 from .conftest import FLAGSHIP_KLOC, analyze_family, family_program, print_table
 
 

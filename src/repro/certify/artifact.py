@@ -2,7 +2,7 @@
 
 A certificate is a single JSON document::
 
-    {"format": "astree-repro-certificate", "version": 2,
+    {"format": "astree-repro-certificate", "version": 3,
      "digest": sha256(canonical(payload)), "payload": {...}}
 
 The payload carries everything the independent checker needs to
@@ -15,16 +15,19 @@ content-addressed: the digest is recomputed over the canonical
 serialization on load, so a flipped byte anywhere is detected before
 any state is unpickled.
 
-The state table (format version 2) is one base64(zlib(pickle)) string
+The state table (format version 3) is one base64(zlib(pickle)) string
 holding the list of distinct states, deduplicated by identity;
 records and ``final`` refer to states by their index in that list.
 One pickle stream keeps the emitter's sharing: ``PMap`` pickles as its
-node DAG, so a subtree shared by many recorded states is written once
-and decodes to one object shared by the same states.  Artifact size
+tuple DAG and the pickler memoizes tuples, so a trie node shared by
+many recorded states is written once and decodes to one object shared
+by the same states.  Artifact size
 and both codec directions therefore grow with the distinct nodes, not
 with records × cells, and the checker's ``includes`` keeps its
 physical-identity shortcut.  Version 1 artifacts (one blob per state,
-string ids) are rejected by the version check and must be re-emitted.
+string ids) and version 2 artifacts (tree-node maps, records pickled
+with a ``__dict__`` state) are rejected by the version check, before
+anything is unpickled, and must be re-emitted.
 
 Statements are identified by their id (depth-first position over the
 functions in sorted name order, see ``repro.frontend.ir.Stmt``), which
@@ -57,7 +60,7 @@ __all__ = ["CERT_FORMAT", "CERT_VERSION", "StateTable", "decode_blob",
            "save_certificate"]
 
 CERT_FORMAT = "astree-repro-certificate"
-CERT_VERSION = 2
+CERT_VERSION = 3
 
 # Pinned pickle protocol: the artifact crosses interpreter versions
 # (written on one machine, checked on another), so the writer never

@@ -380,27 +380,27 @@ class Octagon:
         """Bounds for variable i implied by the octagon (after closure)."""
         if self._bottom:
             return FloatInterval.empty()
-        c = self.closed()
-        hi = div_up(c.m[2 * i + 1, 2 * i], 2.0)      # v_i <= m/2
-        lo = -div_up(c.m[2 * i, 2 * i + 1], 2.0)     # -v_i <= m/2
+        m = self.closed().m
+        hi = div_up(m.item(2 * i + 1, 2 * i), 2.0)      # v_i <= m/2
+        lo = -div_up(m.item(2 * i, 2 * i + 1), 2.0)     # -v_i <= m/2
         return FloatInterval.of(lo, hi)
 
     def sum_bound(self, i: int, j: int) -> FloatInterval:
         """Bounds for v_i + v_j."""
         if self._bottom:
             return FloatInterval.empty()
-        c = self.closed()
-        hi = c.m[2 * j + 1, 2 * i]   # v_i - (-v_j) = v_i + v_j <= c
-        lo = -c.m[2 * j, 2 * i + 1]
+        m = self.closed().m
+        hi = m.item(2 * j + 1, 2 * i)   # v_i - (-v_j) = v_i + v_j <= m
+        lo = -m.item(2 * j, 2 * i + 1)
         return FloatInterval.of(lo, hi)
 
     def diff_bound(self, i: int, j: int) -> FloatInterval:
         """Bounds for v_i - v_j."""
         if self._bottom:
             return FloatInterval.empty()
-        c = self.closed()
-        hi = c.m[2 * j, 2 * i]
-        lo = -c.m[2 * j + 1, 2 * i + 1]
+        m = self.closed().m
+        hi = m.item(2 * j, 2 * i)
+        lo = -m.item(2 * j + 1, 2 * i + 1)
         return FloatInterval.of(lo, hi)
 
     def finite_constraint_count(self) -> Tuple[int, int]:

@@ -28,10 +28,10 @@ independently by the hypothesis property tests
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from ..numeric import FloatInterval, IntInterval
+from ..numeric.records import record
 
 __all__ = ["CellValue", "ClockInfo", "interval_for_type", "top_value",
            "bottom_value", "const_value"]
@@ -39,7 +39,7 @@ __all__ = ["CellValue", "ClockInfo", "interval_for_type", "top_value",
 Interval = Union[IntInterval, FloatInterval]
 
 
-@dataclass(frozen=True)
+@record
 class ClockInfo:
     """Abstract value of the hidden clock variable."""
 
@@ -66,7 +66,7 @@ class ClockInfo:
         return ClockInfo(widened, self.max_clock)
 
 
-@dataclass(frozen=True)
+@record
 class CellValue:
     """The reduced-product abstract value of one cell.
 

@@ -308,7 +308,7 @@ class GuardEngine:
             pack_ids.update(self.ctx.oct_packs.packs_of_cell(cid))
         for pack_id in pack_ids:
             pack = self.ctx.oct_packs.pack(pack_id)
-            index = pack.index_of()
+            index = pack.index
             in_pack = {cid: s for cid, s in signs.items() if cid in index}
             if not in_pack or len(in_pack) > 2:
                 continue

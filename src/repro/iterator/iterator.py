@@ -403,7 +403,7 @@ class Iterator:
         octs = state.octagons
         for pack_id in pack_ids:
             pack = self.ctx.oct_packs.pack(pack_id)
-            index = pack.index_of()
+            index = pack.index
             oct_ = octs.get(pack_id)
             if oct_ is None:
                 continue
@@ -557,7 +557,7 @@ class Iterator:
                 if oct_ is None:
                     continue
                 pack = self.ctx.oct_packs.pack(pack_id)
-                octs = octs.set(pack_id, oct_.forget(pack.index_of()[cell.cid]))
+                octs = octs.set(pack_id, oct_.forget(pack.index[cell.cid]))
             state = state._with(octagons=octs)
         if self.cfg.enable_decision_trees:
             trees = state.dtrees

@@ -383,7 +383,7 @@ class AbstractState:
                 if oct_ is None or oct_.is_bottom:
                     continue
                 pack = state.ctx.oct_packs.pack(pack_id)
-                pos = pack.index_of()[cid]
+                pos = pack.index[cid]
                 bound = oct_.var_interval(pos)
                 if bound.is_top:
                     continue
@@ -480,7 +480,7 @@ class AbstractState:
             oct_ = self.octagons.get(pack_id)
             if oct_ is None or oct_.is_bottom or oct_.is_top:
                 continue
-            index = self.ctx.oct_packs.pack(pack_id).index_of()
+            index = self.ctx.oct_packs.pack(pack_id).index
             pi, pj = index[ci], index[cj]
             if si == 1 and sj == 1:
                 b = oct_.sum_bound(pi, pj)
@@ -508,7 +508,7 @@ class AbstractState:
         src_oct = self.octagons.get(pack_id)
         if src_oct is None or src_oct.is_bottom or src_oct.is_top:
             return self
-        src_index = src_pack.index_of()
+        src_index = src_pack.index
         state = self
         neighbours = set()
         for cid in src_pack.cids:
@@ -524,7 +524,7 @@ class AbstractState:
             other_oct = octs.get(other_id)
             if other_oct is None or other_oct.is_bottom:
                 continue
-            other_index = other_pack.index_of()
+            other_index = other_pack.index
             out = other_oct
             for i in range(len(shared)):
                 for j in range(i + 1, len(shared)):

@@ -12,17 +12,17 @@ environments, i.e. unreachable code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..domains.values import CellValue, ClockInfo
+from ..numeric.records import record
 from . import interning
 from .fmap import PMap
 
 __all__ = ["MemoryEnv"]
 
 
-@dataclass(frozen=True)
+@record
 class MemoryEnv:
     """Immutable non-relational abstract environment."""
 
@@ -47,7 +47,7 @@ class MemoryEnv:
     # -- cell access ------------------------------------------------------------
 
     def __len__(self) -> int:
-        """Number of constrained cells — O(1), from the map's root size."""
+        """Number of constrained cells (counted once per map)."""
         return len(self.cells)
 
     def get(self, cid: int) -> Optional[CellValue]:
@@ -161,20 +161,14 @@ class MemoryEnv:
             return False
         if not self.clock.range.includes(other.clock.range):
             return False
-        if self.cells._root is other.cells._root:  # physical shortcut
+        if self.cells.ptr_equal(other.cells):  # physical shortcut
             return True
         for cid in self.cells.diff_keys(other.cells):
-            mine = self.cells.get(cid)
-            theirs = other.cells.get(cid)
+            mine = self.cells.find(cid)
+            theirs = other.cells.find(cid)
             if theirs is None:
                 continue
-            if mine is None:
-                return False
-            if mine is not theirs and not mine.includes(theirs):
-                return False
-        # Keys only in other:
-        for cid in other.cells.diff_keys(self.cells):
-            if cid not in self.cells:
+            if mine is None or not mine.includes(theirs):
                 return False
         return True
 

@@ -5,267 +5,150 @@ implemented as sharable balanced binary trees, with short-cut evaluation
 when computing the abstract union, abstract intersection, widening or
 narrowing of physically identical subtrees."
 
-This module provides :class:`PMap`, an immutable weight-balanced binary
-search tree keyed by totally ordered keys (the analyzer uses integer cell
-ids).  Updates return new maps sharing almost all structure with the old
-one; the binary combination operations (:meth:`PMap.merge`) shortcut on
-physically identical subtrees (``a is b``), which makes joining two
+This module provides :class:`PMap`, an immutable map from non-negative
+integers (the analyzer's cell, pack and filter-site ids) held as a
+persistent 32-way array trie: every node is a 32-tuple indexed by five
+bits of the key, leaves hold the values, and ``None`` marks an empty
+slot.  The trie's depth grows with the largest key, never with the
+update order, so maps over equal key sets have equal shapes and nothing
+ever rebalances.  An update copies one tuple per level and shares every
+other node with the old map; the binary operations (:meth:`PMap.merge`,
+:meth:`PMap.diff_keys`) zip two nodes and skip the children that are
+physically the same object (``a is b``), which makes joining two
 environments that differ in a few cells cost time proportional to the
-number of *differing* cells, not the total number of cells — the property
-that removes the quadratic-time behaviour described in the paper.
+number of *differing* cells, not the total number of cells — the
+property that removes the quadratic-time behaviour described in the
+paper.
 
-A map pickles as its node DAG, so maps written in one pickle stream come
-back sharing exactly the subtrees they shared when written.
+A map pickles as its tuple DAG: the pickler memoizes tuples, so a node
+shared by several maps in one pickle stream is written once and comes
+back shared by the same maps.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional, Tuple
+from itertools import compress
+from operator import is_not
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 __all__ = ["PMap"]
 
-# Weight-balanced tree parameters (as in Haskell's Data.Map).
-_DELTA = 3
-_RATIO = 2
+# Key bits per trie level; a node has 2**_BITS slots.
+_BITS = 5
+_MASK = (1 << _BITS) - 1
+_HIGH = ~_MASK
+_SLOTS = range(1 << _BITS)
+# The root of every empty map, and never a node of a non-empty one.
+_EMPTY_NODE = (None,) * (1 << _BITS)
 
 
-class _Node:
-    __slots__ = ("key", "value", "left", "right", "size")
-
-    def __init__(self, key, value, left: Optional["_Node"], right: Optional["_Node"]):
-        self.key = key
-        self.value = value
-        self.left = left
-        self.right = right
-        self.size = 1 + _size(left) + _size(right)
-
-    def __reduce__(self):
-        # Pickled as the node DAG: the pickler's memo writes a node that
-        # several maps share once per stream, and loading rebuilds this
-        # exact balanced shape with one constructor call per node.
-        return (_Node, (self.key, self.value, self.left, self.right))
+def _filled(node: tuple) -> Iterator[int]:
+    """Indexes of the node's non-empty slots, ascending."""
+    return compress(_SLOTS, map(is_not, node, _EMPTY_NODE))
 
 
-def _size(node: Optional[_Node]) -> int:
-    return node.size if node is not None else 0
+def _lift(node: tuple) -> tuple:
+    """The node one level up whose slot 0 holds ``node``."""
+    return (node,) + _EMPTY_NODE[1:]
 
 
-def _balance(key, value, left: Optional[_Node], right: Optional[_Node]) -> _Node:
-    ln, rn = _size(left), _size(right)
-    if ln + rn <= 1:
-        return _Node(key, value, left, right)
-    if rn > _DELTA * ln:
-        assert right is not None
-        rl, rr = right.left, right.right
-        if _size(rl) < _RATIO * _size(rr):
-            # single left rotation
-            return _Node(right.key, right.value,
-                         _Node(key, value, left, rl), rr)
-        # double rotation
-        assert rl is not None
-        return _Node(rl.key, rl.value,
-                     _Node(key, value, left, rl.left),
-                     _Node(right.key, right.value, rl.right, rr))
-    if ln > _DELTA * rn:
-        assert left is not None
-        ll, lr = left.left, left.right
-        if _size(lr) < _RATIO * _size(ll):
-            return _Node(left.key, left.value, ll,
-                         _Node(key, value, lr, right))
-        assert lr is not None
-        return _Node(lr.key, lr.value,
-                     _Node(left.key, left.value, ll, lr.left),
-                     _Node(key, value, lr.right, right))
-    return _Node(key, value, left, right)
+def _remove(node: tuple, shift: int, key: int) -> Optional[tuple]:
+    """``node`` without the (present) ``key``; None once it is empty."""
+    i = key >> shift & _MASK
+    out = list(node)
+    out[i] = _remove(node[i], shift - _BITS, key) if shift else None
+    return tuple(out) if any(map(is_not, out, _EMPTY_NODE)) else None
 
 
-def _insert(node: Optional[_Node], key, value) -> _Node:
-    if node is None:
-        return _Node(key, value, None, None)
-    if key < node.key:
-        new_left = _insert(node.left, key, value)
-        if new_left is node.left:
-            return node
-        return _balance(node.key, node.value, new_left, node.right)
-    if key > node.key:
-        new_right = _insert(node.right, key, value)
-        if new_right is node.right:
-            return node
-        return _balance(node.key, node.value, node.left, new_right)
-    if value is node.value:
-        return node
-    return _Node(key, value, node.left, node.right)
+def _map_values(node: tuple, shift: int, base: int,
+                f: Callable[[Any, Any], Any]) -> tuple:
+    out = None
+    for i in _filled(node):
+        old = node[i]
+        new = (_map_values(old, shift - _BITS, base | i << shift, f)
+               if shift else f(base | i, old))
+        if new is not old:
+            if out is None:
+                out = list(node)
+            out[i] = new
+    return node if out is None else tuple(out)
 
 
-def _get(node: Optional[_Node], key):
-    while node is not None:
-        if key < node.key:
-            node = node.left
-        elif key > node.key:
-            node = node.right
-        else:
-            return node.value
-    return None
-
-
-def _contains(node: Optional[_Node], key) -> bool:
-    while node is not None:
-        if key < node.key:
-            node = node.left
-        elif key > node.key:
-            node = node.right
-        else:
-            return True
-    return False
-
-
-def _min_node(node: _Node) -> _Node:
-    while node.left is not None:
-        node = node.left
-    return node
-
-
-def _remove(node: Optional[_Node], key) -> Optional[_Node]:
-    if node is None:
-        return None
-    if key < node.key:
-        new_left = _remove(node.left, key)
-        if new_left is node.left:
-            return node
-        return _balance(node.key, node.value, new_left, node.right)
-    if key > node.key:
-        new_right = _remove(node.right, key)
-        if new_right is node.right:
-            return node
-        return _balance(node.key, node.value, node.left, new_right)
-    # Found: splice out.
-    if node.left is None:
-        return node.right
-    if node.right is None:
-        return node.left
-    succ = _min_node(node.right)
-    new_right = _remove(node.right, succ.key)
-    return _balance(succ.key, succ.value, node.left, new_right)
-
-
-def _join(key, value, left: Optional[_Node], right: Optional[_Node]) -> _Node:
-    """Concatenate left < key < right, rebalancing as needed."""
-    ln, rn = _size(left), _size(right)
-    if rn > _DELTA * ln and right is not None:
-        return _balance(right.key, right.value,
-                        _join(key, value, left, right.left), right.right)
-    if ln > _DELTA * rn and left is not None:
-        return _balance(left.key, left.value, left.left,
-                        _join(key, value, left.right, right))
-    return _Node(key, value, left, right)
-
-
-def _split(node: Optional[_Node], key) -> Tuple[Optional[_Node], Any, bool, Optional[_Node]]:
-    """Split into (keys < key, value-at-key, found, keys > key)."""
-    if node is None:
-        return None, None, False, None
-    if key < node.key:
-        ll, v, found, lr = _split(node.left, key)
-        return ll, v, found, _join(node.key, node.value, lr, node.right)
-    if key > node.key:
-        rl, v, found, rr = _split(node.right, key)
-        return _join(node.key, node.value, node.left, rl), v, found, rr
-    return node.left, node.value, True, node.right
-
-
-def _merge(a: Optional[_Node], b: Optional[_Node],
+def _merge(a: tuple, b: tuple, shift: int, base: int,
            combine: Callable[[Any, Any, Any], Any],
-           missing_b: Optional[Callable[[Any, Any], Any]]) -> Optional[_Node]:
-    """Merge two trees with per-key combination and sharing shortcut.
-
-    ``combine(key, va, vb)`` for keys in both; ``missing_b(key, va)`` for
-    keys only in ``a`` (None keeps them).  Keys only in ``b`` are kept,
-    and a subtree only in ``b`` is returned without being walked.  The
-    ``a is b`` shortcut requires combine(k, v, v) == v semantics from
-    the caller (true of join/widen/narrow/meet on identical values).
-    """
-    if a is b:
-        return a
-    if a is None:
-        return b
-    if b is None:
-        return a if missing_b is None else _map_values_opt(a, missing_b)
-    if b.key == a.key:
-        # Equal roots: recurse on the original subtrees.  Splitting here
-        # would rebuild ``b``'s children and destroy the physical identity
-        # the recursive ``a is b`` shortcut depends on; trees derived from
-        # one another by ``set`` (the common case during iteration) share
-        # their whole shape, so this path keeps the merge proportional to
-        # the number of differing cells (Sect. 6.1.2).
-        bl, bv, found, br = b.left, b.value, True, b.right
-    else:
-        bl, bv, found, br = _split(b, a.key)
-    new_left = _merge(a.left, bl, combine, missing_b)
-    new_right = _merge(a.right, br, combine, missing_b)
-    if found:
-        new_value = a.value if a.value is bv else combine(a.key, a.value, bv)
-    elif missing_b is not None:
-        new_value = missing_b(a.key, a.value)
-    else:
-        new_value = a.value
-    if (new_left is a.left and new_right is a.right
-            and new_value is a.value):
-        return a
-    return _join(a.key, new_value, new_left, new_right)
+           missing_b: Optional[Callable[[Any, Any], Any]]) -> tuple:
+    """Zip two nodes of one level.  A slot whose children are the same
+    object, or that is filled in one node only, is kept as it is without
+    being walked; ``missing_b`` (when given) maps the entries of the
+    slots filled in ``a`` only."""
+    out = None
+    for i in compress(_SLOTS, map(is_not, a, b)):
+        ca, cb = a[i], b[i]
+        if cb is None:
+            if missing_b is None:
+                continue
+            new = (_map_values(ca, shift - _BITS, base | i << shift,
+                               missing_b) if shift
+                   else missing_b(base | i, ca))
+        elif ca is None:
+            new = cb
+        elif shift:
+            new = _merge(ca, cb, shift - _BITS, base | i << shift,
+                         combine, missing_b)
+        else:
+            new = combine(base | i, ca, cb)
+        if new is not ca:
+            if out is None:
+                out = list(a)
+            out[i] = new
+    return a if out is None else tuple(out)
 
 
-def _map_values_opt(node: Optional[_Node],
-                    f: Callable[[Any, Any], Any]) -> Optional[_Node]:
-    if node is None:
-        return None
-    new_left = _map_values_opt(node.left, f)
-    new_right = _map_values_opt(node.right, f)
-    new_value = f(node.key, node.value)
-    if new_left is node.left and new_right is node.right and new_value is node.value:
-        return node
-    return _join(node.key, new_value, new_left, new_right)
+def _items(node: tuple, shift: int, base: int, out: list) -> None:
+    for i in _filled(node):
+        if shift:
+            _items(node[i], shift - _BITS, base | i << shift, out)
+        else:
+            out.append((base | i, node[i]))
 
 
-def _iter_items(node: Optional[_Node]) -> Iterator[Tuple[Any, Any]]:
-    stack = []
-    while node is not None or stack:
-        while node is not None:
-            stack.append(node)
-            node = node.left
-        node = stack.pop()
-        yield node.key, node.value
-        node = node.right
+def _keys(node: tuple, shift: int, base: int, out: List[int]) -> None:
+    for i in _filled(node):
+        if shift:
+            _keys(node[i], shift - _BITS, base | i << shift, out)
+        else:
+            out.append(base | i)
 
 
-def _diff_keys(a: Optional[_Node], b: Optional[_Node]) -> Iterator[Any]:
-    """Keys whose values differ (physically) between the two maps."""
-    if a is b:
-        return
-    if a is None:
-        for k, _ in _iter_items(b):
-            yield k
-        return
-    if b is None:
-        for k, _ in _iter_items(a):
-            yield k
-        return
-    if b.key == a.key:
-        bl, bv, found, br = b.left, b.value, True, b.right
-    else:
-        bl, bv, found, br = _split(b, a.key)
-    yield from _diff_keys(a.left, bl)
-    if not found or bv is not a.value:
-        yield a.key
-    yield from _diff_keys(a.right, br)
+def _diff(a: tuple, b: tuple, shift: int, base: int, out: List[int]) -> None:
+    """Append, in ascending order, the keys whose entries are not the
+    same object in the two nodes (keys of one node included)."""
+    for i in compress(_SLOTS, map(is_not, a, b)):
+        if not shift:
+            out.append(base | i)
+            continue
+        ca, cb = a[i], b[i]
+        k = base | i << shift
+        if ca is None:
+            _keys(cb, shift - _BITS, k, out)
+        elif cb is None:
+            _keys(ca, shift - _BITS, k, out)
+        else:
+            _diff(ca, cb, shift - _BITS, k, out)
 
 
 class PMap:
-    """An immutable map with O(log n) update and sharing-aware merge."""
+    """An immutable map over non-negative integer keys with O(depth)
+    update and a sharing-aware merge.  ``None`` is not a storable value:
+    it marks an absent key."""
 
-    __slots__ = ("_root",)
+    __slots__ = ("_root", "_shift", "_len")
 
-    def __init__(self, _root: Optional[_Node] = None):
-        self._root = _root
+    def __init__(self, root: tuple = _EMPTY_NODE, shift: int = 0,
+                 size: int = -1):
+        self._root = root    # the top node; keys < 2**(shift + _BITS)
+        self._shift = shift  # key bits below the root's slot index
+        self._len = size     # entry count; -1 until first asked for
 
     @staticmethod
     def empty() -> "PMap":
@@ -273,74 +156,125 @@ class PMap:
 
     @staticmethod
     def from_items(items) -> "PMap":
-        root: Optional[_Node] = None
+        m = _EMPTY
         for k, v in items:
-            root = _insert(root, k, v)
-        return PMap(root) if root is not None else _EMPTY
+            m = m.set(k, v)
+        return m
 
     # -- queries -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return _size(self._root)
+        if self._len < 0:
+            keys: List[int] = []
+            _keys(self._root, self._shift, 0, keys)
+            self._len = len(keys)
+        return self._len
 
     def __bool__(self) -> bool:
-        return self._root is not None
-
-    def __contains__(self, key) -> bool:
-        return _contains(self._root, key)
-
-    def get(self, key, default=None):
-        if _contains(self._root, key):
-            return _get(self._root, key)
-        return default
+        return self._root is not _EMPTY_NODE
 
     def find(self, key):
-        """Single-traversal lookup returning None when the key is absent.
+        """The value at ``key``, or None when the key is absent: one
+        subscript per trie level."""
+        shift = self._shift
+        if key >> shift & _HIGH:  # beyond the trie's depth, or negative
+            return None
+        node = self._root
+        while shift:
+            node = node[key >> shift & _MASK]
+            if node is None:
+                return None
+            shift -= _BITS
+        return node[key & _MASK]
 
-        Only valid for maps that never store None values — true of every
-        map in the analyzer (cell values, octagons, trees, ellipsoid
-        bounds).  ``get`` needs two traversals to distinguish an absent
-        key from a stored default; on the hot paths that distinction
-        never arises.
-        """
-        return _get(self._root, key)
+    def get(self, key, default=None):
+        v = self.find(key)
+        return default if v is None else v
+
+    def __contains__(self, key) -> bool:
+        return self.find(key) is not None
 
     def __getitem__(self, key):
-        if not _contains(self._root, key):
+        v = self.find(key)
+        if v is None:
             raise KeyError(key)
-        return _get(self._root, key)
+        return v
 
-    def items(self) -> Iterator[Tuple[Any, Any]]:
-        return _iter_items(self._root)
-
-    def keys(self) -> Iterator[Any]:
-        return (k for k, _ in self.items())
-
-    def values(self) -> Iterator[Any]:
-        return (v for _, v in self.items())
+    def items(self) -> Iterator[Tuple[int, Any]]:
+        """Entries in ascending key order."""
+        out: list = []
+        _items(self._root, self._shift, 0, out)
+        return iter(out)
 
     # -- updates -------------------------------------------------------------
 
-    def set(self, key, value) -> "PMap":
-        new_root = _insert(self._root, key, value)
-        if new_root is self._root:
+    def set(self, key: int, value) -> "PMap":
+        if key < 0:
+            raise KeyError(f"PMap keys are non-negative integers: {key}")
+        root, shift = self._root, self._shift
+        if key >> shift > _MASK:
+            lift = root is not _EMPTY_NODE
+            while key >> shift > _MASK:
+                if lift:
+                    root = _lift(root)
+                shift += _BITS
+        # Descend, remembering the path, then copy one tuple per level.
+        path = []
+        node = root
+        s = shift
+        while s:
+            path.append(node)
+            child = node[key >> s & _MASK]
+            node = _EMPTY_NODE if child is None else child
+            s -= _BITS
+        i = key & _MASK
+        old = node[i]
+        if old is value:
             return self
-        return PMap(new_root)
+        new = list(node)
+        new[i] = value
+        new = tuple(new)
+        while path:
+            s += _BITS
+            parent = list(path.pop())
+            parent[key >> s & _MASK] = new
+            new = tuple(parent)
+        size = self._len
+        if size >= 0 and old is None:
+            size += 1
+        return PMap(new, shift, size)
 
-    def remove(self, key) -> "PMap":
-        new_root = _remove(self._root, key)
-        if new_root is self._root:
+    def remove(self, key: int) -> "PMap":
+        if self.find(key) is None:
             return self
-        return PMap(new_root) if new_root is not None else _EMPTY
+        root = _remove(self._root, self._shift, key)
+        if root is None:
+            return _EMPTY
+        # Keep the depth the smallest that holds the largest key, so
+        # equal key sets keep equal shapes.
+        shift = self._shift
+        while shift and not any(map(is_not, root[1:], _EMPTY_NODE[1:])):
+            root, shift = root[0], shift - _BITS
+        return PMap(root, shift, self._len - 1 if self._len > 0 else -1)
 
     def map_values(self, f: Callable[[Any, Any], Any]) -> "PMap":
         """Apply ``f(key, value)`` to every entry."""
-        new_root = _map_values_opt(self._root, f)
-        if new_root is self._root:
+        root = _map_values(self._root, self._shift, 0, f)
+        if root is self._root:
             return self
-        return PMap(new_root) if new_root is not None else _EMPTY
+        return PMap(root, self._shift, self._len)
 
     # -- binary operations with sharing shortcut ---------------------------------
+
+    def _aligned(self, other: "PMap") -> Tuple[tuple, tuple, int]:
+        """Both roots at the depth of the deeper map."""
+        a, b = self._root, other._root
+        sa, sb = self._shift, other._shift
+        while sa < sb:
+            a, sa = _lift(a), sa + _BITS
+        while sb < sa:
+            b, sb = _lift(b), sb + _BITS
+        return a, b, sa
 
     def merge(
         self,
@@ -359,36 +293,43 @@ class PMap:
         identical subtrees are returned unchanged without visiting them,
         as are subtrees present in one map only.
         """
-        new_root = _merge(self._root, other._root, combine, missing_other)
-        if new_root is self._root:
+        if self._root is other._root:
             return self
-        return PMap(new_root) if new_root is not None else _EMPTY
+        if other._root is _EMPTY_NODE:
+            return (self if missing_other is None
+                    else self.map_values(missing_other))
+        if self._root is _EMPTY_NODE:
+            return other
+        a, b, shift = self._aligned(other)
+        root = _merge(a, b, shift, 0, combine, missing_other)
+        return self if root is a else PMap(root, shift)
 
-    def diff_keys(self, other: "PMap") -> Iterator[Any]:
-        """Keys whose values are not physically shared between the maps."""
-        return _diff_keys(self._root, other._root)
+    def diff_keys(self, other: "PMap") -> Iterator[int]:
+        """Keys, in ascending order, whose values are not physically
+        shared between the maps (keys of one map only included)."""
+        out: List[int] = []
+        if self._root is not other._root:
+            a, b, shift = self._aligned(other)
+            _diff(a, b, shift, 0, out)
+        return iter(out)
 
     def ptr_equal(self, other: "PMap") -> bool:
-        """Physical identity of the underlying trees (constant time)."""
+        """Physical identity of the underlying tries (constant time)."""
         return self._root is other._root
 
     def __reduce__(self):
-        # The root carries the whole node DAG (see ``_Node.__reduce__``),
-        # so maps pickled in one stream keep the subtrees they share.
-        # Pickles of the older ``(PMap.from_items, (items,))`` form
-        # still load through ``from_items``.
-        return (PMap, (self._root,))
+        # The root carries the whole tuple DAG; the pickler memoizes
+        # tuples, so maps pickled in one stream keep the nodes they share.
+        # An empty map loads onto the shared empty root.
+        if self._root is _EMPTY_NODE:
+            return (PMap, ())
+        return (PMap, (self._root, self._shift, self._len))
 
     def equal(self, other: "PMap", value_eq: Callable[[Any, Any], bool]) -> bool:
         """Equality with physical-identity shortcut on shared subtrees."""
-        if self._root is other._root:
-            return True
-        if len(self) != len(other):
-            return False
         for key in self.diff_keys(other):
-            if key not in other or key not in self:
-                return False
-            if not value_eq(self[key], other[key]):
+            mine, theirs = self.find(key), other.find(key)
+            if mine is None or theirs is None or not value_eq(mine, theirs):
                 return False
         return True
 
@@ -397,4 +338,4 @@ class PMap:
         return f"PMap({{{inner}}})"
 
 
-_EMPTY = PMap(None)
+_EMPTY = PMap(size=0)

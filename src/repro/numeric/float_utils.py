@@ -33,6 +33,7 @@ __all__ = [
     "div_down",
     "div_up",
     "is_finite",
+    "mul_bounds",
     "mul_down",
     "mul_up",
     "next_down",
@@ -97,53 +98,56 @@ BINARY64 = FloatFormat(
 )
 
 
-def is_finite(x: float) -> bool:
-    return not (math.isinf(x) or math.isnan(x))
+is_finite = math.isfinite
+_nextafter = math.nextafter
 
 
 def next_up(x: float) -> float:
     """Smallest binary64 float strictly greater than ``x`` (inf maps to inf)."""
     if math.isnan(x) or x == _INF:
         return x
-    return math.nextafter(x, _INF)
+    return _nextafter(x, _INF)
 
 
 def next_down(x: float) -> float:
     """Greatest binary64 float strictly less than ``x`` (-inf maps to -inf)."""
     if math.isnan(x) or x == -_INF:
         return x
-    return math.nextafter(x, -_INF)
+    return _nextafter(x, -_INF)
 
 
-def _exact_add(a: float, b: float) -> bool:
-    """True when ``a + b`` is exact in binary64 (via the TwoSum residual)."""
-    s = a + b
-    if not is_finite(s):
-        return False
+# Below, ``_nextafter(r, -inf)`` stands for ``next_down(r)`` and
+# ``_nextafter(r, inf)`` for ``next_up(r)``: they agree on every
+# non-NaN ``r`` (``nextafter`` maps an infinity equal to its direction
+# to itself), and each caller has already handled a NaN ``r``.
+
+
+def _exact_sum(a: float, b: float, s: float) -> bool:
+    """True when ``s = a + b`` is exact in binary64 (via the TwoSum
+    residual); ``s`` is finite."""
     bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return err == 0.0
+    return (a - (s - bb)) + (b - bb) == 0.0
 
 
 def add_down(a: float, b: float) -> float:
     """Sound lower bound of the real sum ``a + b``."""
     s = a + b
-    if math.isnan(s):
+    if s != s:
         # inf + -inf: the real sum is unconstrained by these abstract bounds.
         return -_INF
-    if is_finite(s) and _exact_add(a, b):
+    if is_finite(s) and _exact_sum(a, b, s):
         return s
-    return next_down(s)
+    return _nextafter(s, -_INF)
 
 
 def add_up(a: float, b: float) -> float:
     """Sound upper bound of the real sum ``a + b``."""
     s = a + b
-    if math.isnan(s):
+    if s != s:
         return _INF
-    if is_finite(s) and _exact_add(a, b):
+    if is_finite(s) and _exact_sum(a, b, s):
         return s
-    return next_up(s)
+    return _nextafter(s, _INF)
 
 
 def sub_down(a: float, b: float) -> float:
@@ -157,47 +161,58 @@ def sub_up(a: float, b: float) -> float:
 _HAS_FMA = hasattr(math, "fma")
 
 
-def _exact_mul(a: float, b: float) -> bool:
-    """True when ``a * b`` is exact in binary64.
+def _exact_product(a: float, b: float, p: float) -> bool:
+    """True when ``p = a * b`` is exact in binary64.
 
     A conservative (may return False for some exact products) but cheap
     test: returning False merely costs one ulp of outward slack, never
-    soundness.
+    soundness.  ``a`` and ``b`` may be Python ints.
     """
     if a == 0.0 or b == 0.0:
         return True
-    p = a * b
-    if not is_finite(p) or not is_finite(a) or not is_finite(b):
+    # With both operands nonzero, an infinite or NaN operand makes the
+    # product infinite or NaN: one finiteness test covers all three.
+    if not is_finite(p):
         return False
     if _HAS_FMA:  # pragma: no cover - Python >= 3.13 only
         return math.fma(a, b, -p) == 0.0
-    # Fast conservative path: exact when both operands are smallish
-    # integers (covers the common const*const and 2**k scalings).
-    if (a == int(a) and b == int(b)
-            and abs(a) < 67108864.0 and abs(b) < 67108864.0):
-        return abs(p) < 9007199254740992.0  # 2**53
-    return False
+    # Fast conservative path: exact when both operands are integers below
+    # 2**26 in magnitude (covers the common const*const and 2**k
+    # scalings), whose product is an integer below 2**52.
+    return (-67108864.0 < a < 67108864.0 and -67108864.0 < b < 67108864.0
+            and a % 1.0 == 0.0 and b % 1.0 == 0.0)
 
 
 def mul_down(a: float, b: float) -> float:
     """Sound lower bound of the real product ``a * b``."""
     p = a * b
-    if math.isnan(p):
+    if p != p:
         # 0 * inf. A finite-times-unbounded product is unconstrained below.
         return -_INF
-    if _exact_mul(a, b):
+    if _exact_product(a, b, p):
         return p
-    return next_down(p)
+    return _nextafter(p, -_INF)
 
 
 def mul_up(a: float, b: float) -> float:
     """Sound upper bound of the real product ``a * b``."""
     p = a * b
-    if math.isnan(p):
+    if p != p:
         return _INF
-    if _exact_mul(a, b):
+    if _exact_product(a, b, p):
         return p
-    return next_up(p)
+    return _nextafter(p, _INF)
+
+
+def mul_bounds(a: float, b: float) -> tuple:
+    """``(mul_down(a, b), mul_up(a, b))`` from one product and one
+    exactness test."""
+    p = a * b
+    if p != p:
+        return -_INF, _INF
+    if _exact_product(a, b, p):
+        return p, p
+    return _nextafter(p, -_INF), _nextafter(p, _INF)
 
 
 def div_down(a: float, b: float) -> float:
@@ -208,12 +223,14 @@ def div_down(a: float, b: float) -> float:
         q = a / b
     except OverflowError:  # pragma: no cover - cannot happen with floats
         q = math.copysign(_INF, a) * math.copysign(1.0, b)
-    if math.isnan(q):
+    if q != q:
         return -_INF
     # Division is exact only in special cases; detect with a multiply-back.
-    if is_finite(q) and _exact_mul(q, b) and q * b == a:
-        return q
-    return next_down(q)
+    if is_finite(q):
+        p = q * b
+        if _exact_product(q, b, p) and p == a:
+            return q
+    return _nextafter(q, -_INF)
 
 
 def div_up(a: float, b: float) -> float:
@@ -221,11 +238,13 @@ def div_up(a: float, b: float) -> float:
     if b == 0.0:
         raise ZeroDivisionError("div_up with zero divisor")
     q = a / b
-    if math.isnan(q):
+    if q != q:
         return _INF
-    if is_finite(q) and _exact_mul(q, b) and q * b == a:
-        return q
-    return next_up(q)
+    if is_finite(q):
+        p = q * b
+        if _exact_product(q, b, p) and p == a:
+            return q
+    return _nextafter(q, _INF)
 
 
 def sqrt_down(x: float) -> float:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .float_utils import (
@@ -30,7 +29,7 @@ from .float_utils import (
     add_up,
     div_down,
     div_up,
-    mul_down,
+    mul_bounds,
     mul_up,
     next_down,
     next_up,
@@ -40,13 +39,14 @@ from .float_utils import (
     sub_up,
     FloatFormat,
 )
+from .records import record
 
 __all__ = ["FloatInterval", "IntInterval"]
 
 _INF = math.inf
 
 
-@dataclass(frozen=True)
+@record
 class FloatInterval:
     """A closed interval of real numbers, or the empty set.
 
@@ -192,19 +192,12 @@ class FloatInterval:
     def mul(self, other: "FloatInterval") -> "FloatInterval":
         if self.is_empty or other.is_empty:
             return _FLOAT_EMPTY
-        candidates_lo = (
-            mul_down(self.lo, other.lo),
-            mul_down(self.lo, other.hi),
-            mul_down(self.hi, other.lo),
-            mul_down(self.hi, other.hi),
-        )
-        candidates_hi = (
-            mul_up(self.lo, other.lo),
-            mul_up(self.lo, other.hi),
-            mul_up(self.hi, other.lo),
-            mul_up(self.hi, other.hi),
-        )
-        return FloatInterval(min(candidates_lo), max(candidates_hi))
+        ll_lo, ll_hi = mul_bounds(self.lo, other.lo)
+        lh_lo, lh_hi = mul_bounds(self.lo, other.hi)
+        hl_lo, hl_hi = mul_bounds(self.hi, other.lo)
+        hh_lo, hh_hi = mul_bounds(self.hi, other.hi)
+        return FloatInterval(min(ll_lo, lh_lo, hl_lo, hh_lo),
+                             max(ll_hi, lh_hi, hl_hi, hh_hi))
 
     def div(self, other: "FloatInterval") -> "FloatInterval":
         """Quotient over the reals, assuming the divisor avoids zero.
@@ -243,10 +236,6 @@ class FloatInterval:
 
         if hi == 0.0 or lo == 0.0:
             # One endpoint touches zero: compute with open-end semantics.
-            res_lo = -_INF
-            res_hi = _INF
-            nz = FloatInterval(lo if lo != 0.0 else next_up(0.0) if hi > 0 else lo,
-                               hi if hi != 0.0 else next_down(0.0) if lo < 0 else hi)
             # Conservative: bound by dividing by the far (nonzero) endpoint,
             # the near-zero side contributes +/- infinity unless numerator
             # straddles accordingly.
@@ -266,10 +255,7 @@ class FloatInterval:
                     cands_hi.append(_INF)
                 else:
                     cands_lo.append(-_INF)
-            res_lo = min(cands_lo)
-            res_hi = max(cands_hi)
-            _ = nz
-            return FloatInterval(res_lo, res_hi)
+            return FloatInterval(min(cands_lo), max(cands_hi))
         candidates_lo = (qd(self.lo, lo), qd(self.lo, hi), qd(self.hi, lo), qd(self.hi, hi))
         candidates_hi = (qu(self.lo, lo), qu(self.lo, hi), qu(self.hi, lo), qu(self.hi, hi))
         return FloatInterval(min(candidates_lo), max(candidates_hi))
@@ -376,10 +362,7 @@ def _smallest_geq(thresholds: Sequence[float], x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-_NEG_INF = None  # sentinel docs only; integer infinities are encoded as None
-
-
-@dataclass(frozen=True)
+@record
 class IntInterval:
     """A closed interval of integers; ``None`` bounds encode infinities.
 

@@ -16,18 +16,18 @@ floating-point relational domains).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Tuple
 
 from .float_utils import FloatFormat, add_up, mul_up
 from .intervals import FloatInterval
+from .records import record
 
 __all__ = ["LinearForm"]
 
 VarId = Hashable
 
 
-@dataclass(frozen=True)
+@record
 class LinearForm:
     """``sum coeffs[v] * v + const`` with :class:`FloatInterval` coefficients.
 

@@ -15,6 +15,7 @@ packs only (the packing optimization of Sect. 7.2.2, implemented by the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ..config import AnalyzerConfig
@@ -36,7 +37,10 @@ class OctagonPack:
     def size(self) -> int:
         return len(self.cids)
 
-    def index_of(self) -> Dict[int, int]:
+    @cached_property
+    def index(self) -> Dict[int, int]:
+        """Each cell id's position in the pack, built once per pack
+        (shared by every caller, so never mutated)."""
         return {cid: i for i, cid in enumerate(self.cids)}
 
     @property

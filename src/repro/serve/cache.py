@@ -34,6 +34,7 @@ differs from the requested one, so a degraded journal could never be
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
@@ -47,6 +48,11 @@ __all__ = ["CrossRunCache", "FrontendCache"]
 # Journal caps: records kept per statement key and per run.
 MAX_PAIRS_PER_KEY = 128
 MAX_TOTAL_PAIRS = 250_000
+
+# Salts the journal store key; bumped whenever the pickled records
+# change shape, so journals an older analyzer wrote are never decoded
+# (the run starts its journal cold instead).
+JOURNAL_VERSION = 2
 
 
 class CrossRunCache:
@@ -65,7 +71,7 @@ class CrossRunCache:
             {} if harvest else None)
         # Identity of the run this cache is attached to.
         self.ctx = None
-        self.compat: Optional[str] = None
+        self.journal_key: Optional[str] = None
         self._gen0 = 0
         self.fn_hashes: Dict[str, str] = {}
         self._content_memo: Dict[int, str] = {}
@@ -82,12 +88,14 @@ class CrossRunCache:
         needs no live context."""
         self.ctx = ctx
         self._gen0 = ctx.config_generation
-        self.compat = compat_fingerprint(ctx)
+        self.journal_key = hashlib.sha256(
+            f"{JOURNAL_VERSION}:{compat_fingerprint(ctx)}".encode()
+        ).hexdigest()
         self.fn_hashes = function_hashes(ctx.prog)
         self._content_memo = {}
         raw = self._donor_bytes
         if raw is None and self.journal_store is not None:
-            raw = self.journal_store.get(self.compat)
+            raw = self.journal_store.get(self.journal_key)
         if raw:
             try:
                 donor = pickle.loads(raw)
@@ -148,12 +156,12 @@ class CrossRunCache:
     def store_harvest(self, result) -> bool:
         """Harvest and persist through the journal store; returns
         whether a journal was written."""
-        if self.journal_store is None or self.compat is None:
+        if self.journal_store is None or self.journal_key is None:
             return False
         data = self.harvest_bytes(result)
         if data is None:
             return False
-        self.journal_store.put(self.compat, data)
+        self.journal_store.put(self.journal_key, data)
         return True
 
 

@@ -204,9 +204,10 @@ class ResultStore(_DiskStore):
 
 
 class JournalStore(_DiskStore):
-    """Fixpoint-journal store: compat fingerprint -> the pickled
+    """Fixpoint-journal store: journal key (the compat fingerprint
+    salted with ``repro.serve.cache.JOURNAL_VERSION``) -> the pickled
     per-statement (pre, post) journal of the most recent eligible run
-    with that layout (``<cache>/fixpoint/<compat>.pkl``).  Values stay
+    with that layout (``<cache>/fixpoint/<key>.pkl``).  Values stay
     opaque bytes here — CrossRunCache.attach unpickles them (journals
     hold slim context-free footprint slices, so this is cheap)."""
 

@@ -50,7 +50,7 @@ from .incidents import Incident
 __all__ = ["Checkpoint", "context_fingerprint", "load_checkpoint",
            "write_checkpoint"]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def context_fingerprint(ctx) -> str:

@@ -608,15 +608,18 @@ class TestDivergenceWitness:
 
 
 def _nodes(states):
-    """Distinct PMap nodes reachable from the states' component maps."""
+    """Distinct PMap trie nodes reachable from the states' component
+    maps."""
     seen = set()
-    stack = [m._root for st in states
-             for m in (st.env.cells, st.octagons, st.dtrees, st.ellipsoids)]
+    stack = [(m._root, m._shift) for st in states
+             for m in (st.env.cells, st.octagons, st.dtrees, st.ellipsoids)
+             if m]
     while stack:
-        node = stack.pop()
-        if node is not None and id(node) not in seen:
+        node, shift = stack.pop()
+        if id(node) not in seen:
             seen.add(id(node))
-            stack.extend((node.left, node.right))
+            if shift:
+                stack.extend((c, shift - 5) for c in node if c is not None)
     return seen
 
 

@@ -12,6 +12,7 @@ from repro.numeric.float_utils import (
     add_up,
     div_down,
     div_up,
+    mul_bounds,
     mul_down,
     mul_up,
     next_down,
@@ -174,3 +175,114 @@ class TestFormats:
         x = 1.0000000123
         err = abs(float(np.float32(x)) - x)
         assert err <= ulp_error_bound(BINARY32, abs(x))
+
+
+# -- bit-for-bit agreement with the two-call reference ----------------------
+#
+# The helpers above are trusted-base code.  Their fused forms (one
+# product per bound pair, one finiteness test) must return exactly what
+# these straightforward definitions return, special values and Python
+# ints included.
+
+
+def _ref_is_finite(x):
+    return not (math.isinf(x) or math.isnan(x))
+
+
+def _ref_exact_add(a, b):
+    s = a + b
+    if not _ref_is_finite(s):
+        return False
+    bb = s - a
+    return (a - (s - bb)) + (b - bb) == 0.0
+
+
+def _ref_exact_mul(a, b):
+    if a == 0.0 or b == 0.0:
+        return True
+    p = a * b
+    if not (_ref_is_finite(p) and _ref_is_finite(a) and _ref_is_finite(b)):
+        return False
+    if (a == int(a) and b == int(b)
+            and abs(a) < 67108864.0 and abs(b) < 67108864.0):
+        return abs(p) < 9007199254740992.0
+    return False
+
+
+def _ref_add(a, b, up):
+    s = a + b
+    if math.isnan(s):
+        return math.inf if up else -math.inf
+    if _ref_is_finite(s) and _ref_exact_add(a, b):
+        return s
+    return next_up(s) if up else next_down(s)
+
+
+def _ref_mul(a, b, up):
+    p = a * b
+    if math.isnan(p):
+        return math.inf if up else -math.inf
+    if _ref_exact_mul(a, b):
+        return p
+    return next_up(p) if up else next_down(p)
+
+
+def _ref_div(a, b, up):
+    q = a / b
+    if math.isnan(q):
+        return math.inf if up else -math.inf
+    if _ref_is_finite(q) and _ref_exact_mul(q, b) and q * b == a:
+        return q
+    return next_up(q) if up else next_down(q)
+
+
+def _bits(x):
+    """Type and exact bits: ``-0.0`` differs from ``0.0``, ``6`` from
+    ``6.0``."""
+    return type(x).__name__, x.hex() if isinstance(x, float) else x
+
+
+_TINY = 5e-324
+_SPECIAL = [0.0, -0.0, _TINY, -_TINY, 2.2250738585072014e-308,
+            -2.2250738585072009e-308, 1.0, -1.0, 0.1, -0.75, 3.0,
+            math.inf, -math.inf, math.nan, 1.7976931348623157e308,
+            -1.7976931348623157e308,
+            2.0 ** 26, -(2.0 ** 26), 2.0 ** 26 - 1.0, 2.0 ** 26 + 1.0,
+            2.0 ** 53, 2.0 ** 53 - 1.0, 2.0 ** 53 + 2.0, -(2.0 ** 53),
+            2.0 ** 27 + 1.0, 0, 1, -3, 7, 2 ** 26, 2 ** 26 - 1,
+            -(2 ** 26) + 1, 2 ** 53, 2 ** 53 + 1]
+_PAIRS = [(a, b) for a in _SPECIAL for b in _SPECIAL]
+anything = st.one_of(st.floats(), st.integers(-2 ** 60, 2 ** 60))
+
+
+class TestFusedRoundingMatchesReference:
+    def test_mul_bounds_is_the_pair_of_directed_products(self):
+        for a, b in _PAIRS:
+            lo, hi = mul_bounds(a, b)
+            assert _bits(lo) == _bits(mul_down(a, b)), (a, b)
+            assert _bits(hi) == _bits(mul_up(a, b)), (a, b)
+
+    @given(anything, anything)
+    def test_mul_bounds_random(self, a, b):
+        assert [_bits(x) for x in mul_bounds(a, b)] == [
+            _bits(mul_down(a, b)), _bits(mul_up(a, b))]
+
+    def test_directed_ops_match_reference(self):
+        for a, b in _PAIRS:
+            for up, add, mul in ((False, add_down, mul_down),
+                                 (True, add_up, mul_up)):
+                assert _bits(add(a, b)) == _bits(_ref_add(a, b, up)), (a, b)
+                assert _bits(mul(a, b)) == _bits(_ref_mul(a, b, up)), (a, b)
+            if b != 0:
+                assert _bits(div_down(a, b)) == _bits(_ref_div(a, b, False))
+                assert _bits(div_up(a, b)) == _bits(_ref_div(a, b, True))
+
+    @given(anything, anything)
+    def test_directed_ops_match_reference_random(self, a, b):
+        assert _bits(add_down(a, b)) == _bits(_ref_add(a, b, False))
+        assert _bits(add_up(a, b)) == _bits(_ref_add(a, b, True))
+        assert _bits(mul_down(a, b)) == _bits(_ref_mul(a, b, False))
+        assert _bits(mul_up(a, b)) == _bits(_ref_mul(a, b, True))
+        if b != 0:
+            assert _bits(div_down(a, b)) == _bits(_ref_div(a, b, False))
+            assert _bits(div_up(a, b)) == _bits(_ref_div(a, b, True))

@@ -35,6 +35,13 @@ class TestBasics:
         with pytest.raises(KeyError):
             PMap.empty()[42]
 
+    def test_negative_keys_are_never_stored_or_found(self):
+        m = PMap.from_items((k, k) for k in (0, 31, 1023))
+        with pytest.raises(KeyError):
+            m.set(-1, "x")
+        assert m.find(-1) is None and -33 not in m
+        assert m.remove(-1) is m
+
     def test_remove(self):
         m = PMap.from_items([(i, i) for i in range(10)])
         m2 = m.remove(5)
@@ -71,21 +78,114 @@ class TestBasics:
         assert dict(m.items()) == d
 
 
+def trie_nodes(*maps):
+    """Distinct trie nodes reachable from the maps (by identity)."""
+    seen = {}
+    stack = [(m._root, m._shift) for m in maps if m]
+    while stack:
+        node, shift = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if shift:
+                stack.extend((c, shift - 5) for c in node if c is not None)
+    return seen
+
+
+def _shape(m):
+    """The map's trie as nested tuples of slot indexes."""
+    def go(node, shift):
+        return tuple((i, go(c, shift - 5) if shift else None)
+                     for i, c in enumerate(node) if c is not None)
+    return m._shift, go(m._root, m._shift)
+
+
 class TestBalance:
-    def _depth(self, m):
-        def go(node):
-            if node is None:
-                return 0
-            return 1 + max(go(node.left), go(node.right))
-        return go(m._root)
+    """The trie's depth depends on the largest key alone, never on the
+    update order."""
 
     def test_sequential_inserts_balanced(self):
-        m = PMap.from_items([(i, i) for i in range(1024)])
-        assert self._depth(m) <= 25  # well below linear
+        m = PMap.from_items((i, i) for i in range(1024))
+        assert m._shift == 5 and len(trie_nodes(m)) == 33
 
     def test_reverse_inserts_balanced(self):
-        m = PMap.from_items([(i, i) for i in reversed(range(1024))])
-        assert self._depth(m) <= 25
+        m = PMap.from_items((i, i) for i in reversed(range(1024)))
+        assert _shape(m) == _shape(
+            PMap.from_items((i, i) for i in range(1024)))
+
+
+class TestShape:
+    def test_depth_grows_with_the_largest_key(self):
+        assert PMap.from_items([(31, 0)])._shift == 0
+        assert PMap.from_items([(32, 0)])._shift == 5
+        assert PMap.from_items([(0, 0), (2 ** 20 - 1, 0)])._shift == 15
+        assert PMap.from_items([(2 ** 20, 0)])._shift == 20
+
+    @given(st.lists(st.integers(min_value=0, max_value=2 ** 20),
+                    unique=True, max_size=40), st.randoms())
+    def test_equal_key_sets_give_equal_shapes(self, ks, rnd):
+        shuffled = list(ks)
+        rnd.shuffle(shuffled)
+        a = PMap.from_items((k, k) for k in ks)
+        b = PMap.from_items((k, k) for k in shuffled)
+        # Removing a larger key shrinks the depth back.
+        c = b.set(2 ** 25, 0).remove(2 ** 25)
+        assert _shape(a) == _shape(b) == _shape(c)
+
+
+ops = st.lists(st.tuples(st.booleans(),
+                         st.integers(min_value=0, max_value=2 ** 20),
+                         st.integers()), max_size=80)
+
+
+class TestDictModel:
+    """Random set/remove sequences against a dict, with keys up to
+    2**20 so the trie grows and shrinks by several levels."""
+
+    @staticmethod
+    def _run(script):
+        m, d = PMap.empty(), {}
+        for is_set, k, v in script:
+            if is_set or not d:
+                m, d[k] = m.set(k, v), v
+            else:
+                victim = sorted(d)[k % len(d)]
+                m = m.remove(victim)
+                del d[victim]
+            assert len(m) == len(d)
+        return m, d
+
+    @given(ops)
+    def test_set_remove_match_dict(self, script):
+        m, d = self._run(script)
+        assert list(m.items()) == sorted(d.items())
+        assert all(m.find(k) == v and k in m for k, v in d.items())
+        for k in d:
+            m = m.remove(k)
+        assert not m and len(m) == 0 and m is PMap.empty()
+
+    @given(ops, ops)
+    def test_merge_of_any_depths_matches_dict(self, s1, s2):
+        a, da = self._run(s1)
+        b, db = self._run(s2)
+        seen = []
+        out = a.merge(b, lambda k, x, y: max(x, y),
+                      missing_other=lambda k, x: seen.append(k) or -x)
+        expected = dict(db)
+        for k, v in da.items():
+            expected[k] = max(v, db[k]) if k in db else -v
+        assert list(out.items()) == sorted(expected.items())
+        assert len(out) == len(expected)
+        assert seen == sorted(set(da) - set(db))
+
+    @given(ops, ops)
+    def test_diff_keys_are_the_unshared_keys(self, s1, s2):
+        a, _ = self._run(s1)
+        b, _ = self._run(s2)
+        b = b.merge(a, lambda k, x, y: x)  # share some values with a
+        keys = {k for m in (a, b) for k, _ in m.items()}
+        expected = sorted(k for k in keys if a.find(k) is not b.find(k))
+        assert list(a.diff_keys(b)) == expected
+        assert list(b.diff_keys(a)) == expected
 
 
 class TestMerge:
@@ -198,24 +298,6 @@ class TestMapValues:
         assert m.map_values(lambda k, v: v) is m
 
 
-def _shape(node):
-    if node is None:
-        return None
-    return (node.key, node.size, _shape(node.left), _shape(node.right))
-
-
-def _nodes(*maps):
-    """Distinct tree nodes reachable from the maps (by identity)."""
-    seen = {}
-    stack = [m._root for m in maps]
-    while stack:
-        node = stack.pop()
-        if node is not None and id(node) not in seen:
-            seen[id(node)] = node
-            stack.extend((node.left, node.right))
-    return seen
-
-
 class TestPickle:
     @given(kv_lists)
     def test_items_round_trip(self, items):
@@ -229,9 +311,9 @@ class TestPickle:
         b = a.set(200, "changed")
         c = a.remove(17)
         la, lb, lc = pickle.loads(pickle.dumps([a, b, c]))
-        assert len(_nodes(la, lb, lc)) == len(_nodes(a, b, c))
+        assert len(trie_nodes(la, lb, lc)) == len(trie_nodes(a, b, c))
         # ``set`` rebuilt only the path to key 200; the rest is shared.
-        assert la._root.left is lb._root.left
+        assert la._root[0] is lb._root[0]
         assert list(la.diff_keys(lb)) == [200]
         assert dict(lc.items()) == dict(c.items())
 
@@ -239,19 +321,18 @@ class TestPickle:
         a = PMap.from_items((i, i) for i in range(64))
         b = a.set(3, -3)
         la, lb = pickle.loads(pickle.dumps(a)), pickle.loads(pickle.dumps(b))
-        assert not set(_nodes(la)) & set(_nodes(lb))
+        assert not set(trie_nodes(la)) & set(trie_nodes(lb))
 
     def test_tree_shape_preserved(self):
-        # Removals and out-of-order inserts leave a shape that rebuilding
-        # from the sorted items would not reproduce.
         m = PMap.empty()
-        for k in (50, 10, 90, 5, 7, 99, 60, 61, 62, 63, 1, 2):
+        for k in (50, 10, 90, 5, 7, 99, 60, 61, 62, 63, 1, 2, 4000):
             m = m.set(k, str(k))
         m = m.remove(50).remove(7)
         out = pickle.loads(pickle.dumps(m))
-        assert _shape(out._root) == _shape(m._root)
-        assert _shape(out._root) != _shape(
-            PMap.from_items(m.items())._root)
+        assert _shape(out) == _shape(m)
+        empty = pickle.loads(pickle.dumps(PMap.empty()))
+        assert not empty and empty.ptr_equal(PMap.empty())
+        assert empty.set(3, "x")[3] == "x"
 
     def test_item_list_pickle_still_loads(self):
         # Written by the earlier ``(PMap.from_items, (items,))`` reducer.

@@ -46,6 +46,18 @@ class TestBasics:
         o = Octagon.top(1).set_var_bounds(0, FloatInterval.empty())
         assert o.is_bottom
 
+    def test_bounds_are_exact_python_floats(self):
+        # Bounds read off the DBM must not carry numpy scalars into the
+        # interval layer (slower arithmetic, numpy pickles).
+        o = boxed(2, [(-1.0, 2.0), (0.5, 5.0)])
+        o = o.guard_upper({0: 1, 1: -1}, 0.25)
+        for iv in (o.var_interval(0), o.var_interval(1), o.sum_bound(0, 1),
+                   o.diff_bound(0, 1), Octagon.top(2).sum_bound(0, 1)):
+            assert type(iv.lo) is float and type(iv.hi) is float, iv
+        m = o.closed().m
+        assert o.sum_bound(0, 1).hi == float(m[3, 0])
+        assert o.diff_bound(0, 1).hi == float(m[2, 0]) == 0.25
+
 
 class TestClosure:
     def test_transitivity_through_closure(self):

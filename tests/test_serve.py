@@ -366,6 +366,27 @@ class TestCrossRunDifferential:
         assert _digest_of(result) == _digest_of(analyze(family.source,
                                                         config=cfg))
 
+    def test_journal_under_the_bare_compat_key_is_never_read(
+            self, family, tmp_path):
+        # Journals keyed by the unsalted compat fingerprint were written
+        # with an older record layout: the store key is salted, so such a
+        # journal is never unpickled and the run starts its journal cold.
+        cfg = family.analyzer_config()
+        store = JournalStore(str(tmp_path))
+        harvest = CrossRunCache(journal_store=store)
+        base = analyze(family.source, config=cfg, cross_run=harvest)
+        assert harvest.store_harvest(base)
+        assert harvest.journal_key != compat_fingerprint(harvest.ctx)
+        stale = JournalStore(str(tmp_path / "stale"))
+        stale.put(compat_fingerprint(harvest.ctx),
+                  store.get(harvest.journal_key))
+        cold = CrossRunCache(journal_store=stale, harvest=False)
+        assert analyze(family.source, config=cfg,
+                       cross_run=cold).cross_run_hits == 0
+        warm = CrossRunCache(journal_store=store, harvest=False)
+        assert analyze(family.source, config=cfg,
+                       cross_run=warm).cross_run_hits > 0
+
     def test_degraded_run_never_harvested(self, family):
         # A run that trips its wall budget degrades mid-flight; its
         # journal mixes transfer semantics and must not be persisted.

@@ -3,7 +3,7 @@
 The incremental engine leans on two structural guarantees:
 
 * :class:`PMap` merges short-circuit on physical identity (``a is b``)
-  without allocating a single tree node, and a merge of two maps that
+  without building a single trie node, and a merge of two maps that
   differ in one key rebuilds only the root-to-key path (Sect. 6.1.2);
 * :class:`Octagon` caches its strong closure, and ``join``/``includes``
   consume the cache instead of re-running the cubic Floyd-Warshall pass.
@@ -20,25 +20,34 @@ import numpy as np
 import pytest
 
 from repro.domains.octagon import Octagon
-from repro.memory import fmap
 from repro.memory.fmap import PMap
 
 
-# -- node-allocation instrumentation ------------------------------------------
+# -- trie-node identity ---------------------------------------------------------
 
 
-@pytest.fixture
-def node_allocs(monkeypatch):
-    """Count every ``_Node`` constructed while the fixture is active."""
-    counter = {"n": 0}
-    orig = fmap._Node.__init__
+def _nodes(*maps):
+    """Distinct trie nodes reachable from the maps, by identity."""
+    seen = {}
+    stack = [(m._root, m._shift) for m in maps if m]
+    while stack:
+        node, shift = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if shift:
+                stack.extend((c, shift - 5) for c in node if c is not None)
+    return seen
 
-    def counting_init(self, *args, **kwargs):
-        counter["n"] += 1
-        orig(self, *args, **kwargs)
 
-    monkeypatch.setattr(fmap._Node, "__init__", counting_init)
-    return counter
+def _path(m, key):
+    """The nodes from the root down to the leaf holding ``key``."""
+    node, shift, out = m._root, m._shift, []
+    while True:
+        out.append(node)
+        if not shift:
+            return out
+        node = node[key >> shift & 31]
+        shift -= 5
 
 
 def _big_map(n=1000):
@@ -62,7 +71,7 @@ def test_set_same_value_preserves_identity():
     assert m.set(500, v).ptr_equal(m)
 
 
-def test_self_join_allocates_no_nodes(node_allocs):
+def test_self_join_allocates_no_nodes():
     m = _big_map()
     calls = {"n": 0}
 
@@ -70,42 +79,56 @@ def test_self_join_allocates_no_nodes(node_allocs):
         calls["n"] += 1
         return a
 
-    node_allocs["n"] = 0
-    joined = m.merge(m, combine)
-    assert joined.ptr_equal(m)
-    assert node_allocs["n"] == 0, "self-join must not allocate tree nodes"
+    assert m.merge(m, combine) is m, "self-join must return self"
     assert calls["n"] == 0, "self-join must not call combine"
 
 
-def test_single_key_diff_join_rebuilds_only_the_path(node_allocs):
+def test_single_key_diff_join_rebuilds_only_the_path():
     m = _big_map()
     m2 = m.set(500, -1)
     calls = {"n": 0}
 
     def combine(key, a, b):
         calls["n"] += 1
-        return max(a, b)
+        return a + b
 
-    node_allocs["n"] = 0
     joined = m.merge(m2, combine)
-    assert joined[500] == 5000
+    assert joined[500] == 4999
     assert calls["n"] == 1, "combine must fire only on the differing key"
-    # A weight-balanced tree of 1000 keys is ~10 levels deep; the merge may
-    # rebuild the path plus a few rebalance nodes, never the whole tree.
-    assert node_allocs["n"] <= 64, f"allocated {node_allocs['n']} nodes"
+    # The only new nodes are the root-to-key path; every other node is
+    # the input's own object.
+    new = set(_nodes(joined)) - set(_nodes(m))
+    assert new == {id(n) for n in _path(joined, 500)}
+    assert len(new) == 2  # 1000 keys: a root over 32-key leaves
     assert list(m.diff_keys(m2)) == [500]
 
 
-def test_equal_key_sets_share_untouched_subtrees(node_allocs):
+def test_equal_key_sets_share_untouched_subtrees():
     m = _big_map()
     m2 = m.set(500, -1)
     # When combine hands back one operand's own value object, the merge
     # collapses to that operand entirely (no new map at all).
     assert m.merge(m2, lambda k, a, b: max(a, b)).ptr_equal(m)
-    # When combine produces a fresh value, only that key stops sharing.
+    # When combine produces a fresh value, only that key stops sharing,
+    # and every leaf off its path is the very object of both inputs.
     joined = m.merge(m2, lambda k, a, b: a + b)
-    assert joined[500] == 4999
     assert list(joined.diff_keys(m)) == [500]
+    hit = 500 >> 5
+    for i, leaf in enumerate(joined._root):
+        if leaf is not None and i != hit:
+            assert leaf is m._root[i] is m2._root[i]
+
+
+def test_one_pickle_stream_writes_a_shared_leaf_once():
+    m = PMap.from_items((i, ("v", i)) for i in range(1000))
+    m2 = m.set(500, ("changed",))
+    alone = len(pickle.dumps(m))
+    both = len(pickle.dumps([m, m2]))
+    # m2 adds a root and one leaf; its 31 other leaves are memo hits.
+    assert both - alone < alone // 8
+    lm, lm2 = pickle.loads(pickle.dumps([m, m2]))
+    assert len(_nodes(lm, lm2)) == len(_nodes(m, m2)) == 32 + 2 + 1
+    assert list(lm.diff_keys(lm2)) == [500]
 
 
 # -- Octagon closure-cache reuse ----------------------------------------------

@@ -1,4 +1,5 @@
-"""Every ``src/`` and ``tests/`` module reads each name it imports.
+"""Every ``src/``, ``tests/`` and ``benchmarks/`` module reads each name
+it imports.
 
 Names listed in ``__all__`` (re-exports), ``from __future__`` imports
 and names inside string annotations count as reads.
@@ -47,8 +48,8 @@ def _read(tree):
 
 def test_every_imported_name_is_read():
     unused = []
-    for path in sorted([*(ROOT / "src").rglob("*.py"),
-                        *(ROOT / "tests").rglob("*.py")]):
+    for path in sorted(path for top in ("src", "tests", "benchmarks")
+                       for path in (ROOT / top).rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read = _read(tree)
         unused += [f"{path.relative_to(ROOT)}:{line}: {name}"

@@ -1,6 +1,10 @@
 """Tests for per-cell values, the clocked domain, cells and environments."""
 
+import dataclasses
 import math
+import pickle
+
+import pytest
 
 from repro.domains.values import (
     CellValue, ClockInfo, bottom_value, const_value, top_value,
@@ -12,7 +16,8 @@ from repro.memory.cells import (
     ShrunkArrayLayout,
 )
 from repro.memory.environment import MemoryEnv
-from repro.numeric import FloatInterval, IntInterval
+from repro.memory.fmap import PMap
+from repro.numeric import FloatInterval, IntInterval, LinearForm
 
 
 class TestCellValueLattice:
@@ -254,3 +259,73 @@ class TestMemoryEnv:
         a = MemoryEnv.initial().set(0, CellValue(IntInterval.of(0, None)))
         b = MemoryEnv.initial().set(0, self.v(0, 50))
         assert a.narrow(b).get(0).itv == IntInterval.of(0, 50)
+
+
+class TestRecords:
+    """The slotted value records keep the frozen dataclasses' equality,
+    hashing and immutability, and pickle as ``(cls, field values)``."""
+
+    RECORDS = [
+        FloatInterval(0.0, 1.0), IntInterval(0, 1), IntInterval(None, 3),
+        CellValue(IntInterval(0, 4), IntInterval(-2, 0), IntInterval(4, 6)),
+        CellValue(FloatInterval(-1.5, 2.0)),
+        ClockInfo(IntInterval(0, 3), 100),
+        LinearForm(((1, FloatInterval(2.0, 2.0)),), FloatInterval(0.0, 0.5)),
+    ]
+    ENVS = [MemoryEnv(PMap.empty().set(3, CellValue(IntInterval(1, 1))),
+                      ClockInfo(IntInterval(0, 0), None)),
+            MemoryEnv.make_bottom(7)]
+
+    def test_kinds_with_equal_bounds_differ(self):
+        f, i = FloatInterval(0, 1), IntInterval(0, 1)
+        assert f != i and i != f
+        assert CellValue(f) != CellValue(i)
+        pool = {f: f}
+        assert i not in pool
+
+    @pytest.mark.parametrize("rec", RECORDS, ids=lambda r: type(r).__name__)
+    def test_equal_records_hash_equal_and_round_trip(self, rec):
+        twin = pickle.loads(pickle.dumps(rec))
+        assert twin == rec and twin is not rec
+        assert hash(twin) == hash(rec)
+        assert type(twin) is type(rec)
+        assert rec.__reduce__() == (
+            type(rec), tuple(getattr(rec, f.name)
+                             for f in dataclasses.fields(rec)))
+        assert not hasattr(rec, "__dict__")
+
+    @pytest.mark.parametrize("env", ENVS, ids=["cells", "bottom"])
+    def test_env_round_trip(self, env):
+        # An environment compares its map by identity, so equality
+        # across a pickle is ``MemoryEnv.equal``.
+        twin = pickle.loads(pickle.dumps(env))
+        assert type(twin) is MemoryEnv and twin.equal(env)
+        assert twin.clock == env.clock and twin.bottom == env.bottom
+        assert not hasattr(env, "__dict__")
+
+    @pytest.mark.parametrize("rec", RECORDS + ENVS,
+                             ids=lambda r: type(r).__name__)
+    def test_fields_are_read_only(self, rec):
+        name = dataclasses.fields(rec)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, name, None)
+
+    def test_keyword_and_default_construction(self):
+        v = CellValue(itv=IntInterval(0, 1))
+        assert v.minus_clock is None and v.plus_clock is None
+        assert v == CellValue(IntInterval(0, 1), None, None)
+        env = MemoryEnv(PMap.empty(), ClockInfo(IntInterval(0, 0), None),
+                        bottom=True)
+        assert env.is_bottom and env == MemoryEnv.make_bottom(None)
+
+    def test_dict_state_pickle_is_refused(self):
+        # A pickle that restores a record from a ``__dict__`` state (the
+        # layout of the records before they had slots) must fail to load,
+        # never build a record from the wrong fields.
+        class Legacy:
+            def __reduce__(self):
+                return (object.__new__, (FloatInterval,),
+                        {"lo": 0.0, "hi": 1.0})
+
+        with pytest.raises(AttributeError):
+            pickle.loads(pickle.dumps(Legacy()))
