@@ -102,12 +102,11 @@ class AnalysisResult:
     cross_run_hits: int = 0
     cross_run_spliced: int = 0
     # Supervisor feedback (repro.supervisor): every fault or budget trip
-    # the run absorbed, whether degradation rungs were applied, which
-    # ones, and whether the run was restored from a checkpoint.
+    # the run absorbed, whether degradation rungs were applied, and
+    # which ones.
     incidents: List[Incident] = field(default_factory=list)
     degraded: bool = False
     degradation_steps: List[str] = field(default_factory=list)
-    resumed: bool = False
 
     @property
     def alarm_count(self) -> int:
@@ -189,7 +188,6 @@ class AnalysisResult:
             "exit_code": self.exit_code,
             "degraded": self.degraded,
             "degradation_steps": list(self.degradation_steps),
-            "resumed": self.resumed,
             "incidents": [asdict(i) for i in self.incidents],
             "widening_iterations": self.widening_iterations,
             "invariant_stats": asdict(self.invariant_stats()),
@@ -290,8 +288,6 @@ def _needs_supervisor(config: AnalyzerConfig) -> bool:
         config.wall_deadline_s is not None,
         config.rss_limit_kib is not None,
         config.stmt_timeout_s is not None,
-        config.checkpoint_path is not None,
-        config.resume_path is not None,
     ))
 
 
@@ -306,10 +302,9 @@ def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
     is collected for harvesting by the caller.  Ignored under tracing,
     which skips no statement.
 
-    When any supervisor feature is enabled (resource budget, checkpoint
-    or resume path), the run is wrapped in a :class:`Supervisor`; the
-    degradation ladder then mutates a *copy* of ``config`` so the
-    caller's instance is never touched.
+    When any resource budget is configured, the run is wrapped in a
+    :class:`Supervisor`; the degradation ladder then mutates a *copy* of
+    ``config`` so the caller's instance is never touched.
     """
     if config is None:
         config = AnalyzerConfig()
@@ -325,7 +320,7 @@ def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
     ctx = AnalysisContext.for_program(prog, config)
     _configure_sharing(not config.trace)
     if sup is not None:
-        sup.attach_context(ctx)
+        sup.ctx = ctx
     packing_seconds = time.perf_counter() - start
     alarms = AlarmCollector()
     it = Iterator(ctx, alarms)
@@ -377,5 +372,4 @@ def analyze_program(prog: IRProgram, config: Optional[AnalyzerConfig] = None,
         incidents=incidents.incidents,
         degraded=False if sup is None else sup.degraded,
         degradation_steps=[] if sup is None else list(sup.ladder.applied),
-        resumed=False if sup is None else sup.resumed,
     )

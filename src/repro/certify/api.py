@@ -26,8 +26,7 @@ from typing import List, Sequence, Tuple, Union
 from ..config import AnalyzerConfig, config_fingerprint
 from ..errors import CertificateError, ReproError
 from ..frontend import link_sources, source_digest
-from ..iterator.state import (AnalysisContext, get_active_context,
-                              set_active_context)
+from ..iterator.state import AnalysisContext
 from .artifact import (CERT_FORMAT, CERT_VERSION, StateTable, decode_config,
                        decode_states, encode_config, encode_state,
                        load_certificate, payload_digest, validate_envelope)
@@ -88,39 +87,31 @@ def _plain_config(cfg: AnalyzerConfig) -> AnalyzerConfig:
     return cfg.with_overrides(
         trace=False, collect_invariants=False, certify=False,
         wall_deadline_s=None, rss_limit_kib=None, stmt_timeout_s=None,
-        checkpoint_path=None, resume_path=None,
     )
 
 
 @contextmanager
 def _walk_globals():
     """Run a certificate walk with both sharing caches off (it never
-    reads or fills a memo entry), then restore what it found: the
-    active context and the caches' enablement."""
+    reads or fills a memo entry), then restore their enablement."""
     from ..analysis import _configure_sharing
 
-    prev_ctx = get_active_context()
     was_sharing = _configure_sharing(False)
     try:
         yield
     finally:
-        set_active_context(prev_ctx)
         _configure_sharing(was_sharing)
 
 
 def _fresh_context(sources: Sources, entry: str,
                    cfg: AnalyzerConfig) -> AnalysisContext:
-    """Compile the certified sources into a brand-new plain context and
-    install it as the process's active context (state blobs re-attach
-    to it on decode).  Call it inside :func:`_walk_globals`."""
+    """Compile the certified sources into a brand-new plain context."""
     try:
         prog = link_sources(list(sources), entry=entry)
     except ReproError as exc:
         raise CertificateError(
             f"cannot rebuild the certified program: {exc}")
-    ctx = AnalysisContext.for_program(prog, cfg)
-    set_active_context(ctx)
-    return ctx
+    return AnalysisContext.for_program(prog, cfg)
 
 
 def _check_alarm_superset(claimed_keys: set, walker: CertWalker,
@@ -137,9 +128,8 @@ def _check_alarm_superset(claimed_keys: set, walker: CertWalker,
 def _emit_walk(result, sources: Sources):
     """Shared emission path: round-trip the engine's loop records into a
     fresh plain context, run the emit walk, verify the alarm superset.
-    Returns (walker, plain_cfg, claimed alarm key set, final state) with
-    the fresh context still active — callers run it inside
-    _walk_globals."""
+    Returns (walker, plain_cfg, claimed alarm key set, final state);
+    callers run it inside _walk_globals."""
     if result.degraded:
         raise CertificateError(
             "degraded runs cannot be certified: the degradation ladder "
@@ -157,7 +147,7 @@ def _emit_walk(result, sources: Sources):
         st for _, pf, used in result.cert_invariants for st in (pf, used))
     plain = _plain_config(engine_cfg)
     ctx = _fresh_context(sources, result.ctx.prog.entry, plain)
-    states = decode_states(table)
+    states = decode_states(table, ctx)
     engine_loops = [(sid, pf, used) for (sid, _, _), pf, used in zip(
         result.cert_invariants, states[0::2], states[1::2])]
     walker = CertWalker(ctx, "emit", engine_loops=engine_loops)
@@ -244,7 +234,8 @@ def check_certificate(cert: Union[str, dict]) -> CertificateCheck:
     entry = payload["entry"]
     with _walk_globals():
         ctx = _fresh_context(sources, entry, cfg)
-        walker = _check_walk(ctx, payload, decode_states(payload["states"]))
+        walker = _check_walk(ctx, payload,
+                             decode_states(payload["states"], ctx))
     return CertificateCheck(
         entry=entry,
         source_digest=payload["source_digest"],

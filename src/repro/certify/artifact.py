@@ -18,6 +18,10 @@ any state is unpickled.
 The state table (format version 3) is one base64(zlib(pickle)) string
 holding the list of distinct states, deduplicated by identity;
 records and ``final`` refer to states by their index in that list.
+A pickled state carries its domain content only: :func:`decode_states`
+takes the analysis context as an argument and binds every state it
+decodes to it, so this module alone decides how a state finds its
+context, and nothing is installed process-wide.
 One pickle stream keeps the emitter's sharing: ``PMap`` pickles as its
 tuple DAG and the pickler memoizes tuples, so a trie node shared by
 many recorded states is written once and decodes to one object shared
@@ -38,14 +42,15 @@ Every malformation — missing file, truncation, non-JSON bytes, an
 unknown format or version, a digest mismatch, a table that does not
 decode to a list of states — maps to
 :class:`repro.errors.CertificateError`, which the CLI reports as a
-located ``phase=certify`` incident (exit 3), mirroring the
-checkpoint/store hardening.
+located ``phase=certify`` incident (exit 3).
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
+import io
 import json
 import pickle
 import zlib
@@ -53,6 +58,7 @@ from typing import Dict, List
 
 from ..errors import CertificateError
 from ..fileio import atomic_write
+from ..iterator.state import AbstractState
 
 __all__ = ["CERT_FORMAT", "CERT_VERSION", "StateTable", "decode_blob",
            "decode_config", "decode_states", "encode_config",
@@ -87,25 +93,41 @@ def _encode(obj) -> str:
 def encode_state(states) -> str:
     """Encode the state table: one base64(zlib(pickle)) string for the
     whole list, so states share subtrees after decoding exactly as they
-    did when encoded.  States are context-free in the pickle and
-    re-attach to the active context on decode."""
+    did when encoded.  States are pickled without their context."""
     return _encode(list(states))
 
 
-def decode_blob(blob_b64: str, what: str):
-    """Decode one base64(zlib(pickle)) string; requires the target
-    ``AnalysisContext`` to be installed via ``set_active_context``."""
+class _Unpickler(pickle.Unpickler):
+    """Resolves the global a pickled state names
+    (``repro.iterator.state._rebuild_state``) to an :class:`AbstractState`
+    constructor bound to ``ctx``.  Without a context the name resolves
+    as usual, and that function refuses to build a state."""
+
+    def __init__(self, data: bytes, ctx) -> None:
+        super().__init__(io.BytesIO(data))
+        self.ctx = ctx
+
+    def find_class(self, module, name):
+        if self.ctx is not None and (module, name) == (
+                "repro.iterator.state", "_rebuild_state"):
+            return functools.partial(AbstractState, self.ctx)
+        return super().find_class(module, name)
+
+
+def decode_blob(blob_b64: str, what: str, ctx=None):
+    """Decode one base64(zlib(pickle)) string, binding every state in it
+    to ``ctx`` (a blob holding a state does not decode without one)."""
     try:
-        return pickle.loads(zlib.decompress(base64.b64decode(blob_b64)))
+        return _Unpickler(zlib.decompress(base64.b64decode(blob_b64)),
+                          ctx).load()
     except Exception as exc:  # corrupt b64/zlib/pickle, bad opcodes, ...
         raise CertificateError(f"certificate {what} does not decode: {exc}")
 
 
-def decode_states(blob_b64: str) -> list:
-    """Decode the state table, refusing anything but a list of states."""
-    from ..iterator.state import AbstractState
-
-    states = decode_blob(blob_b64, "state table")
+def decode_states(blob_b64: str, ctx) -> list:
+    """Decode the state table into states bound to ``ctx``, refusing
+    anything but a list of states."""
+    states = decode_blob(blob_b64, "state table", ctx)
     if type(states) is not list or not all(
             type(st) is AbstractState for st in states):
         raise CertificateError(

@@ -33,8 +33,8 @@ from typing import List, Optional
 from .analysis import analyze
 from .config import AnalyzerConfig, baseline_config
 from .errors import (
-    AnalysisError, CertificateError, CheckpointError, ExitCode, LinkError,
-    ReproError, ServeError, SourceError, SupervisorHalt, UsageError,
+    AnalysisError, CertificateError, ExitCode, LinkError, ReproError,
+    ServeError, SourceError, UsageError,
 )
 from .frontend import read_source_file
 
@@ -73,10 +73,6 @@ def _build_config(args) -> AnalyzerConfig:
         overrides["rss_limit_kib"] = int(args.max_rss * 1024)
     if getattr(args, "stmt_timeout", None) is not None:
         overrides["stmt_timeout_s"] = args.stmt_timeout
-    if getattr(args, "checkpoint", None) is not None:
-        overrides["checkpoint_path"] = args.checkpoint
-    if getattr(args, "resume", None) is not None:
-        overrides["resume_path"] = args.resume
     if getattr(args, "certify", False) or \
             getattr(args, "emit_certificate", None):
         overrides["certify"] = True
@@ -406,12 +402,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     metavar="SECONDS",
                     help="soft per-statement budget sampled at statement "
                          "boundaries")
-    pa.add_argument("--checkpoint", default=None, metavar="PATH",
-                    help="serialize resumable checkpoints to PATH at "
-                         "outermost fixpoint-iteration boundaries")
-    pa.add_argument("--resume", default=None, metavar="PATH",
-                    help="resume from a checkpoint written by --checkpoint "
-                         "(bit-identical to an uninterrupted run)")
     pa.set_defaults(func=cmd_analyze)
 
     pg = sub.add_parser("generate", help="generate a family program")
@@ -546,11 +536,9 @@ def _error_phase(exc: BaseException) -> str:
         return "frontend"
     if isinstance(exc, CertificateError):
         return "certify"
-    if isinstance(exc, CheckpointError):
-        return "checkpoint"
     if isinstance(exc, ServeError):
         return "serve"
-    if isinstance(exc, (AnalysisError, SupervisorHalt)):
+    if isinstance(exc, AnalysisError):
         return "analysis"
     if isinstance(exc, ReproError):
         return "analyzer"

@@ -26,7 +26,7 @@ __all__ = ["AnalyzerConfig", "SEMANTICS_VERSION", "baseline_config",
            "config_fingerprint"]
 
 #: Version of the analysis semantics, salting config_fingerprint (and so
-#: the serve result/journal keys and the checkpoint fingerprint) so
+#: the serve result/journal keys and the certificate fingerprint) so
 #: entries written by a build with other semantics miss.  Bump it with
 #: every change that can alter a bit of a result, even one ulp of a bound
 #: (2: incremental octagon closure; 3: alarm lines after preprocessor
@@ -104,13 +104,6 @@ class AnalyzerConfig:
     # Soft per-statement timeout, sampled at statement boundaries.
     stmt_timeout_s: Optional[float] = None
 
-    # -- checkpoint / resume (repro.supervisor) ---------------------------------
-    # Serialize the analysis at outermost fixpoint-iteration boundaries
-    # to this path (atomic overwrite); resume_path restores such a file
-    # and continues bit-identically to an uninterrupted run.
-    checkpoint_path: Optional[str] = None
-    resume_path: Optional[str] = None
-
     # -- result certification (repro.certify) -----------------------------------
     # Record, for every loop occurrence of the checking-mode traversal,
     # the invariant the final checking pass ran from plus the
@@ -119,7 +112,7 @@ class AnalyzerConfig:
     # packages them into an engine-independent, content-addressed
     # artifact validated by ``astree-repro check-certificate``.  A pure
     # observation knob: results are unchanged, so it is excluded from the
-    # checkpoint and serve fingerprints.
+    # configuration fingerprint.
     certify: bool = False
 
     # -- reporting --------------------------------------------------------------------
@@ -145,16 +138,15 @@ class AnalyzerConfig:
 #: ladder mutates precision fields in place, so a degraded effective
 #: configuration fingerprints differently anyway.
 _NON_SEMANTIC_FIELDS = frozenset({
-    "wall_deadline_s", "rss_limit_kib", "stmt_timeout_s",
-    "checkpoint_path", "resume_path", "certify",
+    "wall_deadline_s", "rss_limit_kib", "stmt_timeout_s", "certify",
 })
 
 
 def config_fingerprint(cfg: AnalyzerConfig) -> str:
     """Hash of every analysis-relevant configuration field, threshold
     *values* included, salted with ``SEMANTICS_VERSION``.  The one
-    configuration key: serve request and journal keys, certificates and
-    checkpoints all build on it."""
+    configuration key: serve request and journal keys and certificates
+    all build on it."""
     items: List[Tuple[str, str]] = []
     for f in fields(cfg):
         if f.name in _NON_SEMANTIC_FIELDS:

@@ -333,16 +333,6 @@ class DecisionTree:
     def equal(self, other: "DecisionTree") -> bool:
         return self.includes(other) and other.includes(self)
 
-    # -- statistics -------------------------------------------------------------------
-
-    def leaf_count(self) -> int:
-        def go(t: Tree) -> int:
-            if isinstance(t, Leaf):
-                return 1
-            return go(t.low) + go(t.high)
-
-        return go(self.root)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         def go(t: Tree, depth: int) -> str:
             pad = "  " * depth

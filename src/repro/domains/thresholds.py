@@ -43,18 +43,6 @@ class ThresholdSet:
     def __contains__(self, x: float) -> bool:
         return float(x) in self.values
 
-    def next_above(self, x: float) -> float:
-        for t in self.values:
-            if t >= x:
-                return t
-        return math.inf  # pragma: no cover - +inf always present
-
-    def next_below(self, x: float) -> float:
-        for t in reversed(self.values):
-            if t <= x:
-                return t
-        return -math.inf  # pragma: no cover - -inf always present
-
 
 def default_thresholds() -> ThresholdSet:
     """Default ladder: alpha=1, lambda=4, 40 rungs (covers ~1e24), plus the

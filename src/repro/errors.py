@@ -14,8 +14,6 @@ __all__ = [
     "LinkError",
     "AnalysisError",
     "CertificateError",
-    "CheckpointError",
-    "SupervisorHalt",
     "ServeError",
     "ServeConnectionError",
     "UsageError",
@@ -36,8 +34,8 @@ class ExitCode(enum.IntEnum):
       degradation-induced false positives).  Takes precedence over
       ``ALARMS``.
     * ``INTERNAL_ERROR`` (3) — no verdict was produced: command-line
-      usage error, frontend or analyzer error, unusable checkpoint, or
-      a simulated kill.
+      usage error, frontend or analyzer error, an invalid certificate,
+      or a serving failure.
     """
 
     PROVED = 0
@@ -88,11 +86,6 @@ class AnalysisError(ReproError):
     """Internal error during abstract execution."""
 
 
-class CheckpointError(ReproError):
-    """A checkpoint file is missing, corrupt, or belongs to a different
-    program/configuration (fingerprint mismatch)."""
-
-
 class CertificateError(ReproError):
     """An invariant certificate could not be emitted or did not validate:
     the file is missing/corrupt/wrong-version, or an independent
@@ -118,9 +111,3 @@ class UsageError(ReproError):
     argument).  The CLI maps this to phase ``cli``, exit 3, instead of
     argparse's own exit 2, which the contract reserves for degraded
     verdicts."""
-
-
-class SupervisorHalt(ReproError):
-    """Simulated kill for fault-injection tests and CI: raised by the
-    supervisor after writing a configured number of checkpoints, leaving
-    a resumable checkpoint behind exactly as a SIGKILL would."""

@@ -1,6 +1,6 @@
 """Atomic file replacement, shared by every on-disk artifact the
-analyzer writes: checkpoints, certificates, the serving layer's stores
-and its poison registry.
+analyzer writes: certificates, the serving layer's stores and its
+poison registry.
 
 The bytes go to a uniquely named temporary file next to the target,
 are flushed to disk, and then replace the target by rename, so a reader
@@ -18,9 +18,9 @@ __all__ = ["atomic_write"]
 
 
 def atomic_write(path: str, data: bytes, private: bool = False) -> None:
-    """Replace ``path`` with ``data``.  A user-facing file (a checkpoint
-    or a certificate) gets the mode ``open`` would give it under the
-    process umask, and its directory must exist; a ``private`` one (the
+    """Replace ``path`` with ``data``.  A user-facing file (a
+    certificate) gets the mode ``open`` would give it under the process
+    umask, and its directory must exist; a ``private`` one (the
     serving layer's cache entries) is created mode 0600, in a directory
     made on demand."""
     if private:

@@ -6,21 +6,7 @@ from typing import List
 
 from . import ir as I
 
-__all__ = ["format_program", "format_function", "format_stmts"]
-
-
-def format_program(prog: I.IRProgram) -> str:
-    lines: List[str] = []
-    for v in prog.globals:
-        vol = "volatile " if v.volatile else ""
-        init = prog.initializers.get(v.uid)
-        init_str = f" = {init!r}" if init is not None and not isinstance(init, (list, dict)) else ""
-        lines.append(f"{vol}{v.ctype} {v.name}{init_str};  /* uid={v.uid} */")
-    for fn in prog.functions.values():
-        if fn.body is not None:
-            lines.append("")
-            lines.append(format_function(fn))
-    return "\n".join(lines)
+__all__ = ["format_function", "format_stmts"]
 
 
 def format_function(fn: I.IRFunction) -> str:

@@ -99,9 +99,9 @@ class Iterator:
         self.widening_iterations: int = 0
         # sid -> abstract visit count (when cfg.trace, Sect. 5.3 tracing).
         self.visit_counts: Dict[int, int] = {}
-        # Optional supervisor (set by analyze_program when budgets or
-        # checkpointing are configured); polled at statement and
-        # fixpoint-iteration boundaries.
+        # Optional supervisor (set by analyze_program when a budget is
+        # configured); polled at statement and fixpoint-iteration
+        # boundaries.
         self.supervisor = None
         # Wall time spent inside outermost loop fixpoints ("iteration"
         # phase); the rest of the run is the checking phase.  The lattice
@@ -126,9 +126,6 @@ class Iterator:
         self._footprints = None
         self._footprints_generation: int = -1
         self._seq_execs: Dict[Tuple, object] = {}
-        # Deterministic invocation ordinal of outermost fixpoints: the
-        # coordinate system checkpoints use to find their loop again.
-        self._fixpoint_ordinal: int = -1
         # Certificate recording (repro.certify), on under cfg.certify:
         # one (statement id, pre-narrowing post-fixpoint, checking-pass
         # invariant) triple per loop occurrence of the checking-mode
@@ -647,8 +644,6 @@ class Iterator:
         was_checking = self.alarms.checking
         self.alarms.checking = False
         self._fixpoint_depth += 1
-        if self._fixpoint_depth == 1:
-            self._fixpoint_ordinal += 1
         start = time.perf_counter() if self._fixpoint_depth == 1 else 0.0
         lat_start = self.ctx.lattice_seconds if self._fixpoint_depth == 1 else 0.0
         try:
@@ -665,17 +660,7 @@ class Iterator:
         inv = entry
         prev_unstable: Optional[Set[int]] = None
         fairness_left = self.cfg.delay_fairness_bound
-        start_it = 0
         sup = self.supervisor
-        if sup is not None and self._fixpoint_depth == 1:
-            # Checkpoint resume: when this is the fixpoint the checkpoint
-            # was taken in (matched by invocation ordinal), swap in the
-            # captured invariant and bookkeeping and continue from the
-            # recorded iteration — bit-identical to the interrupted run.
-            restored = sup.resume_into(self, s.loop_id,
-                                       self._fixpoint_ordinal)
-            if restored is not None:
-                inv, prev_unstable, fairness_left, start_it = restored
         # Incremental body re-execution (repro.iterator.incremental):
         # off under tracing (visit counts need every execution; a traced
         # run is the reference engine); partitioned regions are excluded
@@ -695,11 +680,9 @@ class Iterator:
                 self._incr_active = prev_active
 
         eps = self.cfg.iteration_epsilon
-        for it in range(start_it, self.cfg.max_widening_iterations):
+        for it in range(self.cfg.max_widening_iterations):
             if sup is not None:
-                sup.on_fixpoint_iteration(self, s.loop_id,
-                                          self._fixpoint_ordinal, it, inv,
-                                          prev_unstable, fairness_left)
+                sup.on_fixpoint_iteration()
             self.widening_iterations += 1
             body_in = self.guards.guard(inv, s.cond, True, s.sid, s.loc)
             after = run_body(body_in)

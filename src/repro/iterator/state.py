@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Set, Tuple
@@ -40,33 +41,17 @@ from ..packing.boolean_packs import BoolPacking, compute_bool_packs
 from ..packing.ellipsoid_sites import FilterSites, find_filter_sites
 from ..packing.octagon_packs import OctagonPacking, compute_octagon_packs
 
-__all__ = ["AnalysisContext", "AbstractState", "compat_fingerprint",
-           "set_active_context", "get_active_context"]
-
-# Process-wide context registry (checkpoint/resume and certificate
-# support).  Pickled AbstractStates carry domain content only; the heavy
-# AnalysisContext is installed once per process and re-attached during
-# unpickling — supervisor.checkpoint.load_checkpoint and the certificate
-# decoder require it before restoring.
-_ACTIVE_CONTEXT: Optional["AnalysisContext"] = None
-
-
-def set_active_context(ctx: Optional["AnalysisContext"]) -> None:
-    global _ACTIVE_CONTEXT
-    _ACTIVE_CONTEXT = ctx
-
-
-def get_active_context() -> Optional["AnalysisContext"]:
-    return _ACTIVE_CONTEXT
+__all__ = ["AnalysisContext", "AbstractState", "compat_fingerprint"]
 
 
 def _rebuild_state(env, octagons, dtrees, ellipsoids):
-    ctx = _ACTIVE_CONTEXT
-    if ctx is None:
-        raise RuntimeError(
-            "unpickling an AbstractState requires set_active_context() "
-            "to have installed the AnalysisContext in this process")
-    return AbstractState(ctx, env, octagons, dtrees, ellipsoids)
+    """The global a pickled :class:`AbstractState` names.  A state is
+    bound to an analysis context that no pickle carries, so only a
+    decoder that supplies one resolves this name to a constructor bound
+    to it (:func:`repro.certify.artifact.decode_states`)."""
+    raise pickle.UnpicklingError(
+        "an AbstractState decodes only through a decoder that supplies "
+        "its analysis context")
 
 
 @dataclass
@@ -123,7 +108,7 @@ def compat_fingerprint(ctx: AnalysisContext) -> str:
     octagon-pack / boolean-pack / filter-site layout.  Runs with equal
     compat fingerprints agree on what every cell, pack and site id
     means, so they may exchange states: the serving layer's cross-run
-    journals are indexed by it, and checkpoints include it."""
+    journals are indexed by it."""
     cells = [(c.cid, c.name, repr(c.ctype), c.var_uid, c.volatile,
               c.summarized) for c in ctx.table.all_cells()]
     opacks = [(p.pack_id, p.cids) for p in ctx.oct_packs.packs]
@@ -160,8 +145,8 @@ class AbstractState:
         self.ellipsoids = ellipsoids  # site_id -> float k (inf = top)
 
     def __reduce__(self):
-        # The context never crosses the process boundary with the state:
-        # workers re-attach their own installed copy (see _rebuild_state).
+        # The context is never pickled with the state: the decoder binds
+        # each state to the context it is given (see _rebuild_state).
         return (_rebuild_state,
                 (self.env, self.octagons, self.dtrees, self.ellipsoids))
 

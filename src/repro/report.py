@@ -24,9 +24,9 @@ def render_text(record: Dict, stats: bool = False,
     summary line, then the per-phase statistics under ``stats`` and the
     main loop invariant dump under ``invariants``.
 
-    Keys a record stored by an older daemon lacks (``resumed``,
-    ``incidents``, ``peak_rss_kib``, ``useful_octagon_packs``) render
-    as absent or zero."""
+    Keys a record stored by an older daemon lacks (``incidents``,
+    ``peak_rss_kib``, ``useful_octagon_packs``) render as absent or
+    zero."""
     lines: List[str] = [
         f"{a['file']}:{a['line']}:{a['col']}: [{a['kind']}] {a['message']}"
         for a in record["alarms"]]
@@ -48,8 +48,6 @@ def render_text(record: Dict, stats: bool = False,
                      "is sound but coarser than the configured precision "
                      "(rungs applied: "
                      f"{', '.join(record['degradation_steps'])})")
-    if record.get("resumed"):
-        lines.append("-- resumed from checkpoint")
     if stats:
         lines.extend(_stats_lines(record))
     if invariants:

@@ -16,7 +16,7 @@ Three layers of keys, from coarse to fine:
   them.  This indexes the cross-run fixpoint journals: near-duplicate
   versions of one program (same declarations, edited statement
   constants) share a compat fingerprint.  It lives with the analysis
-  context because checkpoints are keyed against it too.
+  context, whose layout it hashes.
 * :func:`stmt_record_key` — one statement's transfer-function identity:
   statement id, pretty-printed content including the bodies of every
   transitively called function, by-reference binding stack, and the

@@ -3,8 +3,8 @@ journals.
 
 Both stores are content-addressed (keys are hex digests from
 repro.serve.fingerprints), write atomically (write-to-temp + rename,
-the same discipline as supervisor checkpoints) so a kill mid-write
-never corrupts an entry, and evict by file mtime when a configured
+the same discipline as certificates, see repro.fileio) so a kill
+mid-write never corrupts an entry, and evict by file mtime when a configured
 entry bound is exceeded — cache warmth survives daemon restarts, disk
 usage stays bounded.
 

@@ -52,9 +52,6 @@ class DependenceGraph:
             work.extend(self.graph.predecessors(sid))
         return out
 
-    def defining_statements(self, cid: int) -> List[int]:
-        return [sid for sid, cells in self.defs.items() if cid in cells]
-
 
 def build_dependence_graph(prog: I.IRProgram, table: CellTable) -> DependenceGraph:
     g = nx.DiGraph()

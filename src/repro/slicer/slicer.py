@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import List, Set
 
 from ..frontend import ir as I
-from ..frontend.ast_nodes import Location
 from ..iterator.alarms import Alarm
 from ..iterator.state import AbstractState
 from ..memory.cells import CellTable
@@ -51,10 +50,6 @@ class Slice:
             return (loc.filename, loc.line, loc.col, sid)
 
         return sorted((sid for sid in self.sids if sid in nodes), key=key)
-
-    def locations(self) -> List[Location]:
-        nodes = self.graph.graph.nodes
-        return [nodes[sid]["loc"] for sid in self._in_source_order()]
 
     def statements(self) -> List[I.Stmt]:
         return [self.graph.stmt(sid) for sid in self._in_source_order()]

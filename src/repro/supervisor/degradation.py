@@ -28,7 +28,7 @@ reads it again, and the persistent-map merges keep it physically shared
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..config import AnalyzerConfig
 from ..domains.thresholds import ThresholdSet
@@ -106,21 +106,3 @@ class DegradationLadder:
         detail = fn(self.config)
         self.applied.append(name)
         return name, detail
-
-    def apply_named(self, names: Sequence[str]) -> None:
-        """Re-apply a recorded prefix of the ladder (checkpoint resume).
-
-        Checkpoints store the rungs that were live when they were
-        written; a resumed run re-applies them up front so the restored
-        invariant continues under a configuration at least as coarse as
-        the one that produced it (soundness is preserved either way —
-        rungs only remove precision)."""
-        by_name = dict(DEGRADATION_RUNGS)
-        for name in names:
-            if name in self.applied:
-                continue
-            fn = by_name.get(name)
-            if fn is None:
-                raise ValueError(f"unknown degradation rung {name!r}")
-            fn(self.config)
-            self.applied.append(name)

@@ -1,18 +1,17 @@
 """Structured incident records.
 
 Every deviation from the happy path — a tripped budget, a degradation
-step, a checkpoint resume — is recorded as an
-:class:`Incident` instead of being silently swallowed or raised at the
-user.  The log rides on the :class:`~repro.analysis.AnalysisResult` so a
-caller can audit exactly what the run survived and what it cost in
-precision.
+step, an exhausted ladder — is recorded as an :class:`Incident` instead
+of being silently swallowed or raised at the user.  The log rides on the
+:class:`~repro.analysis.AnalysisResult` so a caller can audit exactly
+what the run survived and what it cost in precision.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 __all__ = ["Incident", "IncidentLog"]
 
@@ -22,10 +21,9 @@ class Incident:
     """One recorded deviation from the happy path.
 
     ``kind`` names what happened, ``action`` what the supervisor did
-    about it (``degrade:<rung>``, ``exhausted-ladder``, ``restored``,
-    ...), ``detail`` is a
-    human-readable elaboration, and ``at_s`` is the offset from analysis
-    start (informational only — never compared for determinism).
+    about it (``degrade:<rung>`` or ``exhausted-ladder``), ``detail``
+    is a human-readable elaboration, and ``at_s`` is the offset from
+    analysis start (informational only — never compared for determinism).
     """
 
     kind: str
@@ -58,11 +56,6 @@ class IncidentLog:
     @property
     def incidents(self) -> List[Incident]:
         return list(self._incidents)
-
-    def restore(self, incidents: Sequence[Incident], dropped: int = 0) -> None:
-        """Replace the log's contents (checkpoint resume)."""
-        self._incidents = list(incidents)
-        self.dropped = dropped
 
     def __len__(self) -> int:
         return len(self._incidents)

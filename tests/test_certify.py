@@ -138,7 +138,7 @@ def _mutated(cert, mutate):
 
 @contextlib.contextmanager
 def _decoding(payload):
-    """Install a fresh context for the payload's program, so its state
+    """Yield a fresh context for the payload's program, so its state
     table decodes (and re-encodes) outside the checker."""
     with api._walk_globals():
         yield api._fresh_context(
@@ -314,9 +314,9 @@ class TestMutationRejection:
         wide = wide_cert["payload"]
 
         def widen(payload):
-            with _decoding(payload):
-                states = decode_states(payload["states"])
-                wide_inv = decode_states(wide["states"])[
+            with _decoding(payload) as ctx:
+                states = decode_states(payload["states"], ctx)
+                wide_inv = decode_states(wide["states"], ctx)[
                     wide["loop_records"][0][1]]
                 payload["states"] = encode_state(states + [wide_inv])
             payload["loop_records"][0][1] = len(states)
@@ -642,9 +642,10 @@ class TestSharingDifferential:
     @staticmethod
     def _check(payload, isolate):
         with _decoding(payload) as ctx:
-            states = decode_states(payload["states"])
+            states = decode_states(payload["states"], ctx)
             if isolate:
-                states = [pickle.loads(pickle.dumps(st)) for st in states]
+                states = [decode_states(encode_state([st]), ctx)[0]
+                          for st in states]
             try:
                 walker = api._check_walk(ctx, payload, states)
             except CertificateError as exc:
@@ -665,9 +666,10 @@ class TestSharingDifferential:
         assert shared[0] == ("accepted" if mutate is None else "rejected")
 
     def test_isolation_really_drops_sharing(self, witness_cert):
-        with _decoding(witness_cert["payload"]):
-            states = decode_states(witness_cert["payload"]["states"])
-            isolated = [pickle.loads(pickle.dumps(st)) for st in states]
+        with _decoding(witness_cert["payload"]) as ctx:
+            states = decode_states(witness_cert["payload"]["states"], ctx)
+            isolated = [decode_states(encode_state([st]), ctx)[0]
+                        for st in states]
             assert len(_nodes(isolated)) > len(_nodes(states))
 
     @pytest.mark.parametrize("src,name", [(WITNESS_SRC, "witness.c"),
@@ -686,13 +688,49 @@ class TestSharingDifferential:
         result = analyze(src, name, config=_cfg())
         payload = build_certificate(result, src, name)["payload"]
         emitted = tables[-1]
-        with _decoding(payload):
-            decoded = decode_states(payload["states"])
+        with _decoding(payload) as ctx:
+            decoded = decode_states(payload["states"], ctx)
             assert len(decoded) == len(emitted)
             assert len(_nodes(decoded)) == len(_nodes(emitted))
             # ... and the recorded states do share subtrees.
             assert len(_nodes(decoded)) < sum(
                 len(_nodes([st])) for st in decoded)
+
+
+class TestStateDecoder:
+    """States decode only through ``decode_states``, which binds each
+    one to the context it is given; nothing is installed process-wide."""
+
+    def test_plain_pickle_refuses_a_state_table(self, witness_cert):
+        blob = witness_cert["payload"]["states"]
+        with pytest.raises(pickle.UnpicklingError, match="analysis context"):
+            pickle.loads(zlib.decompress(base64.b64decode(blob)))
+
+    def test_decode_binds_every_state_to_ctx(self, witness_cert):
+        payload = witness_cert["payload"]
+        with _decoding(payload) as ctx:
+            states = decode_states(payload["states"], ctx)
+        assert states and all(st.ctx is ctx for st in states)
+
+    def test_one_blob_under_two_contexts(self, witness_cert):
+        payload = witness_cert["payload"]
+        with _decoding(payload) as ctx1, _decoding(payload) as ctx2:
+            assert ctx1 is not ctx2
+            first = decode_states(payload["states"], ctx1)
+            second = decode_states(payload["states"], ctx2)
+            third = decode_states(payload["states"], ctx1)
+        assert all(st.ctx is ctx1 for st in first + third)
+        assert all(st.ctx is ctx2 for st in second)
+        assert [repr(st.env) for st in first] == [
+            repr(st.env) for st in second]
+
+    def test_config_blob_holding_a_state_is_refused(self, witness_cert):
+        payload = witness_cert["payload"]
+        with _decoding(payload) as ctx:
+            state = decode_states(payload["states"], ctx)[0]
+        with pytest.raises(CertificateError, match="configuration does not "
+                                                   "decode"):
+            decode_config(encode_state([state]))
 
 
 class TestWarmCachesSurviveCertification:

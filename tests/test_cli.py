@@ -203,55 +203,6 @@ class TestExitCodeContract:
         assert "UnicodeDecodeError" not in err
         assert "bin.c" in err
 
-    def test_missing_checkpoint_resume(self, clean_file, tmp_path, capsys):
-        ckpt = str(tmp_path / "never-written.ckpt")
-        rc = main(["analyze", clean_file, "--resume", ckpt,
-                   "--input-range", "sensor=0:100"])
-        err = capsys.readouterr().err
-        assert rc == int(ExitCode.INTERNAL_ERROR)
-        assert "phase=checkpoint" in err
-        assert "never-written.ckpt" in err
-
-    def test_corrupt_checkpoint_resume(self, clean_file, tmp_path, capsys):
-        ckpt = tmp_path / "corrupt.ckpt"
-        ckpt.write_bytes(b"\x00\x01not a checkpoint")
-        rc = main(["analyze", clean_file, "--resume", str(ckpt),
-                   "--input-range", "sensor=0:100"])
-        err = capsys.readouterr().err
-        assert rc == int(ExitCode.INTERNAL_ERROR)
-        assert "phase=checkpoint" in err
-        assert "corrupt.ckpt" in err
-
-    def test_truncated_checkpoint_resume(self, tmp_path, capsys):
-        # Write a real checkpoint (loops produce fixpoint-iteration
-        # boundaries), then truncate it mid-stream.
-        p = tmp_path / "loop.c"
-        p.write_text("""
-        volatile int v; int c;
-        int main(void) {
-            c = 0;
-            while (1) {
-                if (v) { c = c + 1; }
-                if (c > 100) { c = 0; }
-                __ASTREE_wait_for_clock();
-            }
-            return 0;
-        }
-        """)
-        ckpt = tmp_path / "trunc.ckpt"
-        rc = main(["analyze", str(p), "--checkpoint", str(ckpt),
-                   "--input-range", "v=0:1"])
-        assert rc == 0 and ckpt.exists()
-        capsys.readouterr()
-        data = ckpt.read_bytes()
-        ckpt.write_bytes(data[:max(1, len(data) // 2)])
-        rc = main(["analyze", str(p), "--resume", str(ckpt),
-                   "--input-range", "v=0:1"])
-        err = capsys.readouterr().err
-        assert rc == int(ExitCode.INTERNAL_ERROR)
-        assert "phase=checkpoint" in err
-        assert "trunc.ckpt" in err
-
     def test_no_silent_swallowing(self, capsys):
         """Unexpected exceptions surface class AND message on stderr
         through the single internal-error funnel."""

@@ -28,25 +28,16 @@ class TestThresholdSet:
         ts = ThresholdSet.geometric(alpha=1.0, lam=2.0, count=3)
         assert -4.0 in ts
 
-    def test_next_above(self):
-        ts = ThresholdSet([10.0, 100.0])
-        assert ts.next_above(5.0) == 10.0
-        assert ts.next_above(50.0) == 100.0
-        assert ts.next_above(1000.0) == math.inf
-
-    def test_next_below(self):
-        ts = ThresholdSet([-100.0, -10.0])
-        assert ts.next_below(-5.0) == -10.0
-        assert ts.next_below(-1000.0) == -math.inf
-
     def test_with_extra(self):
         ts = default_thresholds().with_extra([123.0])
         assert 123.0 in ts
 
     def test_default_covers_type_bounds(self):
         ts = default_thresholds()
-        assert 2.0**31 in ts
-        assert ts.next_above(3.3e38) == math.inf or ts.next_above(3.3e38) > 3.3e38
+        for bound in (2.0**7, 2.0**15, 2.0**31, 2.0**63):
+            assert bound in ts and -bound in ts
+        # Past the last finite rung a bound widens to infinity.
+        assert ts.values[0] == -math.inf and ts.values[-1] == math.inf
 
 
 class TestAnalyzerConfig:

@@ -169,8 +169,3 @@ class TestSharing:
         # Same facts on both sides: node collapses to a leaf.
         assert isinstance(t.root, Leaf)
 
-    def test_leaf_count(self):
-        t = fresh()
-        assert t.leaf_count() == 1
-        t = t.assign_bool(B1, {X: IntInterval.const(0)}, {X: IntInterval.const(1)})
-        assert t.leaf_count() == 2

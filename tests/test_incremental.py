@@ -8,11 +8,10 @@ All of it is claimed to be *bit-identical* to full re-execution — these
 tests hold that claim against the reference engine (``trace=True``:
 every statement executed, both sharing caches off) across a seeded
 sweep of generated family programs (mixed nested loops, branches, calls
-and filter blocks) and across a checkpoint→kill→resume cycle.
+and filter blocks).
 """
 
 import dataclasses
-import os
 
 import pytest
 
@@ -20,10 +19,8 @@ from repro.analysis import analyze_program
 from repro.config import AnalyzerConfig
 from repro.domains.octagon import (Octagon, closure_memo_stats,
                                    configure_closure_memo)
-from repro.errors import SupervisorHalt
 from repro.frontend import compile_source
 from repro.memory import interning
-from repro.supervisor.supervisor import HALT_ENV
 from repro.synth import FamilySpec, generate_program
 
 # ≥20 seeds, sizes chosen so every generator block type (filter chains,
@@ -138,26 +135,6 @@ class TestDifferentialSweep:
         assert full.stmts_skipped == 0
         assert interning.intern_stats() == pool
         assert closure_memo_stats()[:2] == memo
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint → kill → resume
-# ---------------------------------------------------------------------------
-
-
-class TestCheckpointKillResume:
-    def test_resume_bit_identical_both_modes(self, tmp_path, monkeypatch):
-        prog, cfg = _family(0.08, 17)
-        reference = analyze_program(prog, dataclasses.replace(cfg, trace=True))
-        cp = str(tmp_path / "cp.pkl")
-        monkeypatch.setenv(HALT_ENV, "2")
-        with pytest.raises(SupervisorHalt):
-            analyze_program(prog, dataclasses.replace(cfg, checkpoint_path=cp))
-        assert os.path.exists(cp)
-        resumed = analyze_program(
-            prog, dataclasses.replace(cfg, resume_path=cp))
-        assert resumed.resumed
-        assert _snapshot(resumed) == _snapshot(reference)
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,10 @@ class TestMarkdown:
 
     def test_stored_record_without_new_keys_renders(self):
         # A result stored by a daemon that predates the shared record has
-        # no resumed/incidents/peak_rss_kib/useful_octagon_packs keys.
+        # no incidents/peak_rss_kib/useful_octagon_packs keys.
         record = analyze(BUGGY, config=AnalyzerConfig(
             input_ranges={"v": (0, 3)})).to_json()
-        for key in ("resumed", "incidents", "peak_rss_kib",
+        for key in ("incidents", "peak_rss_kib",
                     "useful_octagon_packs", "octagon_pack_avg_size"):
             del record[key]
         text = render_text(record, stats=True, invariants=True)

@@ -67,8 +67,48 @@ class TestFingerprints:
         assert fp == config_fingerprint(
             dataclasses.replace(cfg, stmt_timeout_s=0.5))
         assert fp == config_fingerprint(
-            dataclasses.replace(cfg, wall_deadline_s=1.0,
-                                checkpoint_path="cp.pkl"))
+            dataclasses.replace(cfg, wall_deadline_s=1.0))
+
+    def test_journal_keys_cover_layout_and_semantic_config(self):
+        # A journal is only replayed into a run whose compat fingerprint
+        # matches, so it must move with anything that renumbers cells or
+        # changes the abstract semantics.
+        from repro.domains.thresholds import ThresholdSet
+        from repro.frontend import compile_source
+        from repro.iterator.state import AnalysisContext
+
+        src = ("volatile int in1;\n"
+               "int main(void) {\n"
+               "  int y; int z;\n"
+               "  y = 0; z = 0;\n"
+               "  while (1) {\n"
+               "    y = y + 1; if (y > 100) { y = 0; }\n"
+               "    z = y + in1;\n"
+               "    __ASTREE_wait_for_clock();\n"
+               "  }\n"
+               "  return 0;\n"
+               "}\n")
+
+        def compat(n):
+            # A local array resized shifts the cell id of every variable
+            # declared after it.
+            prog = compile_source(src.replace(
+                "int y; int z;", f"int buf[{n}]; int y; int z;"), "loop.c")
+            return compat_fingerprint(
+                AnalysisContext.for_program(prog, AnalyzerConfig()))
+
+        assert compat(4) == compat(4)
+        assert compat(4) != compat(8)
+        cfg = AnalyzerConfig()
+        fp = config_fingerprint(cfg)
+        # Threshold *values* count, not just how many there are.
+        ts = cfg.thresholds.values
+        shifted = ThresholdSet([v * 2 for v in ts])
+        assert len(shifted.values) == len(ts)
+        for changed in (dataclasses.replace(cfg, thresholds=shifted),
+                        dataclasses.replace(cfg, partition_functions={"main"}),
+                        dataclasses.replace(cfg, narrowing_steps=7)):
+            assert config_fingerprint(changed) != fp
 
     def test_config_fingerprint_pinned(self, monkeypatch):
         # Deleting a non-semantic config field must not move any serve
@@ -566,7 +606,7 @@ class TestDaemon:
         bad = c.request({"op": "submit"})
         assert not bad["ok"]
         bad2 = c.submit([("a.c", "void main(){}")],
-                        config={"checkpoint_path": "/tmp/x"})
+                        config={"certify": True})
         assert not bad2["ok"] and "not settable" in bad2["error"]
         # Removed engine knobs are refused, not ignored: the parallel
         # engine's, full re-execution's, and tracing (the reply carries

@@ -299,9 +299,8 @@ def test_ellipsoid_merge_reads_only_differing_sites(filter_ctx,
 
 
 def test_site_only_in_self_meets_the_other_box(filter_ctx):
-    """A site missing from the other state (a resume that re-applied
-    ``drop-ellipsoids`` up front) meets it as top: the other side's k is
-    reduced from its own box, so the result stays finite."""
+    """A site missing from the other state meets it as top: the other
+    side's k is reduced from its own box, so the result stays finite."""
     a = _filter_state(filter_ctx, k=lambda site_id: 1.0)
     site = filter_ctx.filter_sites.sites[5].site_id
     c = _filter_state(filter_ctx, box=1.0)

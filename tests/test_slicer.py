@@ -62,13 +62,6 @@ class TestDependenceGraph:
                  for p in g.graph.predecessors(sc)]
         assert any(kind == "control" for _, kind in preds)
 
-    def test_defining_statements(self):
-        prog, table = setup_prog(SRC)
-        g = build_dependence_graph(prog, table)
-        a_var = prog.global_by_name("a")
-        cid = table.scalar_cell(a_var.uid).cid
-        assert len(g.defining_statements(cid)) == 1
-
 
 class TestBackwardSlice:
     def test_slice_contains_criterion(self):

@@ -1,11 +1,11 @@
-"""Fault-tolerance supervisor: budgets, degradation, checkpoint/resume,
+"""Fault-tolerance supervisor: budgets, degradation, the incident log,
 and the CLI exit-code contract.
 
 The supervisor's promise is that an analysis run never dies on the user:
 tripped resource budgets step down the soundness-preserving degradation
-ladder (the run finishes with a coarser verdict and ``degraded=True``),
-and a run killed between checkpoints resumes to a result bit-identical
-to an uninterrupted one.  Every deviation must land in the incident log.
+ladder (the run finishes with a coarser verdict and ``degraded=True``).
+Every deviation must land in the incident log, and every run lands in
+the 0/1/2/3 exit contract.
 """
 
 import dataclasses
@@ -20,13 +20,11 @@ import pytest
 
 from repro.analysis import analyze_program
 from repro.config import AnalyzerConfig
-from repro.errors import CheckpointError, ExitCode, SupervisorHalt
+from repro.errors import ExitCode
+from repro.fileio import atomic_write
 from repro.frontend import compile_source
+from repro.frontend.ir import iter_stmts
 from repro.supervisor import DEGRADATION_RUNGS, DegradationLadder, IncidentLog
-from repro.supervisor.checkpoint import (CHECKPOINT_VERSION, Checkpoint,
-                                         context_fingerprint,
-                                         write_checkpoint)
-from repro.supervisor.supervisor import HALT_ENV
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -70,10 +68,9 @@ def _snapshot(result) -> dict:
     }
 
 
-def _bare_checkpoint() -> Checkpoint:
-    return Checkpoint(fingerprint="f", ordinal=0, loop_id=1,
-                      next_iteration=0, inv=None, prev_unstable=None,
-                      fairness_left=0, widening_iterations=0)
+def _sids(prog) -> list:
+    return [s.sid for fn in prog.functions.values() if fn.body
+            for s in iter_stmts(fn.body)]
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +169,6 @@ class TestBudgets:
         assert not result.degraded
         assert result.incidents == []
         assert result.degradation_steps == []
-        assert not result.resumed
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="VmHWM is Linux-only")
@@ -236,68 +232,25 @@ class TestDegradationLadder:
         assert not cfg.enable_decision_trees
         assert cfg.thresholds is None and cfg.narrowing_steps == 0
 
-    def test_apply_named_restores_prefix(self):
-        cfg = AnalyzerConfig()
-        ladder = DegradationLadder(cfg)
-        ladder.apply_named(["thin-thresholds", "drop-ellipsoids"])
-        assert ladder.applied == ["thin-thresholds", "drop-ellipsoids"]
-        assert not cfg.enable_ellipsoids
-        assert cfg.enable_octagons  # later rungs untouched
-        with pytest.raises(ValueError):
-            ladder.apply_named(["no-such-rung"])
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint / resume
-# ---------------------------------------------------------------------------
-
 
 class TestCheckpointResume:
-    def test_halt_leaves_resumable_checkpoint(self, loop_prog, loop_cfg,
-                                              tmp_path, monkeypatch):
-        cp = str(tmp_path / "cp.pkl")
-        cfg = dataclasses.replace(loop_cfg, checkpoint_path=cp)
-        monkeypatch.setenv(HALT_ENV, "2")
-        with pytest.raises(SupervisorHalt):
-            analyze_program(loop_prog, cfg)
-        assert os.path.exists(cp)
+    """What checkpoint/resume rested on and what still holds without it:
+    ``atomic_write`` (behind certificates and the serve cache) leaves the
+    whole file or none, with the mode ``open`` gives, and a recompiled
+    program gets the same statement ids and the same result, which the
+    serve journal relies on when it replays statement records by id
+    across compilations."""
 
-    def test_resume_is_bit_identical(self, loop_prog, loop_cfg, tmp_path,
-                                     monkeypatch):
-        reference = analyze_program(loop_prog, loop_cfg)
-        cp = str(tmp_path / "cp.pkl")
-        cfg_cp = dataclasses.replace(loop_cfg, checkpoint_path=cp)
-        monkeypatch.setenv(HALT_ENV, "2")
-        with pytest.raises(SupervisorHalt):
-            analyze_program(loop_prog, cfg_cp)
-        cfg_rs = dataclasses.replace(loop_cfg, resume_path=cp)
-        resumed = analyze_program(loop_prog, cfg_rs)
-        assert resumed.resumed
-        assert any(i.kind == "resume" for i in resumed.incidents)
-        assert _snapshot(resumed) == _snapshot(reference)
-        stats_ref = reference.invariant_stats()
-        stats_res = resumed.invariant_stats()
-        assert dataclasses.asdict(stats_ref) == dataclasses.asdict(stats_res)
-        fs_ref, fs_res = reference.final_state, resumed.final_state
-        assert fs_ref.includes(fs_res) and fs_res.includes(fs_ref)
-
-    def test_resume_across_recompilation(self, loop_prog, loop_cfg,
-                                         tmp_path, monkeypatch):
+    def test_resume_across_recompilation(self, loop_prog, loop_cfg):
         # A recompilation of the same source (as in a fresh process that
-        # compiled another program first) gets the same statement ids;
-        # the checkpoint resumes bit-identically.
+        # compiled another program first) gets the same statement ids and
+        # analyses bit-identically.
         reference = analyze_program(loop_prog, loop_cfg)
-        cp = str(tmp_path / "cp.pkl")
-        monkeypatch.setenv(HALT_ENV, "2")
-        with pytest.raises(SupervisorHalt):
-            analyze_program(loop_prog,
-                            dataclasses.replace(loop_cfg, checkpoint_path=cp))
         compile_source(BUGGY_SRC, "buggy.c")
         again = compile_source(LOOP_SRC, "loop.c")
-        resumed = analyze_program(
-            again, dataclasses.replace(loop_cfg, resume_path=cp))
-        assert resumed.resumed
-        assert _snapshot(resumed) == _snapshot(reference)
+        assert _sids(again) == _sids(loop_prog)
+        assert _snapshot(analyze_program(again, loop_cfg)) \
+            == _snapshot(reference)
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         import errno
@@ -305,127 +258,43 @@ class TestCheckpointResume:
         def no_space(fd):
             raise OSError(errno.ENOSPC, "No space left on device")
 
+        kept = tmp_path / "kept.bin"
+        atomic_write(str(kept), b"old")
         monkeypatch.setattr(os, "fsync", no_space)
         with pytest.raises(OSError):
-            write_checkpoint(str(tmp_path / "cp.pkl"), _bare_checkpoint())
-        assert os.listdir(tmp_path) == []
+            atomic_write(str(tmp_path / "cp.pkl"), b"new")
+        with pytest.raises(OSError):
+            atomic_write(str(kept), b"new")
+        assert os.listdir(tmp_path) == ["kept.bin"]
+        assert kept.read_bytes() == b"old"
 
     def test_written_like_open(self, tmp_path):
-        # A checkpoint gets the mode open() gives under the umask, and a
-        # missing directory is an error, not created.
+        # A user-facing file gets the mode open() gives under the umask,
+        # and a missing directory is an error, not created; a private one
+        # is 0600 in a directory made on demand.
         old = os.umask(0o027)
         try:
-            write_checkpoint(str(tmp_path / "cp.pkl"), _bare_checkpoint())
+            atomic_write(str(tmp_path / "cp.pkl"), b"data")
         finally:
             os.umask(old)
         assert os.stat(tmp_path / "cp.pkl").st_mode & 0o777 == 0o640
         with pytest.raises(FileNotFoundError):
-            write_checkpoint(str(tmp_path / "no" / "cp.pkl"),
-                             _bare_checkpoint())
+            atomic_write(str(tmp_path / "no" / "cp.pkl"), b"data")
         assert os.listdir(tmp_path) == ["cp.pkl"]
-
-    def test_fingerprint_only_when_checkpointing(self, loop_prog, loop_cfg,
-                                                 monkeypatch):
-        # A supervised run without a checkpoint or resume path (every
-        # budgeted run, every serve job) never hashes the program.
-        import repro.supervisor.supervisor as sup
-
-        def unexpected(ctx):
-            raise AssertionError("fingerprint computed")
-
-        monkeypatch.setattr(sup, "context_fingerprint", unexpected)
-        cfg = dataclasses.replace(loop_cfg, wall_deadline_s=1000.0)
-        assert not analyze_program(loop_prog, cfg).degraded
-
-    def test_missing_checkpoint_errors(self, loop_prog, loop_cfg, tmp_path):
-        cfg = dataclasses.replace(
-            loop_cfg, resume_path=str(tmp_path / "absent.pkl"))
-        with pytest.raises(CheckpointError, match="not found"):
-            analyze_program(loop_prog, cfg)
-
-    def test_corrupt_checkpoint_errors(self, loop_prog, loop_cfg, tmp_path):
-        bad = tmp_path / "bad.pkl"
-        bad.write_bytes(b"not a pickle")
-        cfg = dataclasses.replace(loop_cfg, resume_path=str(bad))
-        with pytest.raises(CheckpointError, match="corrupt"):
-            analyze_program(loop_prog, cfg)
-
-    def test_config_drift_is_rejected(self, loop_prog, loop_cfg, tmp_path,
-                                      monkeypatch):
-        cp = str(tmp_path / "cp.pkl")
-        cfg_cp = dataclasses.replace(loop_cfg, checkpoint_path=cp)
-        monkeypatch.setenv(HALT_ENV, "1")
-        with pytest.raises(SupervisorHalt):
-            analyze_program(loop_prog, cfg_cp)
-        # Same program, different widening schedule: the fingerprint
-        # must reject the stale snapshot instead of resuming wrongly.
-        cfg_rs = dataclasses.replace(loop_cfg, resume_path=cp,
-                                     widening_delay=loop_cfg.widening_delay
-                                     + 3)
-        with pytest.raises(CheckpointError, match="does not match"):
-            analyze_program(loop_prog, cfg_rs)
-
-    def test_fingerprint_covers_program_and_config(self, loop_prog,
-                                                   loop_cfg, monkeypatch):
-        from repro.iterator.state import AnalysisContext
-
-        def ctx_for(cfg, prog=loop_prog):
-            return AnalysisContext.for_program(prog, cfg)
-
-        fp1 = context_fingerprint(ctx_for(loop_cfg))
-        fp2 = context_fingerprint(ctx_for(loop_cfg))
-        assert fp1 == fp2
-        # Program content counts: a recompilation matches, a
-        # one-constant edit does not.
-        again = compile_source(LOOP_SRC, "loop.c")
-        assert context_fingerprint(ctx_for(loop_cfg, again)) == fp1
-        edited = compile_source(LOOP_SRC.replace("y > 100", "y > 101"),
-                                "loop.c")
-        assert context_fingerprint(ctx_for(loop_cfg, edited)) != fp1
-        # The printout omits local declarations; the cell layout does not:
-        # resizing a local array shifts the cell ids after it.
-        from repro.frontend.pretty import format_program
-
-        def with_buf(n):
-            return compile_source(LOOP_SRC.replace(
-                "int y; int z;", f"int buf[{n}]; int y; int z;"), "loop.c")
-
-        buf4, buf8 = with_buf(4), with_buf(8)
-        assert format_program(buf4) == format_program(buf8)
-        assert (context_fingerprint(ctx_for(loop_cfg, buf4))
-                != context_fingerprint(ctx_for(loop_cfg, buf8)))
-        fp3 = context_fingerprint(
-            ctx_for(dataclasses.replace(loop_cfg, narrowing_steps=7)))
-        assert fp3 != fp1
-        # Threshold *values* count, not just how many there are.
-        from repro.domains.thresholds import ThresholdSet
-
-        ts = loop_cfg.thresholds.values
-        shifted = ThresholdSet([v * 2 for v in ts])
-        assert len(shifted.values) == len(ts)
-        assert context_fingerprint(ctx_for(dataclasses.replace(
-            loop_cfg, thresholds=shifted))) != fp1
-        assert context_fingerprint(ctx_for(dataclasses.replace(
-            loop_cfg, partition_functions={"main"}))) != fp1
-        # A checkpoint from a build with other semantics never resumes.
-        import repro.config
-
-        monkeypatch.setattr(repro.config, "SEMANTICS_VERSION",
-                            repro.config.SEMANTICS_VERSION - 1)
-        assert context_fingerprint(ctx_for(loop_cfg)) != fp1
+        atomic_write(str(tmp_path / "cache" / "e.bin"), b"data",
+                     private=True)
+        assert os.stat(tmp_path / "cache" / "e.bin").st_mode & 0o777 \
+            == 0o600
 
 
 # ---------------------------------------------------------------------------
-# CLI exit-code contract (satellite b) and end-to-end fault injection
+# CLI exit-code contract
 # ---------------------------------------------------------------------------
 
 
-def _run_cli(args, tmp_path, extra_env=None):
+def _run_cli(args, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    env.pop("REPRO_FAULT_HALT_AFTER_CHECKPOINTS", None)
-    if extra_env:
-        env.update(extra_env)
     return subprocess.run(
         [sys.executable, "-m", "repro.cli"] + args,
         capture_output=True, text=True, env=env, cwd=str(tmp_path))
@@ -462,27 +331,14 @@ class TestExitCodeContract:
         assert any(i["kind"] == "deadline" for i in payload["incidents"])
 
     def test_internal_error_is_3(self, tmp_path):
-        f = tmp_path / "clean.c"
-        f.write_text(LOOP_SRC)
-        proc = _run_cli(["analyze", str(f), "--resume",
-                         str(tmp_path / "absent.pkl")], tmp_path)
-        assert proc.returncode == int(ExitCode.INTERNAL_ERROR)
-        assert "checkpoint" in proc.stderr
-
-    def test_malformed_checkpoint_is_3(self, tmp_path):
-        # A well-formed pickle whose checkpoint is no Checkpoint is an
-        # unusable checkpoint, not an unexpected AttributeError.
-        f = tmp_path / "clean.c"
-        f.write_text(LOOP_SRC)
-        bad = tmp_path / "bad.pkl"
-        bad.write_bytes(pickle.dumps({"version": CHECKPOINT_VERSION,
-                                      "checkpoint": 42}))
-        proc = _run_cli(["analyze", str(f), "--resume", str(bad)],
-                        tmp_path)
+        # No verdict and no usage error: a certificate that is not there.
+        proc = _run_cli(["check-certificate",
+                         str(tmp_path / "absent.json")], tmp_path)
         assert proc.returncode == int(ExitCode.INTERNAL_ERROR)
         assert proc.stderr.splitlines() == [
-            f"astree-repro: internal-error: phase=checkpoint "
-            f"class=CheckpointError: corrupt checkpoint {bad}: bad payload"]
+            f"astree-repro: internal-error: phase=certify "
+            f"class=CertificateError: certificate file not found: "
+            f"{tmp_path / 'absent.json'}"]
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "loop.c", "--jobs", "2"],
@@ -504,6 +360,8 @@ class TestExitCodeContract:
         ["fuzz", "--min-kloc", "0.1"],
         ["fuzz", "--max-kloc", "0.1"],
         ["fuzz", "--max-mutations", "1"],
+        ["analyze", "loop.c", "--checkpoint", "cp.pkl"],
+        ["analyze", "loop.c", "--resume", "cp.pkl"],
     ], ids=["removed-jobs-flag", "removed-no-vectorize-flag",
             "removed-vectorize-min-cells-flag", "removed-no-incremental-flag",
             "removed-incremental-flag", "removed-strict-flag",
@@ -513,7 +371,8 @@ class TestExitCodeContract:
             "removed-edit-loop-flag", "removed-slice-invariants-flag",
             "removed-checkpoint-every-flag", "removed-fuzz-streams-flag",
             "removed-fuzz-max-ticks-flag", "removed-fuzz-min-kloc-flag",
-            "removed-fuzz-max-kloc-flag", "removed-fuzz-max-mutations-flag"])
+            "removed-fuzz-max-kloc-flag", "removed-fuzz-max-mutations-flag",
+            "removed-checkpoint-flag", "removed-resume-flag"])
     def test_usage_error_is_3(self, tmp_path, argv):
         # argparse's own exit 2 would read as a degraded verdict.
         (tmp_path / "loop.c").write_text(LOOP_SRC)
@@ -530,28 +389,6 @@ class TestExitCodeContract:
         proc = _run_cli(["analyze", "--help"], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: astree-repro analyze")
-
-    def test_checkpoint_kill_resume_through_cli(self, tmp_path):
-        f = tmp_path / "loop.c"
-        f.write_text(LOOP_SRC)
-        cp = tmp_path / "cp.pkl"
-        base = ["analyze", str(f), "--input-range", "in1=-10:10", "--json"]
-        ref = _run_cli(base, tmp_path)
-        assert ref.returncode in (0, 1), ref.stderr
-        ref_payload = json.loads(ref.stdout)
-
-        halted = _run_cli(
-            base + ["--checkpoint", str(cp)], tmp_path,
-            extra_env={"REPRO_FAULT_HALT_AFTER_CHECKPOINTS": "2"})
-        assert halted.returncode == int(ExitCode.INTERNAL_ERROR)
-        assert cp.exists()
-
-        resumed = _run_cli(base + ["--resume", str(cp)], tmp_path)
-        assert resumed.returncode == ref.returncode, resumed.stderr
-        res_payload = json.loads(resumed.stdout)
-        assert res_payload["resumed"]
-        assert res_payload["alarms"] == ref_payload["alarms"]
-        assert res_payload["alarm_count"] == ref_payload["alarm_count"]
 
 
 # ---------------------------------------------------------------------------
